@@ -14,11 +14,10 @@ and kernel membership transfer.
 
 from fractions import Fraction
 
-from .exactmat import IncrementalSpan, Mat, nullspace, rank, solve
-from .quiver import HOM, InputError
+from .exactmat import Mat, nullspace, rank, solve
+from .quiver import InputError
 from .derived import (
     DerivedMorphism,
-    DerivedObject,
     compose,
     graded_hom,
     make_object,
@@ -48,10 +47,10 @@ def hom_module(y, t, algebra=None):
         else:
             _, asrc, atgt, adeg = lab
             for (k, l, deg), i in gen_index.items():
-                if l != asrc or deg + adeg > 1:
+                if l != asrc:
                     continue
-                # composite of canonical generators is canonical or zero;
-                # nonzero exactly when the composite space has a generator
+                # a composite of canonical generators is canonical or zero
+                # (quiver.space_dim): nonzero iff its space has a generator
                 j = gen_index.get((k, atgt, deg + adeg))
                 if j is not None:
                     m[j, i] = 1
@@ -84,7 +83,7 @@ def min_left_approx_sequence(y, t, algebra=None):
     # projectives E e_l, dual to the summands t_l themselves.
     top0 = module_generators(m)  # list of (idempotent l, vector in m)
     t0_pairs = [t.summands[l] for l, _ in top0]
-    t0, perm0 = _make_with_perm(alg, t0_pairs)
+    t0, perm0 = make_object(alg, t0_pairs)
 
     f_entries = {}
     for pos, (l, vec) in enumerate(top0):
@@ -131,7 +130,7 @@ def min_left_approx_sequence(y, t, algebra=None):
 
     top1 = module_generators(kmod)
     t1_pairs = [t.summands[l] for l, _ in top1]
-    t1, perm1 = _make_with_perm(alg, t1_pairs)
+    t1, perm1 = make_object(alg, t1_pairs)
 
     g_entries = {}
     for pos1, (l1, vec) in enumerate(top1):
@@ -144,10 +143,6 @@ def min_left_approx_sequence(y, t, algebra=None):
             g_entries[key] = g_entries.get(key, Fraction(0)) + c
     g = DerivedMorphism(t0, t1, g_entries)
     return ApproxSequence(y, t, t0, f, t1, g)
-
-
-def _make_with_perm(alg, pairs):
-    return make_object(alg, pairs)
 
 
 def to_rep_morphism(f):
@@ -214,25 +209,13 @@ def minimality_check(f, t):
     """f is a left approximation and dropping any target summand breaks it."""
     if not is_left_approximation(f, t):
         return False
-    nt = len(f.tgt.summands)
-    for drop in range(nt):
-        kept = [p for i, p in enumerate(f.tgt.summands) if i != drop]
-        sub = DerivedObject(f.alg, kept)
-        remap = {}
-        new_index = {}
-        taken = [False] * len(kept)
-        for old, p in enumerate(f.tgt.summands):
-            if old == drop:
-                continue
-            for ni, q in enumerate(sub.summands):
-                if not taken[ni] and q == p:
-                    taken[ni] = True
-                    new_index[old] = ni
-                    break
-        for (k, l), c in f.entries.items():
-            if l != drop:
-                remap[(k, new_index[l])] = c
-        fsub = DerivedMorphism(f.src, sub, remap)
-        if is_left_approximation(fsub, t):
+    for drop in range(len(f.tgt.summands)):
+        kept = [i for i in range(len(f.tgt.summands)) if i != drop]
+        sub, perm = make_object(f.alg, [f.tgt.summands[i] for i in kept])
+        new_index = dict(zip(kept, perm))
+        remap = {
+            (k, new_index[l]): c for (k, l), c in f.entries.items() if l != drop
+        }
+        if is_left_approximation(DerivedMorphism(f.src, sub, remap), t):
             return False
     return True

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .quiver import Algebra, InputError, hom_dim
+from .quiver import InputError, hom_dim
 from .derived import DerivedObject, pair_space_dim
 from .endalg import end_of, is_linear_A
 from .deciders import check_ddcp
@@ -102,6 +102,8 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
     algebra and which pass the double-centraliser decider, and match them
     against the constructive families."""
     n = alg.n
+    if degree_window < 1:
+        raise InputError("degree window must be at least 1: %d" % degree_window)
     if n > bound:
         estimate = comb(n * (n + 1) // 2 * degree_window, n)
         raise InputError(

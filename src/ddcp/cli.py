@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .quiver import Algebra, InputError, Interval, ext_dim, hom_dim
+from .quiver import Algebra, InputError, ext_dim, hom_dim
 from .derived import DerivedObject
 from .endalg import (
     PreconditionError,
@@ -36,12 +36,18 @@ def object_to_json(x):
     }
 
 
+def _is_json_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def object_from_json(data, n=None):
+    """The object a JSON mapping names; n, a, b and shift must be JSON
+    integers (not strings, floats or booleans)."""
     if not isinstance(data, dict):
         raise InputError("object JSON must be a mapping")
     if n is None:
         n = data.get("n")
-    if not isinstance(n, int):
+    if not _is_json_int(n):
         raise InputError("object JSON needs an integer n")
     alg = Algebra(n)
     summands = data.get("summands")
@@ -50,10 +56,14 @@ def object_from_json(data, n=None):
     pairs = []
     for entry in summands:
         try:
-            iv = alg.interval(int(entry["a"]), int(entry["b"]))
-            pairs.append((iv, int(entry["shift"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            a, b, shift = entry["a"], entry["b"], entry["shift"]
+        except (KeyError, TypeError) as exc:
             raise InputError("malformed summand %r: %s" % (entry, exc))
+        if not all(map(_is_json_int, (a, b, shift))):
+            raise InputError(
+                "malformed summand %r: a, b and shift must be integers" % (entry,)
+            )
+        pairs.append((alg.interval(a, b), shift))
     return DerivedObject(alg, pairs)
 
 
@@ -138,10 +148,7 @@ def cmd_approximate(args):
 def _module_multiset(x):
     if any(s != 0 for _, s in x.summands):
         raise InputError("module checks require all shifts to be zero")
-    out = {}
-    for iv, _ in x.summands:
-        out[iv] = out.get(iv, 0) + 1
-    return out
+    return x.slice(0)
 
 
 def cmd_check(args):

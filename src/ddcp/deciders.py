@@ -4,7 +4,10 @@ Two independent routes are provided for the derived properties: a
 module-category route (per-projective approximation sequences inside a single
 homology slice, with a kernel-membership test) and a derived route (mapping
 cones of the approximation sequence of the shifted projective).  Their
-agreement is part of the test suite.
+agreement is part of the test suite.  Both run in one driver, `_decide`, which
+checks the preconditions and the unique supporting shift i of every
+indecomposable projective P(e), then hands P(e) to a route step; each failing
+projective adds a reason naming its vertex.
 
 Precondition failures (non-basic object, endomorphism algebra not
 hereditary) are reported as "not applicable" -- false for classification
@@ -83,12 +86,34 @@ def _basic_support(multiset):
     return sorted(iv for iv, m in multiset.items() if m > 0)
 
 
-def _module_object(alg, intervals, shift=0):
-    return DerivedObject(alg, [(iv, shift) for iv in intervals])
+def _module_object(alg, intervals):
+    return DerivedObject(alg, [(iv, 0) for iv in intervals])
 
 
-def _degrees_supporting(x, vertex):
-    return sorted({s for iv, s in x.summands if iv.a <= vertex <= iv.b})
+def _not_applicable(report, reason):
+    report.applicable = False
+    report.reasons.append(reason)
+    return report
+
+
+def _judge(report, checks):
+    """Record the reason of every failed (passed, reason) check; the verdict
+    holds when none failed."""
+    report.reasons += [reason for passed, reason in checks if not passed]
+    report.verdict = not report.reasons
+    return report
+
+
+_NOT_INJECTIVE = "approximation of the regular module not injective"
+
+
+def _regular_sequence(alg, support):
+    """The maps f, g of the minimal add-support approximation sequence
+    A -> M0 -> M1 of the regular module, as module morphisms."""
+    t = _module_object(alg, support)
+    y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
+    seq = min_left_approx_sequence(y, t)
+    return to_rep_morphism(seq.f), to_rep_morphism(seq.g)
 
 
 def check_module_dcp(alg, multiset):
@@ -100,19 +125,11 @@ def check_module_dcp(alg, multiset):
     if not support:
         report.reasons.append("zero module cannot approximate the algebra")
         return report
-    t = _module_object(alg, support)
-    y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
-    seq = min_left_approx_sequence(y, t)
-    f = to_rep_morphism(seq.f)
-    g = to_rep_morphism(seq.g)
-    inj = is_injective(f)
-    exact = is_exact_at_middle(f, g)
-    report.verdict = inj and exact
-    if not inj:
-        report.reasons.append("approximation of the regular module not injective")
-    if not exact:
-        report.reasons.append("sequence not exact at the middle term")
-    return report
+    f, g = _regular_sequence(alg, support)
+    return _judge(report, [
+        (is_injective(f), _NOT_INJECTIVE),
+        (is_exact_at_middle(f, g), "sequence not exact at the middle term"),
+    ])
 
 
 def check_tilting_module(alg, multiset):
@@ -121,44 +138,107 @@ def check_tilting_module(alg, multiset):
     support = _basic_support(multiset)
     report = DeciderReport("tilting-module", False)
     if not support:
-        report.applicable = False
-        report.reasons.append("zero module")
-        return report
-    t = _module_object(alg, support)
-    if not is_hereditary(end_of(t)):
-        report.applicable = False
-        report.reasons.append("endomorphism algebra is not hereditary")
-        return report
-    y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
-    seq = min_left_approx_sequence(y, t)
-    f = to_rep_morphism(seq.f)
-    g = to_rep_morphism(seq.g)
-    inj = is_injective(f)
+        return _not_applicable(report, "zero module")
+    if not is_hereditary(end_of(_module_object(alg, support))):
+        return _not_applicable(report, "endomorphism algebra is not hereditary")
+    f, g = _regular_sequence(alg, support)
     exact = is_exact_sequence_with_zero(f, g)
-    report.verdict = inj and exact
-    if not inj:
-        report.reasons.append("approximation of the regular module not injective")
-    if not exact:
-        report.reasons.append("sequence not exact (middle or surjectivity)")
-    return report
+    return _judge(report, [
+        (is_injective(f), _NOT_INJECTIVE),
+        (exact, "sequence not exact (middle or surjectivity)"),
+    ])
 
 
-def _preconditions(x, name):
+def _decide(x, name, step):
+    """The frame shared by the complex deciders.
+
+    After the preconditions (nonzero, basic, hereditary endomorphism
+    algebra), every indecomposable projective P(e) needs a unique supporting
+    shift i, and then step(x, End(x), report of P(e), i) must return no
+    failures.  Each failing projective adds one reason naming its vertex."""
     report = DeciderReport(name, False)
     if x.is_zero():
-        report.applicable = False
-        report.reasons.append("zero object")
-        return report, None
+        return _not_applicable(report, "zero object")
     if not x.is_basic():
-        report.applicable = False
-        report.reasons.append("object is not basic")
-        return report, None
+        return _not_applicable(report, "object is not basic")
     algebra = end_of(x)
     if not is_hereditary(algebra):
-        report.applicable = False
-        report.reasons.append("endomorphism algebra is not hereditary")
-        return report, None
-    return report, algebra
+        return _not_applicable(report, "endomorphism algebra is not hereditary")
+    checks = []
+    for e in range(1, x.alg.n + 1):
+        pr = ProjectiveReport(e, x.shifts_at(e))
+        report.projectives.append(pr)
+        if len(pr.degrees_found) == 1:
+            failures = step(x, algebra, pr, pr.degrees_found[0])
+        else:
+            failures = [
+                "supported in shifts %r, expected exactly one"
+                % pr.degrees_found
+            ]
+        pr.verdict = not failures
+        checks.append((pr.verdict, "vertex %d: %s" % (e, "; ".join(failures))))
+    return _judge(report, checks)
+
+
+def _module_route(exact_test):
+    """In-slice step: the minimal approximation P(e) -> X0 -> X1 by the
+    shift-i slice passes exact_test, and the kernel of P(e) -> X0 lies in
+    the additive closure of the shift-(i+1) slice."""
+
+    def step(x, algebra, pr, i):
+        alg = x.alg
+        t = _module_object(alg, _basic_support(x.slice(i)))
+        seq = min_left_approx_sequence(
+            _module_object(alg, [alg.projective(pr.vertex)]), t
+        )
+        pr.approx_summands = list(seq.t0.summands)
+        f = to_rep_morphism(seq.f)
+        pr.exact = exact_test(f, to_rep_morphism(seq.g))
+        pr.kernel_intervals = reps.interval_decompose(reps.kernel(f)[0])
+        failures = [] if pr.exact else ["sequence not exact"]
+        following = x.slice(i + 1)
+        outside = [iv for iv in pr.kernel_intervals if iv not in following]
+        if outside:
+            failures.append(
+                "kernel interval %s outside add of the shift-%d slice"
+                % (", ".join(map(repr, sorted(outside))), i + 1)
+            )
+        return failures
+
+    return step
+
+
+def _derived_route(cone_test):
+    """Cone step: cone_test(cone, report, P(e), i) judges the mapping cone of
+    g in the minimal add-x approximation sequence P(e)[i] -> T0 -> T1."""
+
+    def step(x, algebra, pr, i):
+        p = x.alg.projective(pr.vertex)
+        seq = min_left_approx_sequence(
+            DerivedObject(x.alg, [(p, i)]), x, algebra
+        )
+        pr.approx_summands = list(seq.t0.summands)
+        return cone_test(cone(seq.g), pr, p, i)
+
+    return step
+
+
+def _next_slice_is(c, pr, p, i):
+    """The shift-(i+1) slice of the cone is exactly P(e)."""
+    pr.kernel_intervals = c.slice(i + 1)
+    if pr.kernel_intervals == {p: 1}:
+        return []
+    return [
+        "shift-%d slice of the cone is %r, not %r"
+        % (i + 1, sorted(pr.kernel_intervals), p)
+    ]
+
+
+def _cone_is(c, pr, p, i):
+    """The cone is exactly P(e)[i+1]."""
+    if c == DerivedObject(c.alg, [(p, i + 1)]):
+        return []
+    return ["cone is %r, not %r[%d]" % (c, p, i + 1)]
 
 
 def check_ddcp(x):
@@ -166,61 +246,14 @@ def check_ddcp(x):
     a unique supporting shift i; the minimal left approximation of P(e) by
     the shift-i slice is exact at the middle, with kernel inside the additive
     closure of the shift-(i+1) slice."""
-    alg = x.alg
-    report, _ = _preconditions(x, "ddcp")
-    if not report.applicable:
-        return report
-    ok = True
-    for e in range(1, alg.n + 1):
-        pr = ProjectiveReport(e, _degrees_supporting(x, e))
-        report.projectives.append(pr)
-        if len(pr.degrees_found) != 1:
-            ok = False
-            continue
-        i = pr.degrees_found[0]
-        slice_i = _basic_support(x.slice(i))
-        slice_next = set(_basic_support(x.slice(i + 1)))
-        t = _module_object(alg, slice_i)
-        y = _module_object(alg, [alg.projective(e)])
-        seq = min_left_approx_sequence(y, t)
-        pr.approx_summands = list(seq.t0.summands)
-        f = to_rep_morphism(seq.f)
-        g = to_rep_morphism(seq.g)
-        pr.exact = is_exact_at_middle(f, g)
-        ker, _ = reps.kernel(f)
-        pr.kernel_intervals = reps.interval_decompose(ker)
-        in_add = all(iv in slice_next for iv in pr.kernel_intervals)
-        pr.verdict = pr.exact and in_add
-        ok = ok and pr.verdict
-    report.verdict = ok
-    return report
+    return _decide(x, "ddcp", _module_route(is_exact_at_middle))
 
 
 def check_ddcp_derived(x):
     """Derived route: the mapping cone of g in the minimal left add-x
     approximation sequence of P(e)[i] must have shift-(i+1) slice exactly
     {P(e)}."""
-    alg = x.alg
-    report, algebra = _preconditions(x, "ddcp-derived")
-    if not report.applicable:
-        return report
-    ok = True
-    for e in range(1, alg.n + 1):
-        pr = ProjectiveReport(e, _degrees_supporting(x, e))
-        report.projectives.append(pr)
-        if len(pr.degrees_found) != 1:
-            ok = False
-            continue
-        i = pr.degrees_found[0]
-        y = DerivedObject(alg, [(alg.projective(e), i)])
-        seq = min_left_approx_sequence(y, x, algebra)
-        pr.approx_summands = list(seq.t0.summands)
-        c = cone(seq.g)
-        pr.kernel_intervals = dict(c.slice(i + 1))
-        pr.verdict = pr.kernel_intervals == {alg.projective(e): 1}
-        ok = ok and pr.verdict
-    report.verdict = ok
-    return report
+    return _decide(x, "ddcp-derived", _derived_route(_next_slice_is))
 
 
 def check_tilting_complex(x, route="derived"):
@@ -230,45 +263,13 @@ def check_tilting_complex(x, route="derived"):
     triangle, i.e. cone(g) is exactly P(e)[i+1].  Module route: the in-slice
     sequence P(e) -> X0 -> X1 -> 0 is exact with kernel of f in the additive
     closure of the next slice."""
-    alg = x.alg
-    report, algebra = _preconditions(x, "tilting-" + route)
-    if not report.applicable:
-        return report
-    ok = True
-    for e in range(1, alg.n + 1):
-        pr = ProjectiveReport(e, _degrees_supporting(x, e))
-        report.projectives.append(pr)
-        if len(pr.degrees_found) != 1:
-            ok = False
-            continue
-        i = pr.degrees_found[0]
-        if route == "derived":
-            y = DerivedObject(alg, [(alg.projective(e), i)])
-            seq = min_left_approx_sequence(y, x, algebra)
-            pr.approx_summands = list(seq.t0.summands)
-            c = cone(seq.g)
-            pr.verdict = c == DerivedObject(
-                alg, [(alg.projective(e), i + 1)]
-            )
-        elif route == "module":
-            slice_i = _basic_support(x.slice(i))
-            slice_next = set(_basic_support(x.slice(i + 1)))
-            t = _module_object(alg, slice_i)
-            y = _module_object(alg, [alg.projective(e)])
-            seq = min_left_approx_sequence(y, t)
-            pr.approx_summands = list(seq.t0.summands)
-            f = to_rep_morphism(seq.f)
-            g = to_rep_morphism(seq.g)
-            pr.exact = is_exact_sequence_with_zero(f, g)
-            ker, _ = reps.kernel(f)
-            pr.kernel_intervals = reps.interval_decompose(ker)
-            in_add = all(iv in slice_next for iv in pr.kernel_intervals)
-            pr.verdict = pr.exact and in_add
-        else:
-            raise ValueError("unknown route %r" % route)
-        ok = ok and pr.verdict
-    report.verdict = ok
-    return report
+    if route == "derived":
+        step = _derived_route(_cone_is)
+    elif route == "module":
+        step = _module_route(is_exact_sequence_with_zero)
+    else:
+        raise ValueError("unknown route %r" % route)
+    return _decide(x, "tilting-" + route, step)
 
 
 def _restrict_to_corner(alg, intervals, verts):

@@ -11,7 +11,7 @@ projective resolutions, chain maps, homotopy projection and mapping cones.
 
 from fractions import Fraction
 
-from .exactmat import Mat, nullspace, solve
+from .exactmat import Mat, solve
 from .quiver import EXT, HOM, InputError, Interval, space_dim
 from . import reps
 
@@ -45,6 +45,10 @@ class DerivedObject:
 
     def shifts(self):
         return sorted({s for _, s in self.summands})
+
+    def shifts_at(self, vertex):
+        """The shifts of the summands supported at a vertex."""
+        return sorted({s for iv, s in self.summands if iv.a <= vertex <= iv.b})
 
     def slice(self, s):
         """Interval multiset of the summands at a given shift."""
@@ -153,13 +157,7 @@ def compose(f, g):
         for (l2, m), d in g.entries.items():
             if l2 != l:
                 continue
-            sp = f.src.summands[k]
-            mp = f.tgt.summands[l]
-            tp = g.tgt.summands[m]
-            dtot = (mp[1] - sp[1]) + (tp[1] - mp[1])
-            if dtot > 1:
-                continue
-            if space_dim(alg, sp[0], tp[0], dtot):
+            if pair_space_dim(alg, f.src.summands[k], g.tgt.summands[m])[0]:
                 key = (k, m)
                 entries[key] = entries.get(key, Fraction(0)) + c * d
     return DerivedMorphism(f.src, g.tgt, entries)

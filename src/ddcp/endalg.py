@@ -8,8 +8,6 @@ Gabriel quiver, hereditariness, isomorphism with a linear-chain path algebra
 -- then reduce to set combinatorics on the multiplication table.
 """
 
-from fractions import Fraction
-
 from .exactmat import IncrementalSpan, Mat
 from .quiver import HOM, InputError
 from .derived import DerivedObject, pair_space_dim
@@ -58,7 +56,6 @@ class SCAlgebra:
 
     def _validate(self):
         b = self.dim
-        idem = set(self.idempotents)
         for e in self.idempotents:
             if self.mul(e, e) != e:
                 raise InputError("idempotent fails to square to itself")
@@ -79,7 +76,6 @@ class SCAlgebra:
                     rhs = self.mul(i, jk) if jk is not None else None
                     if lhs != rhs:
                         raise InputError("multiplication table not associative")
-        del idem
 
     def is_basic(self):
         """No non-idempotent basis element is invertible between idempotents."""
@@ -141,32 +137,21 @@ def end_of(x):
                 gens[(i, j, deg)] = len(basis)
                 basis.append(("g", i, j, deg))
 
-    def decode(lab):
-        if lab[0] == "e":
-            return lab[1], lab[1], HOM
-        return lab[1], lab[2], lab[3]
+    def ends(lab):
+        return (lab[1], lab[1]) if lab[0] == "e" else lab[1:3]
 
     table = {}
     for bi, lab1 in enumerate(basis):
-        s1, t1, d1 = decode(lab1)
+        s1, t1 = ends(lab1)
         for bj, lab2 in enumerate(basis):
-            s2, t2, d2 = decode(lab2)
+            s2, t2 = ends(lab2)
             if t2 != s1:
                 continue
-            deg = d1 + d2
-            if deg > 1:
-                continue
-            dim, _ = pair_space_dim(
-                alg,
-                summands[s2],
-                (summands[t1][0], summands[s2][1] + deg),
-            )
-            if not dim:
-                continue
-            if s2 == t1 and deg == HOM:
-                table[(bi, bj)] = s2  # index of ("e", s2)
-            else:
-                table[(bi, bj)] = gens[(s2, t1, deg)]
+            # the product is the generator s2 -> t1 of the composite degree
+            dim, deg = pair_space_dim(alg, summands[s2], summands[t1])
+            if dim:
+                # s2 == t1 is the idempotent ("e", s2), at index s2
+                table[(bi, bj)] = s2 if s2 == t1 else gens[(s2, t1, deg)]
     return SCAlgebra(basis, range(k), table)
 
 
@@ -264,9 +249,7 @@ def corner_decomposition(x):
     alg = x.alg
     degree_of = {}
     for e in range(1, alg.n + 1):
-        degs = sorted(
-            {s for iv, s in x.summands if iv.a <= e <= iv.b}
-        )
+        degs = x.shifts_at(e)
         if len(degs) != 1:
             raise PreconditionError(
                 "vertex %d is supported in shifts %r, expected exactly one"

@@ -88,6 +88,14 @@ def ext_dim(alg, src, tgt):
 
 
 def space_dim(alg, src, tgt, degree):
+    """dim Hom_{D^b}(X(src), X(tgt)[degree]): Hom for degree 0, Ext^1 for
+    degree 1, and 0 in every other degree (no Ext^2 over a hereditary
+    algebra).
+
+    This is the one composition rule of the package: a composite of
+    canonical generators of degrees d1 and d2 is the canonical generator of
+    the target space of degree d1 + d2 when that space is nonzero, and
+    vanishes otherwise."""
     if degree == HOM:
         return hom_dim(alg, src, tgt)
     if degree == EXT:
@@ -100,8 +108,7 @@ def compose_canonical(alg, f, g):
 
     Each argument is a (src, tgt, degree) triple naming a canonical
     generator.  Returns 1 if the composite is the canonical generator of
-    the target space and 0 if the composite vanishes.  Composites of total
-    degree 2 are identically zero (no Ext^2 over a hereditary algebra).
+    the target space and 0 if the composite vanishes (see space_dim).
     """
     fs, fm, fd = f
     gm, gt, gd = g
@@ -109,10 +116,7 @@ def compose_canonical(alg, f, g):
         raise InputError("non-composable generators %r, %r" % (f, g))
     if space_dim(alg, fs, fm, fd) != 1 or space_dim(alg, gm, gt, gd) != 1:
         raise InputError("nonexistent canonical generator")
-    total = fd + gd
-    if total > 1:
-        return 0
-    return space_dim(alg, fs, gt, total)
+    return space_dim(alg, fs, gt, fd + gd)
 
 
 def projective_resolution(alg, m):

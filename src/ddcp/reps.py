@@ -142,37 +142,28 @@ def rep_morphism(alg, src_intervals, tgt_intervals, entries):
     return RepMorphism(src, tgt, blocks)
 
 
-def kernel(f):
-    """Vertex-wise kernel with its inclusion morphism."""
-    alg = f.src.alg
-    bases = [nullspace(f.blocks[v]) for v in range(alg.n)]
-    dims = [b.ncols for b in bases]
+def _subrep(ambient, bases, what):
+    """The subrepresentation of ambient spanned by the column bases, one per
+    vertex, with its inclusion morphism."""
+    alg = ambient.alg
     maps = []
     for v in range(alg.n - 1):
-        rhs = f.src.maps[v] @ bases[v]
-        sol = solve(bases[v + 1], rhs)
+        sol = solve(bases[v + 1], ambient.maps[v] @ bases[v])
         if sol is None:
-            raise AssertionError("kernel not preserved by arrow maps")
+            raise AssertionError("%s not preserved by arrow maps" % what)
         maps.append(sol)
-    ker = QuiverRep(alg, dims, maps)
-    incl = RepMorphism(ker, f.src, bases)
-    return ker, incl
+    sub = QuiverRep(alg, [b.ncols for b in bases], maps)
+    return sub, RepMorphism(sub, ambient, bases)
+
+
+def kernel(f):
+    """Vertex-wise kernel with its inclusion morphism."""
+    return _subrep(f.src, [nullspace(b) for b in f.blocks], "kernel")
 
 
 def image(f):
     """Vertex-wise image with its inclusion into the target."""
-    alg = f.src.alg
-    bases = [col_space(f.blocks[v]) for v in range(alg.n)]
-    dims = [b.ncols for b in bases]
-    maps = []
-    for v in range(alg.n - 1):
-        sol = solve(bases[v + 1], f.tgt.maps[v] @ bases[v])
-        if sol is None:
-            raise AssertionError("image not preserved by arrow maps")
-        maps.append(sol)
-    img = QuiverRep(alg, dims, maps)
-    incl = RepMorphism(img, f.tgt, bases)
-    return img, incl
+    return _subrep(f.tgt, [col_space(b) for b in f.blocks], "image")
 
 
 def cokernel(f):

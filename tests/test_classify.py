@@ -9,6 +9,12 @@ from ddcp.classify import (
 )
 
 
+def test_degree_window_below_one_rejected():
+    for window in (0, -1):
+        with pytest.raises(InputError):
+            enumerate_and_classify(Algebra(3), degree_window=window)
+
+
 def test_make_V_contents():
     alg = Algebra(3)
     assert make_V(alg, 1).slice(0) == {Interval(1, k): 1 for k in (1, 2, 3)}

@@ -12,7 +12,7 @@ from ddcp.cli import (
     object_to_json,
     run,
 )
-from ddcp.quiver import Algebra, Interval
+from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedObject
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -153,3 +153,28 @@ def test_audit_command(capsys):
 def test_bad_subcommand_is_input_error(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_object_json_accepts_only_integers(capsys):
+    bad = '{"summands": [{"a": "1", "b": 1.9, "shift": true}]}'
+    assert run(["check", "--n", "3", "--object", bad, "--mode", "ddcp"]) == EXIT_INPUT
+    capsys.readouterr()
+    good = {"n": 3, "summands": [{"a": 1, "b": 1, "shift": 1}]}
+    assert object_from_json(good) == DerivedObject(
+        Algebra(3), [(Interval(1, 1), 1)]
+    )
+    for key, value in [
+        ("a", "1"), ("b", 1.0), ("b", 1.9), ("shift", True), ("shift", None)
+    ]:
+        summand = dict(good["summands"][0], **{key: value})
+        with pytest.raises(InputError):
+            object_from_json({"n": 3, "summands": [summand]})
+    for n in (True, 3.0, "3"):
+        with pytest.raises(InputError):
+            object_from_json(dict(good, n=n))
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_classify_window_below_one_is_input_error(window, capsys):
+    assert run(["classify", "--n", "3", "--window", window]) == EXIT_INPUT
+    assert capsys.readouterr().out == ""

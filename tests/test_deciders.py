@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from ddcp.quiver import Algebra, Interval
@@ -11,6 +13,7 @@ from ddcp.deciders import (
     verify_homology_corners,
 )
 from ddcp.classify import make_T, make_V
+from ddcp.endalg import end_of, is_hereditary
 
 
 def obj(alg, *pairs):
@@ -192,3 +195,64 @@ def test_report_schema():
             "exact",
             "verdict",
         }
+
+
+def test_tilting_complex_rejects_unknown_route():
+    alg = Algebra(3)
+    for x in [
+        DerivedObject(alg, []),
+        obj(alg, (1, 2, 0), (1, 2, 0)),
+        obj(alg, (3, 3, 0), (1, 3, 0), (1, 1, 0)),  # End not hereditary
+        make_T(alg, 1),
+    ]:
+        with pytest.raises(ValueError):
+            check_tilting_complex(x, "bogus")
+
+
+def test_false_verdicts_name_each_failing_projective():
+    deciders = [
+        check_ddcp,
+        check_ddcp_derived,
+        lambda x: check_tilting_complex(x, "module"),
+        lambda x: check_tilting_complex(x, "derived"),
+    ]
+    false_reports = 0
+    for n in (1, 2, 3):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        for combo in combinations(atoms, n):
+            if min(s for _, s in combo) != 0:
+                continue
+            x = DerivedObject(alg, combo)
+            if not is_hereditary(end_of(x)):
+                continue
+            for decide in deciders:
+                r = decide(x)
+                assert r.applicable
+                if r.verdict:
+                    assert r.reasons == []
+                    continue
+                false_reports += 1
+                failing = [p.vertex for p in r.projectives if not p.verdict]
+                assert failing and len(r.reasons) == len(failing), (x, r)
+                for e, reason in zip(failing, r.reasons):
+                    assert reason.startswith("vertex %d: " % e), (x, reason)
+    assert false_reports > 0
+
+
+def test_false_verdict_reasons_say_what_failed():
+    alg = Algebra(3)
+    r = check_ddcp(obj(alg, (1, 1, 1)))
+    assert not r.verdict
+    assert r.reasons == [
+        "vertex 1: kernel interval X(2,3) outside add of the shift-2 slice",
+        "vertex 2: supported in shifts [], expected exactly one",
+        "vertex 3: supported in shifts [], expected exactly one",
+    ]
+    inexact = obj(alg, (1, 3, 0), (2, 2, 0), (3, 3, 0))
+    assert check_ddcp(inexact).reasons == ["vertex 2: sequence not exact"]
+    simples = obj(alg, (1, 1, 0), (2, 2, 0), (3, 3, 0))
+    derived = check_ddcp_derived(simples).reasons
+    assert derived and all("slice of the cone" in r for r in derived)
+    cones = check_tilting_complex(simples, "derived").reasons
+    assert cones and all("cone is" in r for r in cones)

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
-from ddcp.derived import DerivedObject
+from ddcp.derived import DerivedMorphism, DerivedObject, compose
+from ddcp.approx import hom_module
 from ddcp.endalg import (
     PreconditionError,
     corner_decomposition,
@@ -134,3 +137,57 @@ def test_table_is_associative_and_unit_checked():
     x = obj(alg, (1, 4, 0), (2, 2, 0), (2, 3, 1), (1, 1, 1))
     e = end_of(x)  # constructor validates associativity and unit action
     assert e.dim == len(e.basis)
+
+
+# The multiplication table of end_of and the action matrices of hom_module
+# apply the composition rule of quiver.space_dim on their own; derived.compose
+# applies it to morphisms, and is itself checked against the chain-homotopy
+# oracle (acceptance criterion 7).
+
+
+def small_objects():
+    """Every object of at most 3 summands, n <= 3, shifts in {0, 1}, with
+    the atoms it is drawn from."""
+    for n in (1, 2, 3):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        for size in (1, 2, 3):
+            for combo in combinations(atoms, size):
+                yield atoms, DerivedObject(alg, combo)
+
+
+def basis_morphism(x, label):
+    """The endomorphism of x that an end_of basis label names."""
+    src, tgt = (label[1], label[1]) if label[0] == "e" else label[1:3]
+    return DerivedMorphism(x, x, {(src, tgt): 1})
+
+
+def test_end_of_table_matches_compose():
+    products = 0
+    for _, x in small_objects():
+        c = end_of(x)
+        mors = [basis_morphism(x, label) for label in c.basis]
+        for i, a in enumerate(mors):
+            for j, b in enumerate(mors):
+                # basis_i * basis_j applies basis_j first
+                k = c.mul(i, j)
+                expect = {} if k is None else mors[k].entries
+                assert compose(b, a).entries == expect, (x, i, j)
+                products += 1
+    assert products == 4554
+
+
+def test_hom_module_action_matches_compose():
+    for atoms, t in small_objects():
+        algebra = end_of(t)
+        mors = [basis_morphism(t, label) for label in algebra.basis]
+        for atom in atoms:
+            y = DerivedObject(t.alg, [atom])
+            m, gens = hom_module(y, t, algebra)
+            for ai, a in enumerate(mors):
+                for gi, (k, l, _) in enumerate(gens):
+                    image = compose(DerivedMorphism(y, t, {(k, l): 1}), a)
+                    column = m.act(ai).column(gi)
+                    assert image.entries == {
+                        gens[j][:2]: c for j, c in enumerate(column) if c
+                    }, (y, t, ai, gi)
