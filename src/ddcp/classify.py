@@ -12,7 +12,6 @@ atoms.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from .quiver import InputError, hom_dim
 from .derived import DerivedObject, pair_space_dim
@@ -105,11 +104,7 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
     if degree_window < 1:
         raise InputError("degree window must be at least 1: %d" % degree_window)
     if n > bound:
-        estimate = comb(n * (n + 1) // 2 * degree_window, n)
-        raise InputError(
-            "n=%d exceeds the configured bound %d (about %d candidates)"
-            % (n, bound, estimate)
-        )
+        raise InputError("n=%d exceeds the configured bound %d" % (n, bound))
     atoms = [
         (iv, s) for s in range(degree_window) for iv in alg.intervals()
     ]

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .quiver import Algebra, InputError, ext_dim, hom_dim
+from .quiver import Algebra, InputError, ext_dim, hom_dim, is_int
 from .derived import DerivedObject
 from .endalg import (
     PreconditionError,
@@ -36,10 +36,6 @@ def object_to_json(x):
     }
 
 
-def _is_json_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def object_from_json(data, n=None):
     """The object a JSON mapping names; n, a, b and shift must be JSON
     integers (not strings, floats or booleans)."""
@@ -47,7 +43,7 @@ def object_from_json(data, n=None):
         raise InputError("object JSON must be a mapping")
     if n is None:
         n = data.get("n")
-    if not _is_json_int(n):
+    if not is_int(n):
         raise InputError("object JSON needs an integer n")
     alg = Algebra(n)
     summands = data.get("summands")
@@ -59,9 +55,9 @@ def object_from_json(data, n=None):
             a, b, shift = entry["a"], entry["b"], entry["shift"]
         except (KeyError, TypeError) as exc:
             raise InputError("malformed summand %r: %s" % (entry, exc))
-        if not all(map(_is_json_int, (a, b, shift))):
+        if not all(map(is_int, (a, b))):
             raise InputError(
-                "malformed summand %r: a, b and shift must be integers" % (entry,)
+                "malformed summand %r: a and b must be integers" % (entry,)
             )
         pairs.append((alg.interval(a, b), shift))
     return DerivedObject(alg, pairs)

@@ -107,12 +107,13 @@ def _judge(report, checks):
 _NOT_INJECTIVE = "approximation of the regular module not injective"
 
 
-def _regular_sequence(alg, support):
-    """The maps f, g of the minimal add-support approximation sequence
-    A -> M0 -> M1 of the regular module, as module morphisms."""
-    t = _module_object(alg, support)
+def _regular_sequence(t, algebra=None):
+    """The maps f, g of the minimal add-t approximation sequence
+    A -> M0 -> M1 of the regular module, as module morphisms; algebra is
+    End(t) when the caller already has it."""
+    alg = t.alg
     y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
-    seq = min_left_approx_sequence(y, t)
+    seq = min_left_approx_sequence(y, t, algebra)
     return to_rep_morphism(seq.f), to_rep_morphism(seq.g)
 
 
@@ -120,12 +121,8 @@ def check_module_dcp(alg, multiset):
     """A module has the double centraliser property iff the minimal left
     approximation f of the regular module is injective and the induced
     sequence is exact at the middle term."""
-    support = _basic_support(multiset)
     report = DeciderReport("dcp", False)
-    if not support:
-        report.reasons.append("zero module cannot approximate the algebra")
-        return report
-    f, g = _regular_sequence(alg, support)
+    f, g = _regular_sequence(_module_object(alg, _basic_support(multiset)))
     return _judge(report, [
         (is_injective(f), _NOT_INJECTIVE),
         (is_exact_at_middle(f, g), "sequence not exact at the middle term"),
@@ -135,13 +132,12 @@ def check_module_dcp(alg, multiset):
 def check_tilting_module(alg, multiset):
     """Tilting test for a module whose endomorphism algebra is hereditary:
     the minimal sequence 0 -> A -> M0 -> M1 -> 0 must be exact throughout."""
-    support = _basic_support(multiset)
     report = DeciderReport("tilting-module", False)
-    if not support:
-        return _not_applicable(report, "zero module")
-    if not is_hereditary(end_of(_module_object(alg, support))):
+    t = _module_object(alg, _basic_support(multiset))
+    algebra = end_of(t)
+    if not is_hereditary(algebra):
         return _not_applicable(report, "endomorphism algebra is not hereditary")
-    f, g = _regular_sequence(alg, support)
+    f, g = _regular_sequence(t, algebra)
     exact = is_exact_sequence_with_zero(f, g)
     return _judge(report, [
         (is_injective(f), _NOT_INJECTIVE),
@@ -152,13 +148,11 @@ def check_tilting_module(alg, multiset):
 def _decide(x, name, step):
     """The frame shared by the complex deciders.
 
-    After the preconditions (nonzero, basic, hereditary endomorphism
-    algebra), every indecomposable projective P(e) needs a unique supporting
+    After the preconditions (basic, hereditary endomorphism algebra),
+    every indecomposable projective P(e) needs a unique supporting
     shift i, and then step(x, End(x), report of P(e), i) must return no
     failures.  Each failing projective adds one reason naming its vertex."""
     report = DeciderReport(name, False)
-    if x.is_zero():
-        return _not_applicable(report, "zero object")
     if not x.is_basic():
         return _not_applicable(report, "object is not basic")
     algebra = end_of(x)

@@ -12,7 +12,7 @@ projective resolutions, chain maps, homotopy projection and mapping cones.
 from fractions import Fraction
 
 from .exactmat import Mat, solve
-from .quiver import EXT, HOM, InputError, Interval, space_dim
+from .quiver import EXT, HOM, InputError, Interval, is_int, space_dim
 from . import reps
 
 
@@ -21,7 +21,10 @@ class DerivedObject:
 
     def __init__(self, alg, pairs):
         self.alg = alg
-        pairs = [(alg.check_interval(iv), int(s)) for iv, s in pairs]
+        pairs = [(alg.check_interval(iv), s) for iv, s in pairs]
+        for iv, s in pairs:
+            if not is_int(s):
+                raise InputError("shift of %r must be an integer: %r" % (iv, s))
         self.summands = tuple(sorted(pairs, key=lambda p: (p[1], p[0].a, p[0].b)))
 
     def __eq__(self, other):
@@ -79,8 +82,7 @@ def make_object(alg, pairs):
     obj = DerivedObject(alg, pairs)
     taken = [False] * len(obj.summands)
     perm = []
-    norm = [(alg.check_interval(iv), int(s)) for iv, s in pairs]
-    for p in norm:
+    for p in pairs:
         for i, q in enumerate(obj.summands):
             if not taken[i] and q == p:
                 taken[i] = True

@@ -23,15 +23,14 @@ class SCAlgebra:
     basis: tuple of hashable labels.  idempotents: indices of the orthogonal
     idempotents summing to the unit.  table maps (i, j) to the index of
     basis_i * basis_j, absent keys meaning the product is zero.  The product
-    convention is composition: a * b applies b first, then a.
+    convention is composition: a * b applies b first, then a.  The
+    constructor only stores its arguments; validate() checks them.
     """
 
-    def __init__(self, basis, idempotents, table, check=True):
+    def __init__(self, basis, idempotents, table):
         self.basis = tuple(basis)
         self.idempotents = tuple(idempotents)
         self.table = dict(table)
-        if check:
-            self._validate()
 
     @property
     def dim(self):
@@ -54,7 +53,8 @@ class SCAlgebra:
                 return e
         raise AssertionError("basis element without a target idempotent")
 
-    def _validate(self):
+    def validate(self):
+        """Raise InputError unless the table is unital and associative."""
         b = self.dim
         for e in self.idempotents:
             if self.mul(e, e) != e:
@@ -269,19 +269,19 @@ def corner_decomposition(x):
 
 class SCModule:
     """Finite-dimensional left module over an SCAlgebra, one action matrix
-    per algebra basis element, over exact scalars."""
+    per algebra basis element, over exact scalars.  The constructor only
+    stores its arguments; validate() checks them."""
 
-    def __init__(self, algebra, dim, actions, check=True):
+    def __init__(self, algebra, dim, actions):
         self.algebra = algebra
         self.dim = dim
         self.actions = list(actions)
-        if check:
-            self.validate()
 
     def act(self, i):
         return self.actions[i]
 
     def validate(self):
+        """Raise InputError unless the actions make a unital module."""
         if len(self.actions) != self.algebra.dim:
             raise InputError("one action matrix per basis element required")
         for m in self.actions:

@@ -16,6 +16,11 @@ class InputError(ValueError):
     """Invalid user-supplied data (bad interval, malformed object, ...)."""
 
 
+def is_int(value):
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     a: int

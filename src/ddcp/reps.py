@@ -41,14 +41,16 @@ class QuiverRep:
 
 
 class RepMorphism:
-    def __init__(self, src, tgt, blocks, check=True):
+    """One block per vertex, blocks[v]: src V_{v+1} -> tgt V_{v+1}.  The
+    constructor only stores its arguments; validate() checks them."""
+
+    def __init__(self, src, tgt, blocks):
         self.src = src
         self.tgt = tgt
         self.blocks = list(blocks)
-        if check:
-            self.validate()
 
     def validate(self):
+        """Raise InputError unless the blocks commute with the arrows."""
         n = self.src.alg.n
         if len(self.blocks) != n:
             raise InputError("block count mismatch")
@@ -72,18 +74,17 @@ def zero_rep(alg):
 
 def zero_morphism(src, tgt):
     blocks = [Mat(tgt.dims[v], src.dims[v]) for v in range(src.alg.n)]
-    return RepMorphism(src, tgt, blocks, check=False)
+    return RepMorphism(src, tgt, blocks)
 
 
 def identity_morphism(rep):
-    return RepMorphism(rep, rep, [Mat.identity(d) for d in rep.dims], check=False)
+    return RepMorphism(rep, rep, [Mat.identity(d) for d in rep.dims])
 
 
 def compose_rep(f, g):
     """g after f, for f: X -> Y and g: Y -> Z."""
     return RepMorphism(
-        f.src, g.tgt, [g.blocks[v] @ f.blocks[v] for v in range(f.src.alg.n)],
-        check=False,
+        f.src, g.tgt, [g.blocks[v] @ f.blocks[v] for v in range(f.src.alg.n)]
     )
 
 

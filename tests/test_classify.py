@@ -73,8 +73,9 @@ def test_classification_normalization():
 
 def test_classification_bound_refusal():
     alg = Algebra(6)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         enumerate_and_classify(alg)
+    assert str(exc.value) == "n=6 exceeds the configured bound 5"
 
 
 def test_window_three_matches_window_two():

@@ -178,3 +178,26 @@ def test_object_json_accepts_only_integers(capsys):
 def test_classify_window_below_one_is_input_error(window, capsys):
     assert run(["classify", "--n", "3", "--window", window]) == EXIT_INPUT
     assert capsys.readouterr().out == ""
+
+
+ZERO_REASONS = {
+    "dcp": ["approximation of the regular module not injective"],
+    "ddcp": [
+        "vertex %d: supported in shifts [], expected exactly one" % e
+        for e in (1, 2, 3)
+    ],
+    "corners": ["object does not have the derived property"],
+}
+ZERO_REASONS["tilting-module"] = ZERO_REASONS["dcp"]
+ZERO_REASONS["ddcp-derived"] = ZERO_REASONS["tilting"] = ZERO_REASONS["ddcp"]
+
+
+@pytest.mark.parametrize("mode", sorted(ZERO_REASONS))
+def test_check_zero_object(mode, capsys):
+    expected = EXIT_PRECONDITION if mode == "corners" else EXIT_FALSE
+    zero = obj_json()
+    assert run(["check", "--n", "3", "--object", zero, "--mode", mode]) == expected
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] is False
+    assert out["applicable"] is (mode != "corners")
+    assert out["reasons"] == ZERO_REASONS[mode]

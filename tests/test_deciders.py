@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from ddcp import approx, deciders, endalg
 from ddcp.quiver import Algebra, Interval
 from ddcp.derived import DerivedObject
 from ddcp.deciders import (
@@ -67,6 +68,19 @@ def test_tilting_module_precondition():
     assert not rep.applicable
     assert not rep.verdict
     assert any("hereditary" in r for r in rep.reasons)
+
+
+def test_tilting_module_builds_one_endomorphism_algebra(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return endalg.end_of(x)
+
+    monkeypatch.setattr(deciders, "end_of", counted)
+    monkeypatch.setattr(approx, "end_of", counted)
+    assert check_tilting_module(Algebra(3), ms((1, 3), (2, 3), (3, 3)))
+    assert len(calls) == 1
 
 
 def test_ddcp_families_all_routes():

@@ -44,6 +44,16 @@ def test_make_object_permutation():
         assert x.summands[perm[pos]] == p
 
 
+def test_object_rejects_non_integer_shifts():
+    alg = Algebra(3)
+    pairs = [(Interval(1, 1), 1.9), (Interval(2, 2), True), (Interval(3, 3), "2")]
+    with pytest.raises(InputError):
+        DerivedObject(alg, pairs)
+    for pair in pairs:
+        with pytest.raises(InputError):
+            DerivedObject(alg, [pair])
+
+
 def test_graded_hom_counts():
     alg = Algebra(3)
     a = obj(alg, (1, 3, 0), (2, 3, 0), (3, 3, 0))

@@ -135,7 +135,8 @@ def test_regular_module_and_generators():
 def test_table_is_associative_and_unit_checked():
     alg = Algebra(4)
     x = obj(alg, (1, 4, 0), (2, 2, 0), (2, 3, 1), (1, 1, 1))
-    e = end_of(x)  # constructor validates associativity and unit action
+    e = end_of(x)
+    e.validate()  # associativity and unit action
     assert e.dim == len(e.basis)
 
 
