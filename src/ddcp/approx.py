@@ -12,12 +12,14 @@ sequence is a direct summand of every approximation sequence, so exactness
 and kernel membership transfer.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import Mat, nullspace, rank, solve
+from .exactmat import Mat, nullspace, rank
 from .quiver import InputError
 from .derived import (
     DerivedMorphism,
+    DerivedObject,
     compose,
     graded_hom,
     make_object,
@@ -58,16 +60,14 @@ def hom_module(y, t, algebra=None):
     return SCModule(algebra, d, actions), gens
 
 
+@dataclass
 class ApproxSequence:
     """Minimal left add-t-approximation sequence y -> T0 -> T1."""
 
-    def __init__(self, y, t, t0, f, t1, g):
-        self.y = y
-        self.t = t
-        self.t0 = t0
-        self.f = f
-        self.t1 = t1
-        self.g = g
+    t0: DerivedObject
+    f: DerivedMorphism
+    t1: DerivedObject
+    g: DerivedMorphism
 
 
 def min_left_approx_sequence(y, t, algebra=None):
@@ -81,7 +81,7 @@ def min_left_approx_sequence(y, t, algebra=None):
 
     # Generators of Hom(y, t) grouped by summand of t: the cover is by the
     # projectives E e_l, dual to the summands t_l themselves.
-    top0 = module_generators(m)  # list of (idempotent l, vector in m)
+    top0 = module_generators(algebra, m.dim, lambda a: m.act(a).columns())
     t0_pairs = [t.summands[l] for l, _ in top0]
     t0, perm0 = make_object(alg, t0_pairs)
 
@@ -96,53 +96,47 @@ def min_left_approx_sequence(y, t, algebra=None):
 
     # Q0 = direct sum of projectives E e_l, basis (cover position, algebra
     # basis element with source l); cover matrix has columns beta . vec.
-    q0_basis = []
-    for pos, (l, vec) in enumerate(top0):
-        for bi in range(algebra.dim):
-            if algebra.src(bi) == l:
-                q0_basis.append((pos, bi))
-    cover_cols = []
-    for pos, bi in q0_basis:
-        vec = top0[pos][1]
-        col = m.act(bi) @ Mat.from_cols([vec], nrows=m.dim)
-        cover_cols.append(col.column(0))
-    cover = (
-        Mat.from_cols(cover_cols, nrows=m.dim)
-        if q0_basis
-        else Mat(m.dim, 0)
+    q0_basis = [
+        (pos, bi)
+        for pos, (l, _) in enumerate(top0)
+        for bi in algebra.projective_basis(l)
+    ]
+    cover = Mat.from_cols(
+        [
+            (m.act(bi) @ Mat.from_cols([top0[pos][1]], nrows=m.dim)).column(0)
+            for pos, bi in q0_basis
+        ],
+        nrows=m.dim,
     )
-    kbasis = nullspace(cover)  # kernel inside Q0 coordinates
-
-    # Q0 as an SCModule in the (pos, beta) basis, restricted to the kernel.
+    kernel = nullspace(cover).columns()  # K inside Q0 coordinates
     q0_index = {pb: i for i, pb in enumerate(q0_basis)}
-    k_actions = []
-    for ai in range(algebra.dim):
-        act = Mat(len(q0_basis), len(q0_basis))
-        for (pos, bi), col in q0_index.items():
-            p = algebra.mul(ai, bi)
-            if p is not None:
-                act[q0_index[(pos, p)], col] = 1
-        restricted = solve(kbasis, act @ kbasis)
-        if restricted is None:
-            raise AssertionError("kernel not stable under the algebra action")
-        k_actions.append(restricted)
-    kmod = SCModule(algebra, kbasis.ncols, k_actions)
 
-    top1 = module_generators(kmod)
+    def kernel_images(a):
+        """a . K, spanned by the kernel basis relabelled by
+        (pos, beta) -> (pos, a beta)."""
+        images = []
+        for v in kernel:
+            w = [0] * len(q0_basis)
+            for (pos, bi), c in zip(q0_basis, v):
+                p = algebra.mul(a, bi) if c else None
+                if p is not None:
+                    w[q0_index[(pos, p)]] += c
+            images.append(w)
+        return images
+
+    # The top of K, read in Q0 coordinates, gives T1 and g directly.
+    top1 = module_generators(algebra, len(q0_basis), kernel_images)
     t1_pairs = [t.summands[l] for l, _ in top1]
     t1, perm1 = make_object(alg, t1_pairs)
 
     g_entries = {}
-    for pos1, (l1, vec) in enumerate(top1):
-        kappa = kbasis @ Mat.from_cols([vec], nrows=kbasis.ncols)
-        for i, (pos0, bi) in enumerate(q0_basis):
-            c = kappa[i, 0]
-            if not c:
-                continue
-            key = (perm0[pos0], perm1[pos1])
-            g_entries[key] = g_entries.get(key, Fraction(0)) + c
+    for pos1, (_, kappa) in enumerate(top1):
+        for (pos0, _), c in zip(q0_basis, kappa):
+            if c:
+                key = (perm0[pos0], perm1[pos1])
+                g_entries[key] = g_entries.get(key, Fraction(0)) + c
     g = DerivedMorphism(t0, t1, g_entries)
-    return ApproxSequence(y, t, t0, f, t1, g)
+    return ApproxSequence(t0, f, t1, g)
 
 
 def to_rep_morphism(f):

@@ -11,7 +11,7 @@ projective resolutions, chain maps, homotopy projection and mapping cones.
 
 from fractions import Fraction
 
-from .exactmat import Mat, solve
+from .exactmat import Mat, hstack, solve, vstack
 from .quiver import EXT, HOM, InputError, Interval, is_int, space_dim
 from . import reps
 
@@ -79,6 +79,7 @@ class DerivedObject:
 def make_object(alg, pairs):
     """Build a DerivedObject plus the permutation sending each input position
     to its position in the canonically sorted summand tuple."""
+    pairs = list(pairs)
     obj = DerivedObject(alg, pairs)
     taken = [False] * len(obj.summands)
     perm = []
@@ -315,19 +316,11 @@ def cone(g):
         xtop = len(cx.comps.get(k + 1, []))
         ybot = len(cy.comps.get(k + 1, []))
         xbot = len(cx.comps.get(k + 2, []))
-        d = Mat(ybot + xbot, ytop + xtop)
-        dy = cy.diff(k)
         gk = lifted.get(k + 1, Mat(ybot, xtop))
-        dx = cx.diff(k + 1)
-        for i in range(ybot):
-            for j in range(ytop):
-                d[i, j] = dy[i, j]
-            for j in range(xtop):
-                d[i, ytop + j] = gk[i, j]
-        for i in range(xbot):
-            for j in range(xtop):
-                d[ybot + i, ytop + j] = -dx[i, j]
-        diffs[k] = d
+        diffs[k] = vstack([
+            hstack([cy.diff(k), gk]),
+            hstack([Mat(xbot, ytop), -cx.diff(k + 1)]),
+        ])
     chain = ChainComplex(alg, comps, diffs)
     return chain_homology_object(alg, chain)
 

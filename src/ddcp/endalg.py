@@ -316,20 +316,21 @@ def regular_module(c):
     return SCModule(c, c.dim, actions)
 
 
-def module_generators(m):
-    """Minimal generating set of an SCModule, grouped by top idempotent.
+def module_generators(algebra, dim, images):
+    """Minimal generating set of a module N, grouped by top idempotent.
 
-    Returns a list of (idempotent index, column vector) lifting a basis of
-    m / rad m, each vector lying in the corresponding idempotent component.
+    N lies in a space of the given dimension, and images(a) lists vectors
+    spanning a . N for the algebra basis element a.  Returns a list of
+    (idempotent index, vector) lifting a basis of N / rad N, each vector
+    lying in the corresponding idempotent component.
     """
-    c = m.algebra
-    span = IncrementalSpan(m.dim)
-    for r in c.radical_indices():
-        for col in m.act(r).columns():
-            span.add(col)
+    span = IncrementalSpan(dim)
+    for r in algebra.radical_indices():
+        for v in images(r):
+            span.add(v)
     gens = []
-    for e in c.idempotents:
-        for col in m.act(e).columns():
-            if span.add(col):
-                gens.append((e, col))
+    for e in algebra.idempotents:
+        for v in images(e):
+            if span.add(v):
+                gens.append((e, v))
     return gens

@@ -1,7 +1,12 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
-from ddcp.derived import DerivedObject
+from ddcp.derived import DerivedObject, make_object
+from ddcp.endalg import SCModule, end_of, module_generators
+from ddcp.exactmat import Mat, nullspace, solve
 from ddcp.approx import (
     hom_module,
     is_exact_at_middle,
@@ -12,7 +17,7 @@ from ddcp.approx import (
     minimality_check,
     to_rep_morphism,
 )
-from ddcp import reps
+from ddcp import approx, reps
 
 
 def obj(alg, *pairs):
@@ -186,3 +191,89 @@ def test_hom_functor_exactness_of_sequences():
         seq = min_left_approx_sequence(y, t)
         mf = approximation_matrix(seq.f, t)
         assert rank(mf) == len(graded_hom(alg, y, t))
+
+
+def kernel_module_reference(y, t):
+    """T1 and the entries of g by the kernel module: the kernel K of the
+    cover Q0 -> Hom(y, t) is made an SCModule in the coordinates of a kernel
+    basis, one solve per algebra basis element, and its top is mapped back
+    to Q0 by that basis."""
+    algebra = end_of(t)
+    m, _ = hom_module(y, t, algebra)
+    top0 = module_generators(algebra, m.dim, lambda a: m.act(a).columns())
+    _, perm0 = make_object(y.alg, [t.summands[l] for l, _ in top0])
+    q0_basis = [
+        (pos, bi)
+        for pos, (l, _) in enumerate(top0)
+        for bi in algebra.projective_basis(l)
+    ]
+    cover = Mat.from_cols(
+        [
+            (m.act(bi) @ Mat.from_cols([top0[pos][1]], nrows=m.dim)).column(0)
+            for pos, bi in q0_basis
+        ],
+        nrows=m.dim,
+    )
+    kbasis = nullspace(cover)
+    q0_index = {pb: i for i, pb in enumerate(q0_basis)}
+    k_actions = []
+    for ai in range(algebra.dim):
+        act = Mat(len(q0_basis), len(q0_basis))
+        for (pos, bi), col in q0_index.items():
+            p = algebra.mul(ai, bi)
+            if p is not None:
+                act[q0_index[(pos, p)], col] = 1
+        restricted = solve(kbasis, act @ kbasis)
+        assert restricted is not None, "kernel not stable"
+        k_actions.append(restricted)
+    kmod = SCModule(algebra, kbasis.ncols, k_actions)
+    top1 = module_generators(
+        algebra, kmod.dim, lambda a: kmod.act(a).columns()
+    )
+    t1, perm1 = make_object(y.alg, [t.summands[l] for l, _ in top1])
+    g_entries = {}
+    for pos1, (_, vec) in enumerate(top1):
+        kappa = kbasis @ Mat.from_cols([vec], nrows=kbasis.ncols)
+        for i, (pos0, _) in enumerate(q0_basis):
+            if kappa[i, 0]:
+                key = (perm0[pos0], perm1[pos1])
+                g_entries[key] = g_entries.get(key, Fraction(0)) + kappa[i, 0]
+    return t1, g_entries
+
+
+def test_kernel_top_matches_kernel_module_reference():
+    count = 0
+    for n in (1, 2, 3):
+        alg = Algebra(n)
+        ys = [regular(alg)] + [
+            obj(alg, (e, n, s)) for e in range(1, n + 1) for s in (0, 1)
+        ]
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        targets = [
+            DerivedObject(alg, combo)
+            for size in range(4)
+            for combo in combinations(atoms, size)
+        ]
+        for y in ys:
+            for t in targets:
+                seq = min_left_approx_sequence(y, t)
+                t1, g_entries = kernel_module_reference(y, t)
+                assert seq.t1 == t1
+                assert seq.g.entries == g_entries
+                count += 1
+    assert count == 3 * 4 + 5 * 42 + 7 * 299
+
+
+def test_one_module_per_sequence(monkeypatch):
+    built = []
+
+    class Counting(SCModule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(approx, "SCModule", Counting)
+    alg = Algebra(3)
+    seq = min_left_approx_sequence(regular(alg), make_V_object(alg, 2))
+    assert not seq.t1.is_zero()
+    assert len(built) == 1

@@ -2,6 +2,7 @@ import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.classify import (
+    _clique_candidates,
     enumerate_and_classify,
     make_T,
     make_V,
@@ -103,3 +104,15 @@ def test_families_pass_deciders():
     for i in range(1, 4):
         assert check_ddcp(make_T(alg, i))
         assert check_tilting_complex(make_T(alg, i))
+
+
+def test_clique_funnel_closed_forms():
+    # (n+3) 2^(n-2) cliques over shifts {0, 1}, (n+1) 2^(n-2) of them with
+    # minimum shift zero; a change in either count is a search bug
+    for n in range(3, 9):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        cliques = _clique_candidates(alg, atoms, n)
+        normalised = [c for c in cliques if min(atoms[i][1] for i in c) == 0]
+        assert len(cliques) == (n + 3) * 2 ** (n - 2)
+        assert len(normalised) == (n + 1) * 2 ** (n - 2)

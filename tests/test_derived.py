@@ -44,6 +44,14 @@ def test_make_object_permutation():
         assert x.summands[perm[pos]] == p
 
 
+def test_make_object_accepts_an_iterator():
+    alg = Algebra(3)
+    pairs = [(Interval(2, 3), 1), (Interval(1, 1), 0)]
+    x, perm = make_object(alg, iter(pairs))
+    assert x == DerivedObject(alg, pairs)
+    assert perm == [1, 0]
+
+
 def test_object_rejects_non_integer_shifts():
     alg = Algebra(3)
     pairs = [(Interval(1, 1), 1.9), (Interval(2, 2), True), (Interval(3, 3), "2")]

@@ -128,7 +128,7 @@ def test_regular_module_and_generators():
     e = end_of(full_projectives(alg))
     reg = regular_module(e)
     assert reg.dim == e.dim
-    gens = module_generators(reg)
+    gens = module_generators(e, reg.dim, lambda a: reg.act(a).columns())
     assert sorted(l for l, _ in gens) == list(e.idempotents)
 
 
