@@ -38,26 +38,17 @@ def hom_module(y, t, algebra=None):
         algebra = end_of(t)
     gens = graded_hom(alg, y, t)
     gen_index = {g: i for i, g in enumerate(gens)}
-    d = len(gens)
-    actions = []
+    images = []
     for lab in algebra.basis:
-        m = Mat(d, d)
-        if lab[0] == "e":
-            for g, i in gen_index.items():
-                if g[1] == lab[1]:
-                    m[i, i] = 1
-        else:
-            _, asrc, atgt, adeg = lab
-            for (k, l, deg), i in gen_index.items():
-                if l != asrc:
-                    continue
-                # a composite of canonical generators is canonical or zero
-                # (quiver.space_dim): nonzero iff its space has a generator
-                j = gen_index.get((k, atgt, deg + adeg))
-                if j is not None:
-                    m[j, i] = 1
-        actions.append(m)
-    return SCModule(algebra, d, actions), gens
+        # the idempotent at summand s is the degree-0 generator s -> s
+        asrc, atgt, adeg = (lab[1], lab[1], 0) if lab[0] == "e" else lab[1:]
+        # a composite of canonical generators is canonical or zero
+        # (quiver.space_dim): nonzero iff its space has a generator
+        images.append([
+            gen_index.get((k, atgt, deg + adeg)) if l == asrc else None
+            for k, l, deg in gens
+        ])
+    return SCModule(algebra, len(gens), images), gens
 
 
 @dataclass
@@ -81,7 +72,8 @@ def min_left_approx_sequence(y, t, algebra=None):
 
     # Generators of Hom(y, t) grouped by summand of t: the cover is by the
     # projectives E e_l, dual to the summands t_l themselves.
-    top0 = module_generators(algebra, m.dim, lambda a: m.act(a).columns())
+    units = [[int(i == j) for j in range(m.dim)] for i in range(m.dim)]
+    top0 = module_generators(m, units)
     t0_pairs = [t.summands[l] for l, _ in top0]
     t0, perm0 = make_object(alg, t0_pairs)
 
@@ -95,37 +87,25 @@ def min_left_approx_sequence(y, t, algebra=None):
     f = DerivedMorphism(y, t0, f_entries)
 
     # Q0 = direct sum of projectives E e_l, basis (cover position, algebra
-    # basis element with source l); cover matrix has columns beta . vec.
+    # basis element beta with source l), on which a acts by relabelling
+    # (pos, beta) -> (pos, a beta); the cover sends (pos, beta) to
+    # beta . vec.
     q0_basis = [
         (pos, bi)
         for pos, (l, _) in enumerate(top0)
         for bi in algebra.projective_basis(l)
     ]
-    cover = Mat.from_cols(
-        [
-            (m.act(bi) @ Mat.from_cols([top0[pos][1]], nrows=m.dim)).column(0)
-            for pos, bi in q0_basis
-        ],
-        nrows=m.dim,
-    )
-    kernel = nullspace(cover).columns()  # K inside Q0 coordinates
     q0_index = {pb: i for i, pb in enumerate(q0_basis)}
+    # (pos, None) is not in the index: a beta = 0
+    q0 = SCModule(algebra, len(q0_basis), [
+        [q0_index.get((pos, algebra.mul(a, bi))) for pos, bi in q0_basis]
+        for a in range(algebra.dim)
+    ])
+    cover = [m.act(bi, top0[pos][1]) for pos, bi in q0_basis]
+    kernel = nullspace(Mat.from_cols(cover, nrows=m.dim)).columns()
 
-    def kernel_images(a):
-        """a . K, spanned by the kernel basis relabelled by
-        (pos, beta) -> (pos, a beta)."""
-        images = []
-        for v in kernel:
-            w = [0] * len(q0_basis)
-            for (pos, bi), c in zip(q0_basis, v):
-                p = algebra.mul(a, bi) if c else None
-                if p is not None:
-                    w[q0_index[(pos, p)]] += c
-            images.append(w)
-        return images
-
-    # The top of K, read in Q0 coordinates, gives T1 and g directly.
-    top1 = module_generators(algebra, len(q0_basis), kernel_images)
+    # The top of the kernel K, read in Q0 coordinates, gives T1 and g.
+    top1 = module_generators(q0, kernel)
     t1_pairs = [t.summands[l] for l, _ in top1]
     t1, perm1 = make_object(alg, t1_pairs)
 

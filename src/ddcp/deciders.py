@@ -290,7 +290,7 @@ def verify_homology_corners(x, tilting=None):
     if tilting is None:
         tilting = bool(check_tilting_complex(x))
     ok = True
-    for i, verts, _ in corner_decomposition(x):
+    for i, verts in corner_decomposition(x):
         corner_alg = Algebra(len(verts))
         restricted = _restrict_to_corner(x.slice(i), verts)
         dcp = check_module_dcp(corner_alg, restricted)

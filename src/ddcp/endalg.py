@@ -8,7 +8,7 @@ Gabriel quiver, hereditariness, isomorphism with a linear-chain path algebra
 -- then reduce to set combinatorics on the multiplication table.
 """
 
-from .exactmat import IncrementalSpan, Mat
+from .exactmat import IncrementalSpan
 from .quiver import HOM, InputError
 from .derived import DerivedObject, pair_space_dim
 
@@ -93,7 +93,8 @@ class SCAlgebra:
             raise InputError("structure query requires a basic algebra")
 
     def radical_indices(self):
-        self._require_basic()
+        """The non-idempotent basis indices: a basis of the radical when the
+        algebra is basic, which the public structure queries check."""
         idem = set(self.idempotents)
         return [i for i in range(self.dim) if i not in idem]
 
@@ -114,7 +115,7 @@ class SCAlgebra:
 
     def projective_basis(self, e):
         """Basis indices of the indecomposable left projective at idempotent e."""
-        return [i for i in range(self.dim) if self.src(i) == e]
+        return [i for i in range(self.dim) if self.mul(i, e) == i]
 
     def __repr__(self):
         return "SCAlgebra(dim=%d, idempotents=%d)" % (
@@ -242,9 +243,9 @@ def corner_decomposition(x):
     """Group the indecomposable projectives of the base algebra by the unique
     shift of x whose slice supports their top vertex.
 
-    Returns a list of (shift, sorted vertex list, SCAlgebra of the grouped
-    projectives).  Raises PreconditionError when some vertex is supported in
-    zero or several shifts (the unique-degree condition fails).
+    Returns a list of (shift, sorted vertex list).  Raises PreconditionError
+    when some vertex is supported in zero or several shifts (the
+    unique-degree condition fails).
     """
     alg = x.alg
     degree_of = {}
@@ -259,78 +260,82 @@ def corner_decomposition(x):
     groups = {}
     for e, d in degree_of.items():
         groups.setdefault(d, []).append(e)
-    out = []
-    for d in sorted(groups):
-        verts = sorted(groups[d])
-        proj = DerivedObject(alg, [(alg.projective(e), 0) for e in verts])
-        out.append((d, verts, end_of(proj)))
-    return out
+    return [(d, sorted(groups[d])) for d in sorted(groups)]
 
 
 class SCModule:
-    """Finite-dimensional left module over an SCAlgebra, one action matrix
-    per algebra basis element, over exact scalars.  The constructor only
-    stores its arguments; validate() checks them."""
+    """Finite-dimensional left module over an SCAlgebra on which each algebra
+    basis element sends each module basis vector to a basis vector or to
+    zero: images[a][i] is the index of a . b_i, or None when that product
+    is zero.  The constructor only stores its arguments; validate() checks
+    them."""
 
-    def __init__(self, algebra, dim, actions):
+    def __init__(self, algebra, dim, images):
         self.algebra = algebra
         self.dim = dim
-        self.actions = list(actions)
+        self.images = list(images)
 
-    def act(self, i):
-        return self.actions[i]
+    def act(self, a, v):
+        """The vector a . v, for v a list of dim coordinates."""
+        w = [0] * self.dim
+        for c, j in zip(v, self.images[a]):
+            if c and j is not None:
+                w[j] += c
+        return w
 
     def validate(self):
-        """Raise InputError unless the actions make a unital module."""
-        if len(self.actions) != self.algebra.dim:
-            raise InputError("one action matrix per basis element required")
-        for m in self.actions:
-            if (m.nrows, m.ncols) != (self.dim, self.dim):
-                raise InputError("action matrix shape mismatch")
-        unit = Mat(self.dim, self.dim)
-        for e in self.algebra.idempotents:
-            unit = unit + self.actions[e]
-        if unit != Mat.identity(self.dim):
-            raise InputError("unit does not act as the identity")
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                prod = self.actions[i] @ self.actions[j]
-                k = self.algebra.mul(i, j)
-                expect = self.actions[k] if k is not None else Mat(self.dim, self.dim)
-                if prod != expect:
-                    raise InputError(
-                        "action does not respect the multiplication table"
-                    )
+        """Raise InputError unless the images make a unital module."""
+        if len(self.images) != self.algebra.dim:
+            raise InputError("one image map per basis element required")
+        for row in self.images:
+            if len(row) != self.dim:
+                raise InputError("image map length mismatch")
+            if any(j is not None and j not in range(self.dim) for j in row):
+                raise InputError("image index out of range")
+        for i in range(self.dim):
+            # the unit, the sum of the idempotents, fixes b_i: one
+            # idempotent fixes it and the others kill it
+            hit = [self.images[e][i] for e in self.algebra.idempotents]
+            if [j for j in hit if j is not None] != [i]:
+                raise InputError("unit does not act as the identity")
+        for a in range(self.algebra.dim):
+            for b in range(self.algebra.dim):
+                ab = self.algebra.mul(a, b)
+                for i in range(self.dim):
+                    j = self.images[b][i]
+                    lhs = self.images[a][j] if j is not None else None
+                    rhs = self.images[ab][i] if ab is not None else None
+                    if lhs != rhs:
+                        raise InputError(
+                            "action does not respect the multiplication table"
+                        )
 
 
 def regular_module(c):
     """The algebra as a left module over itself, in its own basis."""
-    actions = []
-    for i in range(c.dim):
-        m = Mat(c.dim, c.dim)
-        for j in range(c.dim):
-            k = c.mul(i, j)
-            if k is not None:
-                m[k, j] = 1
-        actions.append(m)
-    return SCModule(c, c.dim, actions)
+    images = [[c.mul(a, j) for j in range(c.dim)] for a in range(c.dim)]
+    return SCModule(c, c.dim, images)
 
 
-def module_generators(algebra, dim, images):
-    """Minimal generating set of a module N, grouped by top idempotent.
+def module_generators(module, vectors):
+    """Minimal generating set of the submodule N spanned by vectors,
+    grouped by top idempotent.
 
-    N lies in a space of the given dimension, and images(a) lists vectors
-    spanning a . N for the algebra basis element a.  Returns a list of
-    (idempotent index, vector) lifting a basis of N / rad N, each vector
-    lying in the corresponding idempotent component.
+    rad N is spanned by the r . v for radical basis elements r.  Returns a
+    list of (idempotent index, vector) lifting a basis of N / rad N, each
+    vector lying in the corresponding idempotent component.
     """
-    span = IncrementalSpan(dim)
+    algebra = module.algebra
+    span = IncrementalSpan(module.dim)
     for r in algebra.radical_indices():
-        for v in images(r):
-            span.add(v)
+        for v in vectors:
+            w = module.act(r, v)
+            if any(w):
+                span.add(w)
     gens = []
     for e in algebra.idempotents:
-        for v in images(e):
-            if span.add(v):
-                gens.append((e, v))
+        for v in vectors:
+            w = module.act(e, v)
+            if any(w) and span.add(w):
+                gens.append((e, w))
     return gens

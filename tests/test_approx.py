@@ -5,8 +5,8 @@ import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedObject, make_object
-from ddcp.endalg import SCModule, end_of, module_generators
-from ddcp.exactmat import Mat, nullspace, solve
+from ddcp.endalg import SCModule, end_of, regular_module
+from ddcp.exactmat import IncrementalSpan, Mat, nullspace, solve
 from ddcp.approx import (
     hom_module,
     is_exact_at_middle,
@@ -193,14 +193,44 @@ def test_hom_functor_exactness_of_sequences():
         assert rank(mf) == len(graded_hom(alg, y, t))
 
 
+def dense_actions(module):
+    """One dense action matrix per algebra basis element, read off the
+    module's images."""
+    mats = []
+    for row in module.images:
+        mat = Mat(module.dim, module.dim)
+        for i, j in enumerate(row):
+            if j is not None:
+                mat[j, i] = 1
+        mats.append(mat)
+    return mats
+
+
+def dense_generators(algebra, dim, actions):
+    """Lifts of a basis of N / rad N for the module N of the given dimension
+    with dense action matrices: the columns of the idempotents' actions that
+    the radical's columns do not span."""
+    span = IncrementalSpan(dim)
+    for r in algebra.radical_indices():
+        for v in actions[r].columns():
+            span.add(v)
+    return [
+        (e, v)
+        for e in algebra.idempotents
+        for v in actions[e].columns()
+        if span.add(v)
+    ]
+
+
 def kernel_module_reference(y, t):
     """T1 and the entries of g by the kernel module: the kernel K of the
-    cover Q0 -> Hom(y, t) is made an SCModule in the coordinates of a kernel
-    basis, one solve per algebra basis element, and its top is mapped back
-    to Q0 by that basis."""
+    cover Q0 -> Hom(y, t) is given dense action matrices in the coordinates
+    of a kernel basis, one solve per algebra basis element, and its top is
+    mapped back to Q0 by that basis."""
     algebra = end_of(t)
     m, _ = hom_module(y, t, algebra)
-    top0 = module_generators(algebra, m.dim, lambda a: m.act(a).columns())
+    m_actions = dense_actions(m)
+    top0 = dense_generators(algebra, m.dim, m_actions)
     _, perm0 = make_object(y.alg, [t.summands[l] for l, _ in top0])
     q0_basis = [
         (pos, bi)
@@ -209,7 +239,7 @@ def kernel_module_reference(y, t):
     ]
     cover = Mat.from_cols(
         [
-            (m.act(bi) @ Mat.from_cols([top0[pos][1]], nrows=m.dim)).column(0)
+            (m_actions[bi] @ Mat.from_cols([top0[pos][1]], nrows=m.dim)).column(0)
             for pos, bi in q0_basis
         ],
         nrows=m.dim,
@@ -226,10 +256,7 @@ def kernel_module_reference(y, t):
         restricted = solve(kbasis, act @ kbasis)
         assert restricted is not None, "kernel not stable"
         k_actions.append(restricted)
-    kmod = SCModule(algebra, kbasis.ncols, k_actions)
-    top1 = module_generators(
-        algebra, kmod.dim, lambda a: kmod.act(a).columns()
-    )
+    top1 = dense_generators(algebra, kbasis.ncols, k_actions)
     t1, perm1 = make_object(y.alg, [t.summands[l] for l, _ in top1])
     g_entries = {}
     for pos1, (_, vec) in enumerate(top1):
@@ -265,6 +292,8 @@ def test_kernel_top_matches_kernel_module_reference():
 
 
 def test_one_module_per_sequence(monkeypatch):
+    """The only modules a sequence builds are Hom(y, t) and the cover Q0, a
+    sum of projectives E e_l; none is built in kernel coordinates."""
     built = []
 
     class Counting(SCModule):
@@ -274,6 +303,27 @@ def test_one_module_per_sequence(monkeypatch):
 
     monkeypatch.setattr(approx, "SCModule", Counting)
     alg = Algebra(3)
-    seq = min_left_approx_sequence(regular(alg), make_V_object(alg, 2))
+    y, t = regular(alg), make_V_object(alg, 2)
+    seq = min_left_approx_sequence(y, t)
     assert not seq.t1.is_zero()
-    assert len(built) == 1
+    hom, q0 = built
+    algebra = end_of(t)
+    assert hom.images == hom_module(y, t, algebra)[0].images
+    # Q0 is the sum of the projectives E e_l, one per summand of T0 in
+    # idempotent order, each with the regular action
+    reg = regular_module(algebra)
+    blocks = [
+        algebra.projective_basis(l)
+        for l in sorted(t.summands.index(p) for p in seq.t0.summands)
+    ]
+    expect = [[] for _ in range(algebra.dim)]
+    offset = 0
+    for pb in blocks:
+        for a in range(algebra.dim):
+            expect[a] += [
+                None if reg.images[a][bi] is None
+                else offset + pb.index(reg.images[a][bi])
+                for bi in pb
+            ]
+        offset += len(pb)
+    assert (q0.dim, q0.images) == (offset, expect)
