@@ -13,9 +13,8 @@ and kernel membership transfer.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactmat import Mat, nullspace, rank
+from .exactmat import Mat, rank
 from .quiver import InputError
 from .derived import (
     DerivedMorphism,
@@ -71,25 +70,20 @@ def min_left_approx_sequence(y, t, algebra=None):
     m, gens = hom_module(y, t, algebra)
 
     # Generators of Hom(y, t) grouped by summand of t: the cover is by the
-    # projectives E e_l, dual to the summands t_l themselves.
+    # projectives E e_l, dual to the summands t_l themselves.  Hom(y, t) is
+    # spanned by its basis, so each top vector is a basis vector b_head.
     units = [[int(i == j) for j in range(m.dim)] for i in range(m.dim)]
     top0 = module_generators(m, units)
-    t0_pairs = [t.summands[l] for l, _ in top0]
-    t0, perm0 = make_object(alg, t0_pairs)
-
-    f_entries = {}
-    for pos, (l, vec) in enumerate(top0):
-        for gi, (k, l2, deg) in enumerate(gens):
-            if vec[gi]:
-                assert l2 == l
-                key = (k, perm0[pos])
-                f_entries[key] = f_entries.get(key, Fraction(0)) + vec[gi]
-    f = DerivedMorphism(y, t0, f_entries)
+    heads = [vec.index(1) for _, vec in top0]
+    t0, perm0 = make_object(alg, [t.summands[l] for l, _ in top0])
+    f = DerivedMorphism(
+        y, t0, {(gens[i][0], perm0[pos]): 1 for pos, i in enumerate(heads)}
+    )
 
     # Q0 = direct sum of projectives E e_l, basis (cover position, algebra
     # basis element beta with source l), on which a acts by relabelling
     # (pos, beta) -> (pos, a beta); the cover sends (pos, beta) to
-    # beta . vec.
+    # beta . b_head, a basis vector or zero.
     q0_basis = [
         (pos, bi)
         for pos, (l, _) in enumerate(top0)
@@ -101,20 +95,32 @@ def min_left_approx_sequence(y, t, algebra=None):
         [q0_index.get((pos, algebra.mul(a, bi))) for pos, bi in q0_basis]
         for a in range(algebra.dim)
     ])
-    cover = [m.act(bi, top0[pos][1]) for pos, bi in q0_basis]
-    kernel = nullspace(Mat.from_cols(cover, nrows=m.dim)).columns()
+    # The kernel of the cover: e_j for a zero column j, and e_j - e_first
+    # for a column j whose basis vector an earlier column, first, hit first.
+    kernel = []
+    first = {}
+    for j, (pos, bi) in enumerate(q0_basis):
+        hit = m.images[bi][heads[pos]]
+        kappa = [0] * q0.dim
+        kappa[j] = 1
+        if hit is None:
+            kernel.append(kappa)
+        elif hit in first:
+            kappa[first[hit]] = -1
+            kernel.append(kappa)
+        else:
+            first[hit] = j
 
     # The top of the kernel K, read in Q0 coordinates, gives T1 and g.
     top1 = module_generators(q0, kernel)
-    t1_pairs = [t.summands[l] for l, _ in top1]
-    t1, perm1 = make_object(alg, t1_pairs)
+    t1, perm1 = make_object(alg, [t.summands[l] for l, _ in top1])
 
     g_entries = {}
     for pos1, (_, kappa) in enumerate(top1):
         for (pos0, _), c in zip(q0_basis, kappa):
             if c:
                 key = (perm0[pos0], perm1[pos1])
-                g_entries[key] = g_entries.get(key, Fraction(0)) + c
+                g_entries[key] = g_entries.get(key, 0) + c
     g = DerivedMorphism(t0, t1, g_entries)
     return ApproxSequence(t0, f, t1, g)
 
@@ -132,26 +138,26 @@ def to_rep_morphism(f):
     return reps.rep_morphism(alg, src_ivs, tgt_ivs, f.entries)
 
 
+def _ranks(f):
+    return [rank(b) for b in f.blocks]
+
+
 def is_exact_at_middle(f, g):
-    """g after f vanishes and image(f) = kernel(g), vertex by vertex."""
+    """g after f vanishes and rank f_v + rank g_v = dim X0_v at every
+    vertex v, so that image(f) = kernel(g)."""
     if not reps.compose_rep(f, g).is_zero():
         return False
-    img, _ = reps.image(f)
-    ker, _ = reps.kernel(g)
-    return img.dims == ker.dims
+    return [a + b for a, b in zip(_ranks(f), _ranks(g))] == list(f.tgt.dims)
 
 
 def is_exact_sequence_with_zero(f, g):
-    """Exact at the middle with g surjective."""
-    if not is_exact_at_middle(f, g):
-        return False
-    cok, _ = reps.cokernel(g)
-    return cok.total_dim() == 0
+    """Exact at the middle with g surjective: rank g_v = dim X1_v."""
+    return is_exact_at_middle(f, g) and _ranks(g) == list(g.tgt.dims)
 
 
 def is_injective(f):
-    ker, _ = reps.kernel(f)
-    return ker.total_dim() == 0
+    """rank f_v = dim src_v at every vertex v."""
+    return _ranks(f) == list(f.src.dims)
 
 
 def approximation_matrix(f, t):

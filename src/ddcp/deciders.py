@@ -25,8 +25,8 @@ from .approx import (
     min_left_approx_sequence,
     to_rep_morphism,
 )
+from .exactmat import rank
 from .quiver import Algebra, Interval
-from . import reps
 
 
 @dataclass
@@ -183,7 +183,10 @@ def _module_route(exact_test):
         pr.approx_summands = list(seq.t0.summands)
         f = to_rep_morphism(seq.f)
         pr.exact = exact_test(f, to_rep_morphism(seq.g))
-        pr.kernel_intervals = reps.interval_decompose(reps.kernel(f)[0])
+        # a submodule of the uniserial P(e) = X(e, n) of dimension k is
+        # X(n - k + 1, n)
+        k = f.src.total_dim() - sum(map(rank, f.blocks))
+        pr.kernel_intervals = {Interval(alg.n - k + 1, alg.n): 1} if k else {}
         failures = [] if pr.exact else ["sequence not exact"]
         following = x.slice(i + 1)
         outside = [iv for iv in pr.kernel_intervals if iv not in following]

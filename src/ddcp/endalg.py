@@ -8,7 +8,6 @@ Gabriel quiver, hereditariness, isomorphism with a linear-chain path algebra
 -- then reduce to set combinatorics on the multiplication table.
 """
 
-from .exactmat import IncrementalSpan
 from .quiver import HOM, InputError
 from .derived import DerivedObject, pair_space_dim
 
@@ -324,18 +323,37 @@ def module_generators(module, vectors):
     rad N is spanned by the r . v for radical basis elements r.  Returns a
     list of (idempotent index, vector) lifting a basis of N / rad N, each
     vector lying in the corresponding idempotent component.
+
+    Every vector given, and every a . v, must be zero, +-b_j or +-(b_j - b_k).
+    Read +-b_j as an edge from j to a ground node and b_j - b_k as an edge
+    from j to k: a set of such vectors is linearly independent iff its edges
+    form a forest, so a union-find decides each greedy step.
     """
     algebra = module.algebra
-    span = IncrementalSpan(module.dim)
+    parent = list(range(module.dim + 1))  # node module.dim is the ground
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def add(w):
+        """Join the ends of w's edge; True when they were apart."""
+        ends = [j for j, c in enumerate(w) if c] + [module.dim]
+        a, b = root(ends[0]), root(ends[1])
+        parent[a] = b
+        return a != b
+
     for r in algebra.radical_indices():
         for v in vectors:
             w = module.act(r, v)
             if any(w):
-                span.add(w)
+                add(w)
     gens = []
     for e in algebra.idempotents:
         for v in vectors:
             w = module.act(e, v)
-            if any(w) and span.add(w):
+            if any(w) and add(w):
                 gens.append((e, w))
     return gens

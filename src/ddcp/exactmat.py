@@ -1,7 +1,7 @@
 """Dense exact-rational matrices.
 
-Everything downstream (representation morphisms, homology, projective
-covers) reduces to rank / kernel / solve over Q.  Matrices here are tiny
+Representation morphisms, homology and the exactness of module maps
+reduce to rank / kernel / solve over Q.  Matrices here are tiny
 (rarely more than ~40 rows), so a plain dense Fraction implementation is
 exact and fast enough.
 """
@@ -225,36 +225,3 @@ def col_space(m):
     _, pivots = rref(m)
     return Mat.from_cols([m.column(j) for j in pivots], nrows=m.nrows)
 
-
-class IncrementalSpan:
-    """Row-reduced span of vectors, for greedy independence tests."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.reduced = []  # list of (pivot index, vector)
-
-    def _reduce(self, v):
-        v = list(v)
-        for p, w in self.reduced:
-            if v[p]:
-                c = v[p]
-                v = [a - c * b for a, b in zip(v, w)]
-        return v
-
-    def contains(self, v):
-        return not any(self._reduce(v))
-
-    def add(self, v):
-        """Add v to the span; True if the dimension grew."""
-        v = self._reduce(v)
-        for p in range(self.dim):
-            if v[p]:
-                inv = F1 / v[p]
-                v = [x * inv for x in v]
-                self.reduced.append((p, v))
-                self.reduced.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    def rank(self):
-        return len(self.reduced)

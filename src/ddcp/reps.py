@@ -8,7 +8,7 @@ inclusion-exclusion used for persistence barcodes.
 
 from fractions import Fraction
 
-from .exactmat import IncrementalSpan, Mat, col_space, nullspace, rank, solve
+from .exactmat import Mat, col_space, hstack, nullspace, rank, rref, solve
 from .quiver import Interval, InputError
 
 
@@ -176,23 +176,15 @@ def cokernel(f):
     for v in range(alg.n):
         im = col_space(f.blocks[v])
         t = f.tgt.dims[v]
-        # Complete the image columns to a basis of the target space.
-        span = im.columns()
-        comp = []
-        inc = IncrementalSpan(t)
-        for c in span:
-            inc.add(c)
-        for j in range(t):
-            e = [Fraction(0)] * t
-            e[j] = Fraction(1)
-            if inc.add(e):
-                comp.append(e)
+        # Complete the image columns to a basis of the target space by the
+        # unit vectors at the pivots of [im | 1] past im.
+        unit = Mat.identity(t)
+        _, pivots = rref(hstack([im, unit], nrows=t))
+        comp = [unit.column(p - im.ncols) for p in pivots[im.ncols:]]
         q = len(comp)
-        basis = Mat.from_cols(span + comp, nrows=t)
-        inv = solve(basis, Mat.identity(t))
-        proj = Mat(q, t, [inv.rows[im.ncols + i][:] for i in range(q)])
         section = Mat.from_cols(comp, nrows=t)
-        projs.append(proj)
+        inv = solve(hstack([im, section], nrows=t), unit)
+        projs.append(Mat(q, t, inv.rows[im.ncols:]))
         sections.append(section)
         dims.append(q)
     maps = []

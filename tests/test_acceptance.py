@@ -32,6 +32,7 @@ from ddcp.deciders import (
 from ddcp.classify import enumerate_and_classify, make_T, make_V, zero_path_audit
 from ddcp.cli import EXIT_OK, run
 from ddcp import reps
+from oracles import brute_ext_dim
 
 
 def report(num, text):
@@ -198,36 +199,6 @@ def test_criterion_6_worked_example(capsys):
     assert diag[3].kernel_intervals == {}
     with capsys.disabled():
         report(6, "worked three-summand example passes with the stated diagnostics")
-
-
-def brute_ext_dim(alg, src, tgt):
-    """Ext dimension from honest matrices: cokernel of the map induced on
-    morphism spaces by the syzygy inclusion of the projective resolution."""
-    from ddcp.quiver import projective_resolution
-    from ddcp.exactmat import IncrementalSpan
-
-    k0, k1 = projective_resolution(alg, src)
-    if k1 is None:
-        return 0
-    p0, p1 = alg.projective(k0), alg.projective(k1)
-    incl = reps.rep_morphism(alg, [p1], [p0], {(0, 0): 1})
-    maps0 = reps.morphism_space(reps.realize(alg, [p0]), reps.realize(alg, [tgt]))
-    maps1 = reps.morphism_space(reps.realize(alg, [p1]), reps.realize(alg, [tgt]))
-    if not maps1:
-        return 0
-    total = sum(b.nrows * b.ncols for b in maps1[0].blocks)
-    span = IncrementalSpan(total)
-    restricted = 0
-    for f in maps0:
-        flat = [
-            x
-            for b in reps.compose_rep(incl, f).blocks
-            for row in b.rows
-            for x in row
-        ]
-        if span.add(flat):
-            restricted += 1
-    return len(maps1) - restricted
 
 
 def test_criterion_7_oracle_equivalence(capsys):

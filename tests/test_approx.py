@@ -5,8 +5,8 @@ import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedObject, make_object
-from ddcp.endalg import SCModule, end_of, regular_module
-from ddcp.exactmat import IncrementalSpan, Mat, nullspace, solve
+from ddcp.endalg import SCModule, end_of, module_generators, regular_module
+from ddcp.exactmat import Mat, nullspace, rref, solve
 from ddcp.approx import (
     hom_module,
     is_exact_at_middle,
@@ -209,17 +209,12 @@ def dense_actions(module):
 def dense_generators(algebra, dim, actions):
     """Lifts of a basis of N / rad N for the module N of the given dimension
     with dense action matrices: the columns of the idempotents' actions that
-    the radical's columns do not span."""
-    span = IncrementalSpan(dim)
-    for r in algebra.radical_indices():
-        for v in actions[r].columns():
-            span.add(v)
-    return [
-        (e, v)
-        for e in algebra.idempotents
-        for v in actions[e].columns()
-        if span.add(v)
-    ]
+    the radical's columns and the columns before them do not span, read off
+    the pivots of the row-reduced column matrix."""
+    rad = [v for r in algebra.radical_indices() for v in actions[r].columns()]
+    cands = [(e, v) for e in algebra.idempotents for v in actions[e].columns()]
+    _, pivots = rref(Mat.from_cols(rad + [v for _, v in cands], nrows=dim))
+    return [cands[p - len(rad)] for p in pivots if p >= len(rad)]
 
 
 def kernel_module_reference(y, t):
@@ -268,8 +263,9 @@ def kernel_module_reference(y, t):
     return t1, g_entries
 
 
-def test_kernel_top_matches_kernel_module_reference():
-    count = 0
+def approximation_pairs():
+    """Every (y, t) with y the regular object or a shifted P(e), and t of at
+    most three summands over shifts {0, 1}, n <= 3."""
     for n in (1, 2, 3):
         alg = Algebra(n)
         ys = [regular(alg)] + [
@@ -283,12 +279,45 @@ def test_kernel_top_matches_kernel_module_reference():
         ]
         for y in ys:
             for t in targets:
-                seq = min_left_approx_sequence(y, t)
-                t1, g_entries = kernel_module_reference(y, t)
-                assert seq.t1 == t1
-                assert seq.g.entries == g_entries
-                count += 1
+                yield y, t
+
+
+def test_kernel_top_matches_kernel_module_reference():
+    count = 0
+    for y, t in approximation_pairs():
+        seq = min_left_approx_sequence(y, t)
+        t1, g_entries = kernel_module_reference(y, t)
+        assert seq.t1 == t1
+        assert seq.g.entries == g_entries
+        count += 1
     assert count == 3 * 4 + 5 * 42 + 7 * 299
+
+
+def test_sequences_are_unit_and_edge_combinatorics(monkeypatch):
+    """The shape the counting relies on: every f entry is 1, every g entry
+    is +-1, and every vector module_generators is handed or builds by act
+    is zero, +-b_j or +-(b_j - b_k)."""
+    seen = []
+
+    def recording_generators(module, vectors):
+        seen.extend(vectors)
+        return module_generators(module, vectors)
+
+    def recording_act(self, a, v):
+        w = act(self, a, v)
+        seen.append(w)
+        return w
+
+    act = SCModule.act
+    monkeypatch.setattr(approx, "module_generators", recording_generators)
+    monkeypatch.setattr(SCModule, "act", recording_act)
+    for y, t in approximation_pairs():
+        seq = min_left_approx_sequence(y, t)
+        assert set(seq.f.entries.values()) <= {1}
+        assert set(seq.g.entries.values()) <= {1, -1}
+    shapes = {tuple(sorted(c for c in v if c)) for v in seen}
+    assert shapes <= {(), (1,), (-1,), (-1, 1)}
+    assert (-1, 1) in shapes
 
 
 def test_one_module_per_sequence(monkeypatch):

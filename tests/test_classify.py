@@ -47,17 +47,20 @@ def test_make_T_contents():
         make_T(alg, 3)
 
 
+def family_labels(n):
+    return sorted(
+        ["V_%d" % m for m in range(1, n + 1)]
+        + ["T_%d" % i for i in range(1, n)]
+    )
+
+
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (3, 5)])
 def test_classification_small(n, expected):
     alg = Algebra(n)
     result = enumerate_and_classify(alg)
     assert result.lambda_count == expected
     labels = sorted(result.matched.values())
-    want = sorted(
-        ["V_%d" % m for m in range(1, n + 1)]
-        + ["T_%d" % i for i in range(1, n)]
-    )
-    assert labels == want
+    assert labels == family_labels(n)
     assert "UNEXPECTED" not in labels
 
 
@@ -84,6 +87,16 @@ def test_window_three_matches_window_two():
     r2 = enumerate_and_classify(alg, degree_window=2)
     r3 = enumerate_and_classify(alg, degree_window=3)
     assert set(r2.survivors) == set(r3.survivors)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_window_three_classification(n):
+    # shifts 0, 1, 2 allowed: still lambda = 2n - 1, exactly the V_m and
+    # T_i families, none using three shifts
+    result = enumerate_and_classify(Algebra(n), degree_window=3, bound=n)
+    assert result.lambda_count == 2 * n - 1
+    assert sorted(result.matched.values()) == family_labels(n)
+    assert all(len(x.shifts()) <= 2 for x in result.survivors)
 
 
 def test_zero_path_audit():

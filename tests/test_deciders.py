@@ -15,6 +15,12 @@ from ddcp.deciders import (
 )
 from ddcp.classify import make_T, make_V
 from ddcp.endalg import end_of, is_hereditary
+from oracles import (
+    exact_at_middle_reference,
+    exact_with_zero_reference,
+    injective_reference,
+    kernel_intervals_reference,
+)
 
 
 def obj(alg, *pairs):
@@ -270,3 +276,63 @@ def test_false_verdict_reasons_say_what_failed():
     assert derived and all("slice of the cone" in r for r in derived)
     cones = check_tilting_complex(simples, "derived").reasons
     assert cones and all("cone is" in r for r in cones)
+
+
+def check_tilting_module_route(x):
+    return check_tilting_complex(x, "module")
+
+
+def test_rank_counts_match_subrepresentation_reference(monkeypatch):
+    """The rank-based exactness tests and the closed-form kernel interval
+    give the answers of the kernel, image and cokernel sub-representations,
+    on the hereditary-End objects of criterion 3 and on basic modules of at
+    most five summands, n <= 4."""
+    verdicts = {}
+    kernels = []
+    references = {}  # many objects share a sequence: build each reference once
+
+    def checked(rank_test, reference):
+        def test(*maps):
+            key = rank_test, repr([(h.src.maps, h.tgt.maps, h.blocks) for h in maps])
+            if key not in references:
+                references[key] = kernel_intervals_reference(maps[0]), reference(*maps)
+            kernel, verdict = references[key]
+            kernels.append(kernel)
+            assert rank_test(*maps) == verdict
+            verdicts.setdefault(rank_test.__name__, set()).add(verdict)
+            return verdict
+
+        return test
+
+    for rank_test, reference in (
+        (approx.is_injective, injective_reference),
+        (approx.is_exact_at_middle, exact_at_middle_reference),
+        (approx.is_exact_sequence_with_zero, exact_with_zero_reference),
+    ):
+        monkeypatch.setattr(
+            deciders, rank_test.__name__, checked(rank_test, reference)
+        )
+    for n in (1, 2, 3, 4):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        for combo in combinations(atoms, n):
+            x = DerivedObject(alg, combo)
+            if min(s for _, s in combo) or not is_hereditary(end_of(x)):
+                continue
+            for route in (check_ddcp, check_tilting_module_route):
+                kernels.clear()
+                report = route(x)
+                assert kernels == [
+                    pr.kernel_intervals
+                    for pr in report.projectives
+                    if len(pr.degrees_found) == 1
+                ]
+        for size in range(6):
+            for combo in combinations(alg.intervals(), size):
+                check_module_dcp(alg, dict.fromkeys(combo, 1))
+                check_tilting_module(alg, dict.fromkeys(combo, 1))
+    assert verdicts == {
+        "is_injective": {True, False},
+        "is_exact_at_middle": {True, False},
+        "is_exact_sequence_with_zero": {True, False},
+    }

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ddcp.exactmat import (
-    IncrementalSpan,
     Mat,
     col_space,
     hstack,
@@ -93,16 +92,6 @@ def test_col_space_spans():
     assert cs.ncols == 1
     for j in range(m.ncols):
         assert solve(cs, Mat.from_cols([m.column(j)], nrows=2)) is not None
-
-
-def test_incremental_span():
-    span = IncrementalSpan(3)
-    assert span.add([1, 0, 0])
-    assert not span.add([2, 0, 0])
-    assert span.contains([5, 0, 0])
-    assert not span.contains([0, 1, 0])
-    assert span.add([1, 1, 0])
-    assert span.rank() == 2
 
 
 def test_transpose_column_access():

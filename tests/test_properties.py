@@ -1,0 +1,70 @@
+"""Property tests on random objects past the exhaustive range, n = 5, 6:
+the module and derived routes agree projective by projective, and no
+complex decider depends on the shift.  Derandomized with a bounded number
+of examples, so every run draws the same objects."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ddcp.classify import make_T, make_V
+from ddcp.deciders import (
+    check_ddcp,
+    check_ddcp_derived,
+    check_tilting_complex,
+    verify_homology_corners,
+)
+from ddcp.derived import DerivedObject
+from ddcp.quiver import Algebra
+
+bounded = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+sizes = pytest.mark.parametrize("n", [5, 6])
+
+
+@st.composite
+def objects(draw, n):
+    """A basic n-summand object over shifts {0, 1}: random, or a member of
+    the V_m or T_i family, so that passing verdicts are drawn too."""
+    alg = Algebra(n)
+    kind = draw(st.sampled_from(["random", "V", "T"]))
+    if kind == "V":
+        return make_V(alg, draw(st.integers(1, n)))
+    if kind == "T":
+        return make_T(alg, draw(st.integers(1, n - 1)))
+    atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+    pairs = st.lists(st.sampled_from(atoms), min_size=n, max_size=n, unique=True)
+    return DerivedObject(alg, draw(pairs))
+
+
+def outcome(report):
+    return report.verdict, report.applicable, [pr.verdict for pr in report.projectives]
+
+
+def check_tilting_module_route(x):
+    return check_tilting_complex(x, "module")
+
+
+@sizes
+@bounded
+@given(data=st.data())
+def test_routes_agree_on_random_objects(n, data):
+    x = data.draw(objects(n))
+    assert outcome(check_ddcp(x)) == outcome(check_ddcp_derived(x))
+    assert outcome(check_tilting_module_route(x)) == outcome(
+        check_tilting_complex(x, "derived")
+    )
+
+
+@sizes
+@bounded
+@given(data=st.data())
+def test_complex_verdicts_are_shift_invariant(n, data):
+    x = data.draw(objects(n))
+    k = data.draw(st.integers(-3, 3))
+    for decide in (
+        check_ddcp,
+        check_ddcp_derived,
+        check_tilting_module_route,
+        check_tilting_complex,
+        verify_homology_corners,
+    ):
+        assert outcome(decide(x)) == outcome(decide(x.shifted(k)))

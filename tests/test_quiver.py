@@ -15,6 +15,7 @@ from ddcp.quiver import (
     space_dim,
 )
 from ddcp import reps
+from oracles import brute_ext_dim
 
 
 def test_interval_validation():
@@ -40,33 +41,6 @@ def brute_hom_dim(alg, src, tgt):
     return len(
         reps.morphism_space(reps.realize(alg, [src]), reps.realize(alg, [tgt]))
     )
-
-
-def brute_ext_dim(alg, src, tgt):
-    """Ext via a projective resolution with honest matrices: the cokernel of
-    Hom(P(k0), tgt) -> Hom(P(k1), tgt) induced by the syzygy inclusion."""
-    k0, k1 = projective_resolution(alg, src)
-    if k1 is None:
-        return 0
-    p0 = alg.projective(k0)
-    p1 = alg.projective(k1)
-    incl = reps.rep_morphism(alg, [p1], [p0], {(0, 0): 1})
-    maps0 = reps.morphism_space(reps.realize(alg, [p0]), reps.realize(alg, [tgt]))
-    maps1 = reps.morphism_space(reps.realize(alg, [p1]), reps.realize(alg, [tgt]))
-    from ddcp.exactmat import IncrementalSpan
-
-    def flatten(f):
-        return [x for b in f.blocks for row in b.rows for x in row]
-
-    dim1 = len(maps1)
-    span = IncrementalSpan(
-        sum(b.nrows * b.ncols for b in maps1[0].blocks) if maps1 else 0
-    )
-    restricted = 0
-    for f in maps0:
-        if span.add(flatten(reps.compose_rep(incl, f))):
-            restricted += 1
-    return dim1 - restricted
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
