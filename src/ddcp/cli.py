@@ -7,6 +7,7 @@ Exit codes: 0 success / property holds, 1 property fails (check, audit),
 
 import argparse
 import json
+import re
 import sys
 
 from .quiver import Algebra, InputError, ext_dim, hom_dim, is_int
@@ -63,14 +64,20 @@ def object_from_json(data, n=None):
     return DerivedObject(alg, pairs)
 
 
+def integer(text):
+    """An integer argument: ASCII digits with an optional minus sign, and
+    nothing else (int() alone would also take '1_0', ' 1 ' and non-ASCII
+    digits)."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise InputError("not an integer: %r" % text)
+    return int(text)
+
+
 def _parse_interval(alg, text):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError("interval must be 'a,b', got %r" % text)
-    try:
-        return alg.interval(int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise InputError("interval must be two integers, got %r" % text)
+    return alg.interval(integer(parts[0]), integer(parts[1]))
 
 
 def _parse_object_arg(text, n):
@@ -204,32 +211,32 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hom", help="dimension of a Hom space of intervals")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--from", dest="src", required=True, metavar="a,b")
     p.add_argument("--to", dest="tgt", required=True, metavar="c,d")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("ext", help="dimension of an Ext space of intervals")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--from", dest="src", required=True, metavar="a,b")
     p.add_argument("--to", dest="tgt", required=True, metavar="c,d")
     p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("end", help="endomorphism algebra of an object")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--object", required=True, metavar="JSON")
     p.set_defaults(func=cmd_end)
 
     p = sub.add_parser(
         "approximate", help="minimal left approximation sequence"
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--target", required=True, metavar="JSON")
     p.add_argument("--wrt", required=True, metavar="JSON")
     p.set_defaults(func=cmd_approximate)
 
     p = sub.add_parser("check", help="run a property decider")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--object", required=True, metavar="JSON")
     p.add_argument(
         "--mode",
@@ -246,14 +253,14 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("classify", help="enumerate all qualifying objects")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--window", type=integer, default=2)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("audit", help="audit vanishing of long composites")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--length", type=integer, required=True)
     p.set_defaults(func=cmd_audit)
 
     return parser

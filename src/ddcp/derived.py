@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .exactmat import Mat, hstack, solve, vstack
 from .quiver import EXT, HOM, InputError, Interval, is_int, space_dim
-from . import reps
 
 
 class DerivedObject:
@@ -171,24 +170,30 @@ class ChainComplex:
 
     comps maps degree -> list of vertex labels (entry e is the projective
     with top at vertex e); diffs maps degree k to the scalar matrix of the
-    differential into degree k+1, against canonical generators.
+    differential into degree k+1, against canonical generators.  The
+    constructor only stores its arguments; validate() checks them.
     """
 
     def __init__(self, alg, comps, diffs):
         self.alg = alg
         self.comps = {k: list(v) for k, v in comps.items() if v}
-        self.diffs = {}
-        for k, m in diffs.items():
-            rows = len(self.comps.get(k + 1, []))
-            cols = len(self.comps.get(k, []))
-            if (m.nrows, m.ncols) != (rows, cols):
-                raise InputError("differential shape mismatch at %d" % k)
-            if rows and cols:
-                self.diffs[k] = m
-        self._check_d2()
+        self.diffs = {k: m for k, m in diffs.items() if m.nrows and m.ncols}
 
-    def _check_d2(self):
+    def validate(self):
+        """Raise InputError unless every differential has the shape of its
+        degrees, maps P(c) only to projectives P(r) with r <= c (the only
+        nonzero Hom spaces), and the differentials square to zero."""
         for k, d in self.diffs.items():
+            cols = self.comps.get(k, [])
+            rows = self.comps.get(k + 1, [])
+            if (d.nrows, d.ncols) != (len(rows), len(cols)):
+                raise InputError("differential shape mismatch at %d" % k)
+            for i, r in enumerate(rows):
+                for j, c in enumerate(cols):
+                    if d[i, j] and r > c:
+                        raise InputError(
+                            "no morphism P(%d) -> P(%d) at %d" % (c, r, k)
+                        )
             nxt = self.diffs.get(k + 1)
             if nxt is not None and not (nxt @ d).is_zero():
                 raise InputError("chain differential does not square to zero")
@@ -197,9 +202,6 @@ class ChainComplex:
         rows = len(self.comps.get(k + 1, []))
         cols = len(self.comps.get(k, []))
         return self.diffs.get(k, Mat(rows, cols))
-
-    def degrees(self):
-        return sorted(self.comps)
 
 
 def to_chain(alg, x):
@@ -265,32 +267,58 @@ def lift_chain(f, src_chain=None, tgt_chain=None):
     return mats
 
 
-def _chain_rep(alg, chain):
-    """Realize a ChainComplex as representations and morphisms."""
-    comps = {}
-    ivs = {}
-    for k, labels in chain.comps.items():
-        ivs[k] = [Interval(e, alg.n) for e in labels]
-        comps[k] = reps.realize(alg, ivs[k])
-    diffs = {}
-    for k, m in chain.diffs.items():
-        entries = {}
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                if m[i, j]:
-                    entries[(j, i)] = m[i, j]
-        diffs[k] = reps.rep_morphism(alg, ivs[k], ivs[k + 1], entries)
-    return comps, diffs
-
-
 def chain_homology_object(alg, chain):
-    """Homology of a chain complex of projectives as a split object."""
-    comps, diffs = _chain_rep(alg, chain)
-    hom = reps.complex_homology(comps, diffs)
+    """Homology of a chain complex of projectives as a split object.
+
+    P(e) = X(e, n) is one-dimensional at each vertex v >= e, with identity
+    arrows.  So at vertex v the complex is the block of generators with
+    label <= v, the arrow maps are coordinate inclusions, and a differential
+    entry is nonzero only when its row label is <= its column label: the
+    complex is filtered by label, and its homology is the persistence
+    barcode of that filtration (Zomorodian & Carlsson, Computing Persistent
+    Homology, 2005).  One column reduction per differential d^k gives it,
+    with rows and columns sorted by label: each column is reduced by
+    earlier columns with the same lowest row.  A column j that ends with
+    lowest row i kills generator i, leaving X(label i, label j - 1) in
+    H^{k+1} (nothing when the labels are equal); a cycle that no column
+    kills leaves X(label, n) in H^k.
+    """
     pairs = []
-    for k, rep in hom.items():
-        for iv, mult in reps.interval_decompose(rep).items():
-            pairs.extend([(iv, -k)] * mult)
+    cycles = []  # (degree, index) of the generators whose column reduces to 0
+    killed = set()  # (degree, index) of the generators some column kills
+    for k, cols in chain.comps.items():
+        d = chain.diffs.get(k)
+        if d is None:
+            cycles.extend((k, j) for j in range(len(cols)))
+            continue
+        rows = chain.comps[k + 1]
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        place = {i: p for p, i in enumerate(order)}
+        reduced = {}  # lowest row place -> reduced column with that low
+        for j in sorted(range(len(cols)), key=cols.__getitem__):
+            col = {place[i]: d[i, j] for i in range(d.nrows) if d[i, j]}
+            low = max(col, default=None)
+            while low in reduced:
+                other = reduced[low]
+                c = col[low] / other[low]
+                for p, x in other.items():
+                    y = col.get(p, 0) - c * x
+                    if y:
+                        col[p] = y
+                    else:
+                        del col[p]
+                low = max(col, default=None)
+            if low is None:
+                cycles.append((k, j))
+                continue
+            reduced[low] = col
+            i = order[low]
+            killed.add((k + 1, i))
+            if rows[i] < cols[j]:
+                pairs.append((Interval(rows[i], cols[j] - 1), -(k + 1)))
+    for k, j in cycles:
+        if (k, j) not in killed:
+            pairs.append((Interval(chain.comps[k][j], alg.n), -k))
     return DerivedObject(alg, pairs)
 
 

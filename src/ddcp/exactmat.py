@@ -1,9 +1,10 @@
 """Dense exact-rational matrices.
 
-Representation morphisms, homology and the exactness of module maps
-reduce to rank / kernel / solve over Q.  Matrices here are tiny
-(rarely more than ~40 rows), so a plain dense Fraction implementation is
-exact and fast enough.
+The module route decides exactness from vertex ranks of representation
+morphisms, and the chain lifts and differentials of the derived route are
+scalar matrices; kernels, images and solves serve the reference
+computations.  Matrices here are tiny (rarely more than ~40 rows), so a
+plain dense Fraction implementation is exact and fast enough.
 """
 
 from fractions import Fraction

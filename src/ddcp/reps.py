@@ -1,9 +1,9 @@
 """Quiver representations of the linear quiver, with exact linear algebra.
 
 A representation assigns a rational vector space to each vertex and a matrix
-to each arrow v -> v+1.  Kernels, cokernels, images and homology are computed
-vertex by vertex; interval multiplicities come out of the rank
-inclusion-exclusion used for persistence barcodes.
+to each arrow v -> v+1.  Kernels, cokernels and images are computed vertex
+by vertex; interval multiplicities come out of the rank inclusion-exclusion
+used for persistence barcodes.
 """
 
 from fractions import Fraction
@@ -75,10 +75,6 @@ def zero_rep(alg):
 def zero_morphism(src, tgt):
     blocks = [Mat(tgt.dims[v], src.dims[v]) for v in range(src.alg.n)]
     return RepMorphism(src, tgt, blocks)
-
-
-def identity_morphism(rep):
-    return RepMorphism(rep, rep, [Mat.identity(d) for d in rep.dims])
 
 
 def compose_rep(f, g):
@@ -195,19 +191,6 @@ def cokernel(f):
     return cok, proj
 
 
-def factor_through(incl, g):
-    """For an inclusion incl: K -> V and g: W -> V with im g inside K, the
-    morphism W -> K with incl o h = g."""
-    alg = g.src.alg
-    blocks = []
-    for v in range(alg.n):
-        sol = solve(incl.blocks[v], g.blocks[v])
-        if sol is None:
-            raise InputError("morphism does not factor through the subobject")
-        blocks.append(sol)
-    return RepMorphism(g.src, incl.src, blocks)
-
-
 def interval_decompose(rep):
     """Interval multiplicities by rank inclusion-exclusion (barcodes)."""
     alg = rep.alg
@@ -275,33 +258,3 @@ def morphism_space(src, tgt):
             blocks.append(b)
         morphisms.append(RepMorphism(src, tgt, blocks))
     return morphisms
-
-
-def complex_homology(comps, diffs):
-    """Homology of a complex of representations.
-
-    comps maps degree -> QuiverRep; diffs maps degree k to the differential
-    comps[k] -> comps[k+1].  Returns degree -> QuiverRep.
-    """
-    alg = None
-    for rep in comps.values():
-        alg = rep.alg
-        break
-    for k, d in diffs.items():
-        nxt = diffs.get(k + 1)
-        if nxt is not None and not compose_rep(d, nxt).is_zero():
-            raise InputError("differentials do not square to zero at %d" % k)
-    out = {}
-    for k, rep in comps.items():
-        d_out = diffs.get(k)
-        if d_out is not None:
-            ker, incl = kernel(d_out)
-        else:
-            ker, incl = rep, identity_morphism(rep)
-        d_in = diffs.get(k - 1)
-        if d_in is None:
-            out[k] = ker
-            continue
-        q = factor_through(incl, d_in)
-        out[k] = cokernel(q)[0]
-    return out

@@ -1,8 +1,9 @@
 """Brute-force references that the closed-form rules are checked against."""
 
 from ddcp import reps
-from ddcp.exactmat import Mat, rank
-from ddcp.quiver import projective_resolution
+from ddcp.derived import DerivedObject
+from ddcp.exactmat import Mat, rank, solve
+from ddcp.quiver import InputError, Interval, projective_resolution
 
 
 def brute_ext_dim(alg, src, tgt):
@@ -47,3 +48,76 @@ def exact_with_zero_reference(f, g):
 def kernel_intervals_reference(f):
     """Interval multiplicities of the kernel sub-representation of f."""
     return reps.interval_decompose(reps.kernel(f)[0])
+
+
+def identity_morphism(rep):
+    return reps.RepMorphism(rep, rep, [Mat.identity(d) for d in rep.dims])
+
+
+def factor_through(incl, g):
+    """For an inclusion incl: K -> V and g: W -> V with im g inside K, the
+    morphism W -> K with incl o h = g."""
+    alg = g.src.alg
+    blocks = []
+    for v in range(alg.n):
+        sol = solve(incl.blocks[v], g.blocks[v])
+        if sol is None:
+            raise InputError("morphism does not factor through the subobject")
+        blocks.append(sol)
+    return reps.RepMorphism(g.src, incl.src, blocks)
+
+
+def complex_homology(comps, diffs):
+    """Homology of a complex of representations.
+
+    comps maps degree -> QuiverRep; diffs maps degree k to the differential
+    comps[k] -> comps[k+1].  Returns degree -> QuiverRep.
+    """
+    for k, d in diffs.items():
+        nxt = diffs.get(k + 1)
+        if nxt is not None and not reps.compose_rep(d, nxt).is_zero():
+            raise InputError("differentials do not square to zero at %d" % k)
+    out = {}
+    for k, rep in comps.items():
+        d_out = diffs.get(k)
+        if d_out is not None:
+            ker, incl = reps.kernel(d_out)
+        else:
+            ker, incl = rep, identity_morphism(rep)
+        d_in = diffs.get(k - 1)
+        if d_in is None:
+            out[k] = ker
+            continue
+        q = factor_through(incl, d_in)
+        out[k] = reps.cokernel(q)[0]
+    return out
+
+
+def chain_rep(alg, chain):
+    """Realize a ChainComplex of projectives as representations and
+    morphisms."""
+    comps = {}
+    ivs = {}
+    for k, labels in chain.comps.items():
+        ivs[k] = [Interval(e, alg.n) for e in labels]
+        comps[k] = reps.realize(alg, ivs[k])
+    diffs = {}
+    for k, m in chain.diffs.items():
+        entries = {}
+        for i in range(m.nrows):
+            for j in range(m.ncols):
+                if m[i, j]:
+                    entries[(j, i)] = m[i, j]
+        diffs[k] = reps.rep_morphism(alg, ivs[k], ivs[k + 1], entries)
+    return comps, diffs
+
+
+def chain_homology_reference(alg, chain):
+    """Homology of a chain complex of projectives as a split object, through
+    representations: kernels, cokernels and rank barcodes per degree."""
+    hom = complex_homology(*chain_rep(alg, chain))
+    pairs = []
+    for k, rep in hom.items():
+        for iv, mult in reps.interval_decompose(rep).items():
+            pairs.extend([(iv, -k)] * mult)
+    return DerivedObject(alg, pairs)

@@ -201,3 +201,24 @@ def test_check_zero_object(mode, capsys):
     assert out["verdict"] is False
     assert out["applicable"] is (mode != "corners")
     assert out["reasons"] == ZERO_REASONS[mode]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom", "--n", "1_0", "--from", "1,1", "--to", "1,1"],
+        ["hom", "--n", "10", "--from", "1_0,1_0", "--to", "1,10"],
+        ["hom", "--n", "3", "--from", "1,3", "--to", "٣,3"],
+        ["ext", "--n", "3", "--from", " 1 , 3", "--to", "2,3"],
+        ["ext", "--n", "3", "--from", "+1,3", "--to", "2,3"],
+        ["ext", "--n", "３", "--from", "1,3", "--to", "2,3"],
+        ["ext", "--n", " 3", "--from", "1,3", "--to", "2,3"],
+        ["classify", "--n", "3", "--window", "0_2"],
+        ["audit", "--n", "3", "--length", "3 "],
+    ],
+)
+def test_integer_arguments_are_ascii_digits(argv, capsys):
+    """int() would coerce each of these (underscores, spaces, a plus sign,
+    non-ASCII digits); the CLI rejects them as input errors."""
+    assert run(argv) == EXIT_INPUT
+    assert capsys.readouterr().out == ""

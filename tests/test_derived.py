@@ -1,13 +1,15 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from ddcp import deciders, derived
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import (
     ChainComplex,
     DerivedMorphism,
     DerivedObject,
+    chain_homology_object,
     chain_homotopy_compose,
     compose,
     cone,
@@ -18,6 +20,7 @@ from ddcp.derived import (
     to_chain,
 )
 from ddcp.exactmat import Mat
+from oracles import chain_homology_reference
 
 
 def obj(alg, *pairs):
@@ -165,4 +168,77 @@ def test_chain_complex_rejects_bad_differential():
     comps = {0: [3], 1: [3], 2: [3]}
     d = Mat.identity(1)
     with pytest.raises(InputError):
-        ChainComplex(alg, comps, {0: d, 1: d})
+        ChainComplex(alg, comps, {0: d, 1: d}).validate()
+
+
+def test_chain_complex_rejects_entry_without_morphism():
+    alg = Algebra(3)
+    ChainComplex(alg, {0: [2], 1: [1]}, {0: Mat.identity(1)}).validate()
+    # Hom(P(1), P(2)) = 0: X(1, 3) does not map into X(2, 3)
+    with pytest.raises(InputError, match="no morphism"):
+        ChainComplex(alg, {0: [1], 1: [2]}, {0: Mat.identity(1)}).validate()
+
+
+def test_chain_complex_rejects_differential_shape():
+    alg = Algebra(3)
+    with pytest.raises(InputError, match="shape"):
+        ChainComplex(alg, {0: [3], 1: [1, 2]}, {0: Mat.identity(1)}).validate()
+
+
+def derived_route_cones(monkeypatch):
+    """The morphisms whose cone the derived route builds for the
+    shift-normalised n-summand objects over shifts {0, 1}, n <= 3."""
+    morphisms = []
+
+    def recording(g):
+        morphisms.append(g)
+        return cone(g)
+
+    monkeypatch.setattr(deciders, "cone", recording)
+    for n in (1, 2, 3):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        for combo in combinations(atoms, n):
+            if min(s for _, s in combo) == 0:
+                x = DerivedObject(alg, combo)
+                deciders.check_ddcp_derived(x)
+                deciders.check_tilting_complex(x, "derived")
+    return morphisms
+
+
+def random_morphisms():
+    """Seeded random morphisms, coefficients in -2..2, between random and
+    possibly non-basic objects over shifts {0, 1, 2}, n <= 4."""
+    out = []
+    for n in (1, 2, 3, 4):
+        rng = random.Random(100 + n)
+        alg = Algebra(n)
+        atoms = [(iv, s) for iv in alg.intervals() for s in (0, 1, 2)]
+        for _ in range(225):
+            x = DerivedObject(alg, rng.choices(atoms, k=rng.randint(1, 4)))
+            y = DerivedObject(alg, rng.choices(atoms, k=rng.randint(1, 4)))
+            entries = {
+                (k, l): rng.randint(-2, 2) for k, l, _d in graded_hom(alg, x, y)
+            }
+            out.append(DerivedMorphism(x, y, entries))
+    return out
+
+
+def test_cone_matches_representation_reference(monkeypatch):
+    """The column reduction against kernels, cokernels and rank barcodes of
+    representations, on every cone the derived route builds at n <= 3 and
+    on cones of random morphisms, whose differentials have tied labels and
+    need columns added more than once."""
+    chains = []
+
+    def recording(alg, chain):
+        chains.append(chain)
+        return chain_homology_object(alg, chain)
+
+    route = derived_route_cones(monkeypatch)
+    morphisms = route + random_morphisms()
+    monkeypatch.setattr(derived, "chain_homology_object", recording)
+    for g in morphisms:
+        assert cone(g) == chain_homology_reference(g.alg, chains[-1])
+    assert len(chains) == len(morphisms)
+    assert len(route) == 544

@@ -1,14 +1,14 @@
-"""The constructors of SCAlgebra, SCModule and RepMorphism only store their
-arguments, so each validator is exercised here: once over every instance the
-library builds for a population of objects and modules, and once against a
-broken instance it must reject."""
+"""The constructors of SCAlgebra, SCModule, RepMorphism and ChainComplex only
+store their arguments, so each validator is exercised here: once over every
+instance the library builds for a population of objects and modules, and once
+against a broken instance it must reject."""
 
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from ddcp import approx, endalg, reps
+from ddcp import approx, derived, endalg, reps
 from ddcp.classify import enumerate_and_classify, make_V
 from ddcp.deciders import (
     check_ddcp,
@@ -18,11 +18,12 @@ from ddcp.deciders import (
     check_tilting_module,
     verify_homology_corners,
 )
-from ddcp.derived import DerivedObject
+from ddcp.derived import ChainComplex, DerivedObject
 from ddcp.endalg import SCAlgebra, SCModule, opposite, regular_module
 from ddcp.exactmat import Mat
 from ddcp.quiver import Algebra, InputError, Interval
-from ddcp.reps import RepMorphism, identity_morphism, realize
+from ddcp.reps import RepMorphism, realize
+from oracles import identity_morphism
 
 
 def validating(cls, counts):
@@ -39,14 +40,15 @@ def validating(cls, counts):
 
 @pytest.fixture
 def validated(monkeypatch):
-    """Validate every SCAlgebra, SCModule and RepMorphism the library
-    builds; returns the number validated per class."""
+    """Validate every SCAlgebra, SCModule, RepMorphism and ChainComplex the
+    library builds; returns the number validated per class."""
     counts = Counter()
     module = validating(SCModule, counts)
     monkeypatch.setattr(endalg, "SCAlgebra", validating(SCAlgebra, counts))
     monkeypatch.setattr(endalg, "SCModule", module)
     monkeypatch.setattr(approx, "SCModule", module)
     monkeypatch.setattr(reps, "RepMorphism", validating(RepMorphism, counts))
+    monkeypatch.setattr(derived, "ChainComplex", validating(ChainComplex, counts))
     return counts
 
 
@@ -85,7 +87,9 @@ def test_every_built_instance_validates(validated):
         check_module_dcp(alg, multiset)
         check_tilting_module(alg, multiset)
     enumerate_and_classify(Algebra(4))
-    assert set(validated) == {"SCAlgebra", "SCModule", "RepMorphism"}
+    assert set(validated) == {
+        "SCAlgebra", "SCModule", "RepMorphism", "ChainComplex"
+    }
     assert min(validated.values()) > 0
 
 
