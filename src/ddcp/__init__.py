@@ -15,6 +15,10 @@ from .endalg import (
     opposite,
 )
 from .approx import hom_module, min_left_approx_sequence
+# No module of the package uses reps, the representation layer the tests
+# take as reference; importing it here makes `import ddcp` load every
+# module, as the per-layer tracer of perfbench expects.
+from . import reps  # noqa: F401
 from .deciders import (
     check_ddcp,
     check_ddcp_derived,

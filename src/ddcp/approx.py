@@ -14,7 +14,6 @@ and kernel membership transfer.
 
 from dataclasses import dataclass
 
-from .exactmat import Mat, rank
 from .quiver import InputError
 from .derived import (
     DerivedMorphism,
@@ -23,8 +22,7 @@ from .derived import (
     graded_hom,
     make_object,
 )
-from .endalg import SCModule, end_of, module_generators
-from . import reps
+from .endalg import SCModule, end_of, forest_join, module_generators
 
 
 def hom_module(y, t, algebra=None):
@@ -125,77 +123,43 @@ def min_left_approx_sequence(y, t, algebra=None):
     return ApproxSequence(t0, f, t1, g)
 
 
-def to_rep_morphism(f):
-    """Convert a shift-homogeneous derived morphism to a module morphism."""
-    shifts = set(s for _, s in f.src.summands) | set(
-        s for _, s in f.tgt.summands
-    )
-    if len(shifts) > 1:
-        raise InputError("morphism is not concentrated in a single shift")
-    alg = f.alg
-    src_ivs = [iv for iv, _ in f.src.summands]
-    tgt_ivs = [iv for iv, _ in f.tgt.summands]
-    return reps.rep_morphism(alg, src_ivs, tgt_ivs, f.entries)
+def _alive(x, v):
+    return {k for k, (iv, _) in enumerate(x.summands) if iv.a <= v <= iv.b}
+
+
+def _dims(x):
+    return [len(_alive(x, v)) for v in range(1, x.alg.n + 1)]
 
 
 def _ranks(f):
-    return [rank(b) for b in f.blocks]
+    """rank f_v at every vertex v, for f or g of an approximation sequence
+    in one shift.  A canonical map s -> t is nonzero exactly where both
+    supports meet, so f_v is f's entry matrix restricted to the summands
+    alive at v, and dim X_v is the number of summands alive at v.  Each row
+    of f_v, one per target summand, is zero, b_k or b_j - b_k: f has one
+    head entry per T0 summand, and each g row comes from a kernel top
+    vector, which is e_j or e_j - e_first.  So forest_join counts rank f_v."""
+    ranks = []
+    for v in range(1, f.alg.n + 1):
+        src, join = _alive(f.src, v), forest_join(len(f.src))
+        rows = [[k for k, l in f.entries if l == row and k in src]
+                for row in _alive(f.tgt, v)]
+        ranks.append(sum(map(join, rows)))
+    return ranks
 
 
 def is_exact_at_middle(f, g):
     """g after f vanishes and rank f_v + rank g_v = dim X0_v at every
     vertex v, so that image(f) = kernel(g)."""
-    if not reps.compose_rep(f, g).is_zero():
-        return False
-    return [a + b for a, b in zip(_ranks(f), _ranks(g))] == list(f.tgt.dims)
+    ranks = [a + b for a, b in zip(_ranks(f), _ranks(g))]
+    return compose(f, g).is_zero() and ranks == _dims(f.tgt)
 
 
 def is_exact_sequence_with_zero(f, g):
     """Exact at the middle with g surjective: rank g_v = dim X1_v."""
-    return is_exact_at_middle(f, g) and _ranks(g) == list(g.tgt.dims)
+    return is_exact_at_middle(f, g) and _ranks(g) == _dims(g.tgt)
 
 
 def is_injective(f):
     """rank f_v = dim src_v at every vertex v."""
-    return _ranks(f) == list(f.src.dims)
-
-
-def approximation_matrix(f, t):
-    """Matrix of composing with f: Hom(T0, t) -> Hom(y, t), in the canonical
-    generator bases."""
-    alg = f.alg
-    cols = graded_hom(alg, f.tgt, t)
-    rows = graded_hom(alg, f.src, t)
-    row_index = {r: i for i, r in enumerate(rows)}
-    m = Mat(len(rows), len(cols))
-    for j, (k, l, deg) in enumerate(cols):
-        h = DerivedMorphism(f.tgt, t, {(k, l): 1})
-        comp = compose(f, h)
-        for (k2, l2), c in comp.entries.items():
-            sp = f.src.summands[k2]
-            tp = t.summands[l2]
-            m[row_index[(k2, l2, tp[1] - sp[1])], j] = c
-    return m
-
-
-def is_left_approximation(f, t):
-    """True iff every morphism from the source into add t factors through f."""
-    alg = f.alg
-    m = approximation_matrix(f, t)
-    return rank(m) == len(graded_hom(alg, f.src, t))
-
-
-def minimality_check(f, t):
-    """f is a left approximation and dropping any target summand breaks it."""
-    if not is_left_approximation(f, t):
-        return False
-    for drop in range(len(f.tgt.summands)):
-        kept = [i for i in range(len(f.tgt.summands)) if i != drop]
-        sub, perm = make_object(f.alg, [f.tgt.summands[i] for i in kept])
-        new_index = dict(zip(kept, perm))
-        remap = {
-            (k, new_index[l]): c for (k, l), c in f.entries.items() if l != drop
-        }
-        if is_left_approximation(DerivedMorphism(f.src, sub, remap), t):
-            return False
-    return True
+    return _ranks(f) == _dims(f.src)

@@ -23,9 +23,7 @@ from .approx import (
     is_exact_sequence_with_zero,
     is_injective,
     min_left_approx_sequence,
-    to_rep_morphism,
 )
-from .exactmat import rank
 from .quiver import Algebra, Interval
 
 
@@ -103,13 +101,12 @@ _NOT_INJECTIVE = "approximation of the regular module not injective"
 
 
 def _regular_sequence(t, algebra=None):
-    """The maps f, g of the minimal add-t approximation sequence
-    A -> M0 -> M1 of the regular module, as module morphisms; algebra is
-    End(t) when the caller already has it."""
+    """f and g of the minimal add-t approximation sequence A -> M0 -> M1 of
+    the regular module; algebra is End(t) when the caller already has it."""
     alg = t.alg
     y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
     seq = min_left_approx_sequence(y, t, algebra)
-    return to_rep_morphism(seq.f), to_rep_morphism(seq.g)
+    return seq.f, seq.g
 
 
 def check_module_dcp(alg, multiset):
@@ -181,12 +178,11 @@ def _module_route(exact_test):
             _module_object(alg, [alg.projective(pr.vertex)]), t
         )
         pr.approx_summands = list(seq.t0.summands)
-        f = to_rep_morphism(seq.f)
-        pr.exact = exact_test(f, to_rep_morphism(seq.g))
-        # a submodule of the uniserial P(e) = X(e, n) of dimension k is
-        # X(n - k + 1, n)
-        k = f.src.total_dim() - sum(map(rank, f.blocks))
-        pr.kernel_intervals = {Interval(alg.n - k + 1, alg.n): 1} if k else {}
+        pr.exact = exact_test(seq.f, seq.g)
+        # f maps P(e) = X(e, n) onto X(e, b), b the largest right end of a
+        # T0 summand (f hits each), so its kernel is X(b + 1, n)
+        b = max(iv.b for iv, _ in seq.t0.summands)
+        pr.kernel_intervals = {Interval(b + 1, alg.n): 1} if b < alg.n else {}
         failures = [] if pr.exact else ["sequence not exact"]
         following = x.slice(i + 1)
         outside = [iv for iv in pr.kernel_intervals if iv not in following]

@@ -4,14 +4,15 @@ Over a hereditary algebra every bounded complex is the direct sum of its
 shifted homologies, so an object is stored as a multiset of (interval, shift)
 pairs; the pair (M, s) denotes M[s].  A morphism is a scalar per ordered
 summand pair whose Hom space (equal shifts) or Ext^1 space (target shift one
-higher) is nonzero.  Composition has a closed {0, 1} form, and everything is
-double-checked against honest chain-level computation in K^b(proj): two-term
-projective resolutions, chain maps, homotopy projection and mapping cones.
+higher) is nonzero.  Composition has a closed {0, 1} form; the test suite
+checks it against honest chain-level computation in K^b(proj).  Mapping cones
+are computed at chain level, from two-term projective resolutions and chain
+maps.
 """
 
 from fractions import Fraction
 
-from .exactmat import Mat, hstack, solve, vstack
+from .exactmat import Mat, hstack, vstack
 from .quiver import EXT, HOM, InputError, Interval, is_int, space_dim
 
 
@@ -143,10 +144,6 @@ class DerivedMorphism:
 
     def __repr__(self):
         return "DMor(%r -> %r, %r)" % (self.src, self.tgt, self.entries)
-
-
-def identity_morphism(x):
-    return DerivedMorphism(x, x, {(k, k): 1 for k in range(len(x.summands))})
 
 
 def compose(f, g):
@@ -352,94 +349,3 @@ def cone(g):
     chain = ChainComplex(alg, comps, diffs)
     return chain_homology_object(alg, chain)
 
-
-def homotopy_project(alg, y, x, mats, src_chain=None, tgt_chain=None):
-    """Express a chain map C(y) -> C(x) in the canonical generator basis of
-    Hom_{D^b}(y, x), modulo null-homotopies."""
-    if src_chain is None:
-        src_chain = to_chain(alg, y)
-    if tgt_chain is None:
-        tgt_chain = to_chain(alg, x)
-    cy = src_chain[0]
-    cx = tgt_chain[0]
-    gens = graded_hom(alg, y, x)
-    lifts = [
-        lift_chain(
-            DerivedMorphism(y, x, {(k, l): 1}), src_chain, tgt_chain
-        )
-        for (k, l, _) in gens
-    ]
-    # Unknowns: one coefficient per generator, one scalar per admissible
-    # homotopy entry s^k : C(y)^k -> C(x)^{k-1}.
-    hvars = []
-    for k, labels in cy.comps.items():
-        tgt_labels = cx.comps.get(k - 1, [])
-        for i, et in enumerate(tgt_labels):
-            for j, es in enumerate(labels):
-                if et <= es:
-                    hvars.append((k, i, j))
-    nvars = len(gens) + len(hvars)
-    rows = []
-    rhs = []
-    for k in sorted(set(cy.comps) | set(cx.comps)):
-        nr = len(cx.comps.get(k, []))
-        nc = len(cy.comps.get(k, []))
-        if nr == 0 or nc == 0:
-            continue
-        fk = mats.get(k, Mat(nr, nc))
-        dx_prev = cx.diff(k - 1)  # C(x)^{k-1} -> C(x)^k
-        dy_k = cy.diff(k)  # C(y)^k -> C(y)^{k+1}
-        for i in range(nr):
-            for j in range(nc):
-                row = [Fraction(0)] * nvars
-                for gidx in range(len(gens)):
-                    lm = lifts[gidx].get(k)
-                    if lm is not None and lm.nrows == nr and lm[i, j]:
-                        row[gidx] = lm[i, j]
-                for hidx, (hk, hi, hj) in enumerate(hvars):
-                    # (d_x^{k-1} s^k)[i, j]
-                    if hk == k and hj == j and dx_prev.ncols > hi:
-                        row[len(gens) + hidx] += dx_prev[i, hi]
-                    # (s^{k+1} d_y^k)[i, j]
-                    if hk == k + 1 and hi == i and dy_k.nrows > hj:
-                        row[len(gens) + hidx] += dy_k[hj, j]
-                rows.append(row)
-                rhs.append([fk[i, j]])
-    if not rows:
-        return DerivedMorphism(y, x, {})
-    system = Mat.from_rows(rows, ncols=nvars)
-    sol = solve(system, Mat.from_rows(rhs, ncols=1))
-    if sol is None:
-        raise AssertionError("chain map is not in the span of the generators")
-    entries = {}
-    for gidx, (k, l, _) in enumerate(gens):
-        if sol[gidx, 0]:
-            entries[(k, l)] = sol[gidx, 0]
-    return DerivedMorphism(y, x, entries)
-
-
-def chain_homotopy_compose(f, g):
-    """Composition computed in the homotopy category: lift both morphisms,
-    compose the chain maps, and project back onto the canonical basis.
-
-    This is the independent oracle for `compose`.
-    """
-    alg = f.alg
-    ch_src = to_chain(alg, f.src)
-    ch_mid = to_chain(alg, f.tgt)
-    ch_tgt = to_chain(alg, g.tgt)
-    lf = lift_chain(f, ch_src, ch_mid)
-    lg = lift_chain(g, ch_mid, ch_tgt)
-    comp = {}
-    cx = ch_src[0]
-    cz = ch_tgt[0]
-    for k in cx.comps:
-        nr = len(cz.comps.get(k, []))
-        nc = len(cx.comps[k])
-        a = lg.get(k)
-        b = lf.get(k)
-        if a is None or b is None or a.nrows == 0:
-            comp[k] = Mat(nr, nc)
-        else:
-            comp[k] = a @ b
-    return homotopy_project(alg, f.src, g.tgt, comp, ch_src, ch_tgt)

@@ -316,44 +316,41 @@ def regular_module(c):
     return SCModule(c, c.dim, images)
 
 
+def forest_join(size):
+    """join(support) reads the vector with nonzero coordinates support,
+    which must be zero, +-b_j or +-(b_j - b_k), as nothing, an edge from j to
+    a ground node or an edge from j to k.  Such vectors are linearly
+    independent iff their edges form a forest, so join, which adds the edge,
+    is True exactly when the vector is independent of those joined before."""
+    tree = list(range(size + 1))  # tree[j] labels j's tree; size: the ground
+
+    def join(support):
+        a, b = (tree[j] for j in [*support, size, size][:2])
+        if a != b:
+            tree[:] = [b if label == a else label for label in tree]
+        return a != b
+
+    return join
+
+
 def module_generators(module, vectors):
     """Minimal generating set of the submodule N spanned by vectors,
     grouped by top idempotent.
 
     rad N is spanned by the r . v for radical basis elements r.  Returns a
     list of (idempotent index, vector) lifting a basis of N / rad N, each
-    vector lying in the corresponding idempotent component.
-
-    Every vector given, and every a . v, must be zero, +-b_j or +-(b_j - b_k).
-    Read +-b_j as an edge from j to a ground node and b_j - b_k as an edge
-    from j to k: a set of such vectors is linearly independent iff its edges
-    form a forest, so a union-find decides each greedy step.
+    vector lying in the corresponding idempotent component.  Every vector
+    given, and every a . v, must suit forest_join.
     """
     algebra = module.algebra
-    parent = list(range(module.dim + 1))  # node module.dim is the ground
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def add(w):
-        """Join the ends of w's edge; True when they were apart."""
-        ends = [j for j, c in enumerate(w) if c] + [module.dim]
-        a, b = root(ends[0]), root(ends[1])
-        parent[a] = b
-        return a != b
-
+    join = forest_join(module.dim)
     for r in algebra.radical_indices():
         for v in vectors:
-            w = module.act(r, v)
-            if any(w):
-                add(w)
+            join(j for j, c in enumerate(module.act(r, v)) if c)
     gens = []
     for e in algebra.idempotents:
         for v in vectors:
             w = module.act(e, v)
-            if any(w) and add(w):
+            if join(j for j, c in enumerate(w) if c):
                 gens.append((e, w))
     return gens

@@ -1,10 +1,10 @@
 """Dense exact-rational matrices.
 
-The module route decides exactness from vertex ranks of representation
-morphisms, and the chain lifts and differentials of the derived route are
-scalar matrices; kernels, images and solves serve the reference
-computations.  Matrices here are tiny (rarely more than ~40 rows), so a
-plain dense Fraction implementation is exact and fast enough.
+The chain lifts and differentials of the derived route are scalar
+matrices; elimination (rref, and the rank, kernels and solves built on it)
+serves only the reference computations of the tests.  Matrices here are
+tiny (rarely more than ~40 rows), so a plain dense Fraction implementation
+is exact and fast enough.
 """
 
 from fractions import Fraction

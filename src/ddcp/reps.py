@@ -3,7 +3,9 @@
 A representation assigns a rational vector space to each vertex and a matrix
 to each arrow v -> v+1.  Kernels, cokernels and images are computed vertex
 by vertex; interval multiplicities come out of the rank inclusion-exclusion
-used for persistence barcodes.
+used for persistence barcodes.  No production path uses this module: it is
+the reference the tests check the closed-form rules, the module route's
+vertex ranks and the cone homology against.
 """
 
 from fractions import Fraction

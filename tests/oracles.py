@@ -1,7 +1,17 @@
 """Brute-force references that the closed-form rules are checked against."""
 
+from fractions import Fraction
+
 from ddcp import reps
-from ddcp.derived import DerivedObject
+from ddcp.derived import (
+    DerivedMorphism,
+    DerivedObject,
+    compose,
+    graded_hom,
+    lift_chain,
+    make_object,
+    to_chain,
+)
 from ddcp.exactmat import Mat, rank, solve
 from ddcp.quiver import InputError, Interval, projective_resolution
 
@@ -121,3 +131,153 @@ def chain_homology_reference(alg, chain):
         for iv, mult in reps.interval_decompose(rep).items():
             pairs.extend([(iv, -k)] * mult)
     return DerivedObject(alg, pairs)
+
+
+def to_rep_morphism(f):
+    """Convert a shift-homogeneous derived morphism to a module morphism."""
+    shifts = set(s for _, s in f.src.summands) | set(
+        s for _, s in f.tgt.summands
+    )
+    if len(shifts) > 1:
+        raise InputError("morphism is not concentrated in a single shift")
+    alg = f.alg
+    src_ivs = [iv for iv, _ in f.src.summands]
+    tgt_ivs = [iv for iv, _ in f.tgt.summands]
+    return reps.rep_morphism(alg, src_ivs, tgt_ivs, f.entries)
+
+
+def approximation_matrix(f, t):
+    """Matrix of composing with f: Hom(T0, t) -> Hom(y, t), in the canonical
+    generator bases."""
+    alg = f.alg
+    cols = graded_hom(alg, f.tgt, t)
+    rows = graded_hom(alg, f.src, t)
+    row_index = {r: i for i, r in enumerate(rows)}
+    m = Mat(len(rows), len(cols))
+    for j, (k, l, deg) in enumerate(cols):
+        h = DerivedMorphism(f.tgt, t, {(k, l): 1})
+        comp = compose(f, h)
+        for (k2, l2), c in comp.entries.items():
+            sp = f.src.summands[k2]
+            tp = t.summands[l2]
+            m[row_index[(k2, l2, tp[1] - sp[1])], j] = c
+    return m
+
+
+def is_left_approximation(f, t):
+    """True iff every morphism from the source into add t factors through f."""
+    alg = f.alg
+    m = approximation_matrix(f, t)
+    return rank(m) == len(graded_hom(alg, f.src, t))
+
+
+def minimality_check(f, t):
+    """f is a left approximation and dropping any target summand breaks it."""
+    if not is_left_approximation(f, t):
+        return False
+    for drop in range(len(f.tgt.summands)):
+        kept = [i for i in range(len(f.tgt.summands)) if i != drop]
+        sub, perm = make_object(f.alg, [f.tgt.summands[i] for i in kept])
+        new_index = dict(zip(kept, perm))
+        remap = {
+            (k, new_index[l]): c for (k, l), c in f.entries.items() if l != drop
+        }
+        if is_left_approximation(DerivedMorphism(f.src, sub, remap), t):
+            return False
+    return True
+
+
+def derived_identity(x):
+    return DerivedMorphism(x, x, {(k, k): 1 for k in range(len(x.summands))})
+
+
+def homotopy_project(alg, y, x, mats, src_chain=None, tgt_chain=None):
+    """Express a chain map C(y) -> C(x) in the canonical generator basis of
+    Hom_{D^b}(y, x), modulo null-homotopies."""
+    if src_chain is None:
+        src_chain = to_chain(alg, y)
+    if tgt_chain is None:
+        tgt_chain = to_chain(alg, x)
+    cy = src_chain[0]
+    cx = tgt_chain[0]
+    gens = graded_hom(alg, y, x)
+    lifts = [
+        lift_chain(
+            DerivedMorphism(y, x, {(k, l): 1}), src_chain, tgt_chain
+        )
+        for (k, l, _) in gens
+    ]
+    # Unknowns: one coefficient per generator, one scalar per admissible
+    # homotopy entry s^k : C(y)^k -> C(x)^{k-1}.
+    hvars = []
+    for k, labels in cy.comps.items():
+        tgt_labels = cx.comps.get(k - 1, [])
+        for i, et in enumerate(tgt_labels):
+            for j, es in enumerate(labels):
+                if et <= es:
+                    hvars.append((k, i, j))
+    nvars = len(gens) + len(hvars)
+    rows = []
+    rhs = []
+    for k in sorted(set(cy.comps) | set(cx.comps)):
+        nr = len(cx.comps.get(k, []))
+        nc = len(cy.comps.get(k, []))
+        if nr == 0 or nc == 0:
+            continue
+        fk = mats.get(k, Mat(nr, nc))
+        dx_prev = cx.diff(k - 1)  # C(x)^{k-1} -> C(x)^k
+        dy_k = cy.diff(k)  # C(y)^k -> C(y)^{k+1}
+        for i in range(nr):
+            for j in range(nc):
+                row = [Fraction(0)] * nvars
+                for gidx in range(len(gens)):
+                    lm = lifts[gidx].get(k)
+                    if lm is not None and lm.nrows == nr and lm[i, j]:
+                        row[gidx] = lm[i, j]
+                for hidx, (hk, hi, hj) in enumerate(hvars):
+                    # (d_x^{k-1} s^k)[i, j]
+                    if hk == k and hj == j and dx_prev.ncols > hi:
+                        row[len(gens) + hidx] += dx_prev[i, hi]
+                    # (s^{k+1} d_y^k)[i, j]
+                    if hk == k + 1 and hi == i and dy_k.nrows > hj:
+                        row[len(gens) + hidx] += dy_k[hj, j]
+                rows.append(row)
+                rhs.append([fk[i, j]])
+    if not rows:
+        return DerivedMorphism(y, x, {})
+    system = Mat.from_rows(rows, ncols=nvars)
+    sol = solve(system, Mat.from_rows(rhs, ncols=1))
+    if sol is None:
+        raise AssertionError("chain map is not in the span of the generators")
+    entries = {}
+    for gidx, (k, l, _) in enumerate(gens):
+        if sol[gidx, 0]:
+            entries[(k, l)] = sol[gidx, 0]
+    return DerivedMorphism(y, x, entries)
+
+
+def chain_homotopy_compose(f, g):
+    """Composition computed in the homotopy category: lift both morphisms,
+    compose the chain maps, and project back onto the canonical basis.
+
+    This is the independent oracle for `compose`.
+    """
+    alg = f.alg
+    ch_src = to_chain(alg, f.src)
+    ch_mid = to_chain(alg, f.tgt)
+    ch_tgt = to_chain(alg, g.tgt)
+    lf = lift_chain(f, ch_src, ch_mid)
+    lg = lift_chain(g, ch_mid, ch_tgt)
+    comp = {}
+    cx = ch_src[0]
+    cz = ch_tgt[0]
+    for k in cx.comps:
+        nr = len(cz.comps.get(k, []))
+        nc = len(cx.comps[k])
+        a = lg.get(k)
+        b = lf.get(k)
+        if a is None or b is None or a.nrows == 0:
+            comp[k] = Mat(nr, nc)
+        else:
+            comp[k] = a @ b
+    return homotopy_project(alg, f.src, g.tgt, comp, ch_src, ch_tgt)

@@ -12,12 +12,15 @@ from ddcp.approx import (
     is_exact_at_middle,
     is_exact_sequence_with_zero,
     is_injective,
-    is_left_approximation,
     min_left_approx_sequence,
+)
+from ddcp import approx, reps
+from oracles import (
+    approximation_matrix,
+    is_left_approximation,
     minimality_check,
     to_rep_morphism,
 )
-from ddcp import approx, reps
 
 
 def obj(alg, *pairs):
@@ -70,10 +73,8 @@ def test_V_family_approximation_of_regular(n):
         expected_t1 = {Interval(1, k): 1 for k in range(m, n)}
         assert seq.t0.slice(0) == expected_t0
         assert seq.t1.slice(0) == expected_t1
-        f = to_rep_morphism(seq.f)
-        g = to_rep_morphism(seq.g)
-        assert is_injective(f)
-        assert is_exact_at_middle(f, g)
+        assert is_injective(seq.f)
+        assert is_exact_at_middle(seq.f, seq.g)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -89,10 +90,8 @@ def test_two_shift_family_module_sequences(n):
         assert seq.t1.slice(0) == {
             Interval(i + 1, j): 1 for j in range(i + 1, n)
         }
-        f = to_rep_morphism(seq.f)
-        g = to_rep_morphism(seq.g)
-        assert is_injective(f)
-        assert is_exact_sequence_with_zero(f, g)
+        assert is_injective(seq.f)
+        assert is_exact_sequence_with_zero(seq.f, seq.g)
 
         # quotient-module shape: kernel is a power of an interval
         y2 = obj(alg, *[(k, n, 0) for k in range(1, i + 1)])
@@ -180,7 +179,6 @@ def test_derived_and_module_agree_on_concentrated_objects():
 def test_hom_functor_exactness_of_sequences():
     # applying Hom(-, t) to the returned sequence must be exact with the
     # induced map of f surjective
-    from ddcp.approx import approximation_matrix
     from ddcp.exactmat import rank
     from ddcp.derived import graded_hom, compose, DerivedMorphism
 
@@ -315,6 +313,14 @@ def test_sequences_are_unit_and_edge_combinatorics(monkeypatch):
         seq = min_left_approx_sequence(y, t)
         assert set(seq.f.entries.values()) <= {1}
         assert set(seq.g.entries.values()) <= {1, -1}
+        # the forest rule's rows: one f entry per T0 summand, and g entries
+        # on a T1 summand a single +-1 or one +1 and one -1
+        f_rows = [[c for (_, l), c in seq.f.entries.items() if l == row]
+                  for row in range(len(seq.t0))]
+        g_rows = [sorted(c for (_, l), c in seq.g.entries.items() if l == row)
+                  for row in range(len(seq.t1))]
+        assert all(r == [1] for r in f_rows)
+        assert all(r in ([1], [-1], [-1, 1]) for r in g_rows)
     shapes = {tuple(sorted(c for c in v if c)) for v in seen}
     assert shapes <= {(), (1,), (-1,), (-1, 1)}
     assert (-1, 1) in shapes

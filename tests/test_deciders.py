@@ -1,8 +1,10 @@
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from ddcp import approx, deciders, endalg
+from ddcp import approx, deciders, endalg, exactmat, reps
 from ddcp.quiver import Algebra, Interval
 from ddcp.derived import DerivedObject
 from ddcp.deciders import (
@@ -20,6 +22,7 @@ from oracles import (
     exact_with_zero_reference,
     injective_reference,
     kernel_intervals_reference,
+    to_rep_morphism,
 )
 
 
@@ -282,20 +285,46 @@ def check_tilting_module_route(x):
     return check_tilting_complex(x, "module")
 
 
+def criterion_3_objects():
+    """The population of acceptance criterion 3: every shift-normalised
+    n-summand object over shifts {0, 1} with hereditary End, n <= 4."""
+    for n in (1, 2, 3, 4):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        for combo in combinations(atoms, n):
+            x = DerivedObject(alg, combo)
+            if min(s for _, s in combo) == 0 and is_hereditary(end_of(x)):
+                yield x
+
+
+def small_basic_modules():
+    """Every basic module of at most five summands, n <= 4."""
+    for n in (1, 2, 3, 4):
+        alg = Algebra(n)
+        for size in range(6):
+            for combo in combinations(alg.intervals(), size):
+                yield alg, dict.fromkeys(combo, 1)
+
+
 def test_rank_counts_match_subrepresentation_reference(monkeypatch):
-    """The rank-based exactness tests and the closed-form kernel interval
-    give the answers of the kernel, image and cokernel sub-representations,
-    on the hereditary-End objects of criterion 3 and on basic modules of at
-    most five summands, n <= 4."""
+    """The forest-count exactness tests and the closed-form kernel interval
+    give the answers of the kernel, image and cokernel sub-representations
+    of the same maps as representation morphisms, on the hereditary-End
+    objects of criterion 3 and on basic modules of at most five summands,
+    n <= 4."""
     verdicts = {}
     kernels = []
     references = {}  # many objects share a sequence: build each reference once
 
     def checked(rank_test, reference):
         def test(*maps):
-            key = rank_test, repr([(h.src.maps, h.tgt.maps, h.blocks) for h in maps])
+            key = rank_test, repr(maps)
             if key not in references:
-                references[key] = kernel_intervals_reference(maps[0]), reference(*maps)
+                rep_maps = [to_rep_morphism(h) for h in maps]
+                references[key] = (
+                    kernel_intervals_reference(rep_maps[0]),
+                    reference(*rep_maps),
+                )
             kernel, verdict = references[key]
             kernels.append(kernel)
             assert rank_test(*maps) == verdict
@@ -312,27 +341,55 @@ def test_rank_counts_match_subrepresentation_reference(monkeypatch):
         monkeypatch.setattr(
             deciders, rank_test.__name__, checked(rank_test, reference)
         )
-    for n in (1, 2, 3, 4):
-        alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        for combo in combinations(atoms, n):
-            x = DerivedObject(alg, combo)
-            if min(s for _, s in combo) or not is_hereditary(end_of(x)):
-                continue
-            for route in (check_ddcp, check_tilting_module_route):
-                kernels.clear()
-                report = route(x)
-                assert kernels == [
-                    pr.kernel_intervals
-                    for pr in report.projectives
-                    if len(pr.degrees_found) == 1
-                ]
-        for size in range(6):
-            for combo in combinations(alg.intervals(), size):
-                check_module_dcp(alg, dict.fromkeys(combo, 1))
-                check_tilting_module(alg, dict.fromkeys(combo, 1))
+    for x in criterion_3_objects():
+        for route in (check_ddcp, check_tilting_module_route):
+            kernels.clear()
+            report = route(x)
+            assert kernels == [
+                pr.kernel_intervals
+                for pr in report.projectives
+                if len(pr.degrees_found) == 1
+            ]
+    for alg, multiset in small_basic_modules():
+        check_module_dcp(alg, multiset)
+        check_tilting_module(alg, multiset)
     assert verdicts == {
         "is_injective": {True, False},
         "is_exact_at_middle": {True, False},
         "is_exact_sequence_with_zero": {True, False},
     }
+
+
+def test_module_route_does_no_elimination(monkeypatch):
+    """The module route decides on the approximation sequence it built: no
+    rref, which rank, solve and nullspace all go through, and no
+    RepMorphism."""
+    counts = Counter()
+    rref = exactmat.rref
+    init = reps.RepMorphism.__init__
+
+    def counting_rref(m):
+        counts["rref"] += 1
+        return rref(m)
+
+    def counting_init(self, *args):
+        counts["RepMorphism"] += 1
+        init(self, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ddcp") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", counting_rref)
+    monkeypatch.setattr(reps.RepMorphism, "__init__", counting_init)
+    for alg, multiset in small_basic_modules():
+        check_module_dcp(alg, multiset)
+        check_tilting_module(alg, multiset)
+    for x in criterion_3_objects():
+        check_ddcp(x)
+        check_tilting_module_route(x)
+    assert counts == Counter()
+    # the counters do see the references, which eliminate
+    alg = Algebra(2)
+    reps.kernel(
+        reps.rep_morphism(alg, [Interval(1, 2)], [Interval(1, 1)], {(0, 0): 1})
+    )
+    assert counts["rref"] and counts["RepMorphism"]
