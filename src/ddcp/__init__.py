@@ -12,7 +12,6 @@ from .endalg import (
     end_of,
     is_hereditary,
     is_linear_A,
-    opposite,
 )
 from .approx import hom_module, min_left_approx_sequence
 # No module of the package uses reps, the representation layer the tests
@@ -49,7 +48,6 @@ __all__ = [
     "SCAlgebra",
     "SCModule",
     "end_of",
-    "opposite",
     "is_hereditary",
     "is_linear_A",
     "corner_decomposition",

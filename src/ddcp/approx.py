@@ -19,33 +19,24 @@ from .derived import (
     DerivedMorphism,
     DerivedObject,
     compose,
+    composites,
     graded_hom,
     make_object,
 )
 from .endalg import SCModule, end_of, forest_join, module_generators
 
 
-def hom_module(y, t, algebra=None):
-    """Hom(y, t) as a left module over end_of(t), acting by post-composition.
+def hom_module(y, t, algebra):
+    """Hom(y, t) as a left module over algebra = end_of(t), acting by
+    post-composition.
 
     The underlying space has one coordinate per canonical generator y -> t;
     returns (SCModule, generator list)."""
-    alg = y.alg
-    if algebra is None:
-        algebra = end_of(t)
-    gens = graded_hom(alg, y, t)
-    gen_index = {g: i for i, g in enumerate(gens)}
-    images = []
-    for lab in algebra.basis:
-        # the idempotent at summand s is the degree-0 generator s -> s
-        asrc, atgt, adeg = (lab[1], lab[1], 0) if lab[0] == "e" else lab[1:]
-        # a composite of canonical generators is canonical or zero
-        # (quiver.space_dim): nonzero iff its space has a generator
-        images.append([
-            gen_index.get((k, atgt, deg + adeg)) if l == asrc else None
-            for k, l, deg in gens
-        ])
-    return SCModule(algebra, len(gens), images), gens
+    gens = graded_hom(y.alg, y, t)
+    # the idempotent ("e", s) is the degree-0 generator s -> s
+    acting = [(lab[1], lab[1], 0) if lab[0] == "e" else lab[1:]
+              for lab in algebra.basis]
+    return SCModule(algebra, len(gens), composites(acting, gens)), gens
 
 
 @dataclass
@@ -67,15 +58,21 @@ def min_left_approx_sequence(y, t, algebra=None):
         algebra = end_of(t)
     m, gens = hom_module(y, t, algebra)
 
-    # Generators of Hom(y, t) grouped by summand of t: the cover is by the
+    # The top of Hom(y, t), grouped by summand l of t: the cover is by the
     # projectives E e_l, dual to the summands t_l themselves.  Hom(y, t) is
-    # spanned by its basis, so each top vector is a basis vector b_head.
-    units = [[int(i == j) for j in range(m.dim)] for i in range(m.dim)]
-    top0 = module_generators(m, units)
-    heads = [vec.index(1) for _, vec in top0]
+    # spanned by its basis, so rad Hom(y, t) is spanned by the basis vectors
+    # a radical element hits, and the top by the heads: the basis vectors
+    # that their idempotent fixes and no radical element hits.
+    hit = {j for r in algebra.radical_indices() for j in m.images[r]}
+    top0 = [
+        (l, i)
+        for l in algebra.idempotents
+        for i in range(m.dim)
+        if m.images[l][i] == i and i not in hit
+    ]
     t0, perm0 = make_object(alg, [t.summands[l] for l, _ in top0])
     f = DerivedMorphism(
-        y, t0, {(gens[i][0], perm0[pos]): 1 for pos, i in enumerate(heads)}
+        y, t0, {(gens[i][0], perm0[pos]): 1 for pos, (_, i) in enumerate(top0)}
     )
 
     # Q0 = direct sum of projectives E e_l, basis (cover position, algebra
@@ -98,16 +95,16 @@ def min_left_approx_sequence(y, t, algebra=None):
     kernel = []
     first = {}
     for j, (pos, bi) in enumerate(q0_basis):
-        hit = m.images[bi][heads[pos]]
+        image = m.images[bi][top0[pos][1]]
         kappa = [0] * q0.dim
         kappa[j] = 1
-        if hit is None:
+        if image is None:
             kernel.append(kappa)
-        elif hit in first:
-            kappa[first[hit]] = -1
+        elif image in first:
+            kappa[first[image]] = -1
             kernel.append(kappa)
         else:
-            first[hit] = j
+            first[image] = j
 
     # The top of the kernel K, read in Q0 coordinates, gives T1 and g.
     top1 = module_generators(q0, kernel)

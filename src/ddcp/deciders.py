@@ -272,22 +272,20 @@ def _restrict_to_corner(intervals, verts):
     return out
 
 
-def verify_homology_corners(x, tilting=None):
+def verify_homology_corners(x):
     """Every homology slice, viewed over the corner algebra of its projective
     group, must itself have the double centraliser property; and be tilting
-    when the object is two-sided tilting.
+    when the object is two-sided tilting (check_tilting_complex(x)).
 
-    tilting defaults to check_tilting_complex(x).  Once check_ddcp(x) holds,
-    every vertex has exactly one supporting shift, so each slice lies inside
-    the corner of its shift."""
+    Once check_ddcp(x) holds, every vertex has exactly one supporting shift,
+    so each slice lies inside the corner of its shift."""
     report = DeciderReport("corners", False)
     ddcp = check_ddcp(x)
     if not ddcp:
         report.applicable = False
         report.reasons.append("object does not have the derived property")
         return report
-    if tilting is None:
-        tilting = bool(check_tilting_complex(x))
+    tilting = bool(check_tilting_complex(x))
     ok = True
     for i, verts in corner_decomposition(x):
         corner_alg = Algebra(len(verts))

@@ -121,6 +121,23 @@ def graded_hom(alg, y, x):
     return gens
 
 
+def composites(acting, gens):
+    """The one composition lookup: images[i][j] is the position in gens of
+    acting[i] after gens[j], or None when the composite vanishes.
+
+    Both lists hold canonical generators (src idx, tgt idx, degree), and
+    gens holds every generator of its graded Hom space, as graded_hom lists
+    them.  a after b is the generator (src b, tgt a, deg a + deg b) when
+    tgt b = src a; it vanishes when the pair does not compose or when that
+    space has no generator (quiver.space_dim)."""
+    index = {g: j for j, g in enumerate(gens)}
+    return [
+        [index.get((bs, at, ad + bd)) if bt == as_ else None
+         for bs, bt, bd in gens]
+        for as_, at, ad in acting
+    ]
+
+
 class DerivedMorphism:
     def __init__(self, src, tgt, entries):
         self.alg = src.alg
@@ -233,13 +250,9 @@ def to_chain(alg, x):
     return ChainComplex(alg, comps, diffs), cover_pos, syz_pos
 
 
-def lift_chain(f, src_chain=None, tgt_chain=None):
-    """Chain map representing a derived morphism, as degree -> scalar Mat."""
-    alg = f.alg
-    if src_chain is None:
-        src_chain = to_chain(alg, f.src)
-    if tgt_chain is None:
-        tgt_chain = to_chain(alg, f.tgt)
+def lift_chain(f, src_chain, tgt_chain):
+    """Chain map representing a derived morphism, as degree -> scalar Mat,
+    between the to_chain representatives of its ends."""
     cx, cx_cover, cx_syz = src_chain
     cy, cy_cover, cy_syz = tgt_chain
     mats = {}

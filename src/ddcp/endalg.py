@@ -8,8 +8,8 @@ Gabriel quiver, hereditariness, isomorphism with a linear-chain path algebra
 -- then reduce to set combinatorics on the multiplication table.
 """
 
-from .quiver import HOM, InputError
-from .derived import DerivedObject, pair_space_dim
+from .quiver import InputError
+from .derived import composites, graded_hom
 
 
 class PreconditionError(Exception):
@@ -124,49 +124,19 @@ class SCAlgebra:
 
 
 def end_of(x):
-    """Endomorphism algebra of a split object, products by composition."""
-    alg = x.alg
-    summands = x.summands
-    k = len(summands)
-    basis = [("e", i) for i in range(k)]
-    gens = {}
-    for i in range(k):
-        for j in range(k):
-            d, deg = pair_space_dim(alg, summands[i], summands[j])
-            if d and not (i == j and deg == HOM):
-                gens[(i, j, deg)] = len(basis)
-                basis.append(("g", i, j, deg))
-
-    def ends(lab):
-        return (lab[1], lab[1]) if lab[0] == "e" else lab[1:3]
-
-    table = {}
-    for bi, lab1 in enumerate(basis):
-        s1, t1 = ends(lab1)
-        for bj, lab2 in enumerate(basis):
-            s2, t2 = ends(lab2)
-            if t2 != s1:
-                continue
-            # the product is the generator s2 -> t1 of the composite degree
-            dim, deg = pair_space_dim(alg, summands[s2], summands[t1])
-            if dim:
-                # s2 == t1 is the idempotent ("e", s2), at index s2
-                table[(bi, bj)] = s2 if s2 == t1 else gens[(s2, t1, deg)]
-    return SCAlgebra(basis, range(k), table)
-
-
-def end_of_module(alg, multiset):
-    """Endomorphism algebra of a module given as an interval multiset."""
-    pairs = []
-    for iv in sorted(multiset):
-        pairs.extend([(iv, 0)] * multiset[iv])
-    return end_of(DerivedObject(alg, pairs))
-
-
-def opposite(c):
-    """Opposite algebra: same basis, transposed multiplication table."""
-    table = {(j, i): v for (i, j), v in c.table.items()}
-    return SCAlgebra(c.basis, c.idempotents, table)
+    """Endomorphism algebra of a split object: the graded Hom space
+    Hom(x, x), identities first, with composition as product.  A generator
+    from a summand to itself has degree 0, so it is that summand's
+    identity, the idempotent ("e", i) at index i."""
+    gens = sorted(graded_hom(x.alg, x, x), key=lambda g: g[0] != g[1])
+    basis = [("e", i) if i == j else ("g", i, j, deg) for i, j, deg in gens]
+    table = {
+        (i, j): k
+        for i, row in enumerate(composites(gens, gens))
+        for j, k in enumerate(row)
+        if k is not None
+    }
+    return SCAlgebra(basis, range(len(x)), table)
 
 
 def is_hereditary(c):

@@ -104,19 +104,8 @@ class Mat:
     def __neg__(self):
         return Mat(self.nrows, self.ncols, [[-a for a in row] for row in self.rows])
 
-    def scale(self, c):
-        c = Fraction(c)
-        return Mat(self.nrows, self.ncols, [[c * a for a in row] for row in self.rows])
-
     def is_zero(self):
         return all(not x for row in self.rows for x in row)
-
-    def transpose(self):
-        out = Mat(self.ncols, self.nrows)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                out.rows[j][i] = self.rows[i][j]
-        return out
 
     def column(self, j):
         return [row[j] for row in self.rows]

@@ -106,31 +106,3 @@ def space_dim(alg, src, tgt, degree):
     if degree == EXT:
         return ext_dim(alg, src, tgt)
     return 0
-
-
-def compose_canonical(alg, f, g):
-    """Compose canonical generators f: src -> mid and g: mid -> tgt.
-
-    Each argument is a (src, tgt, degree) triple naming a canonical
-    generator.  Returns 1 if the composite is the canonical generator of
-    the target space and 0 if the composite vanishes (see space_dim).
-    """
-    fs, fm, fd = f
-    gm, gt, gd = g
-    if fm != gm:
-        raise InputError("non-composable generators %r, %r" % (f, g))
-    if space_dim(alg, fs, fm, fd) != 1 or space_dim(alg, gm, gt, gd) != 1:
-        raise InputError("nonexistent canonical generator")
-    return space_dim(alg, fs, gt, fd + gd)
-
-
-def projective_resolution(alg, m):
-    """Two-term projective resolution 0 -> P(k1) -> P(k0) -> X(m) -> 0.
-
-    Returns (k0, k1) with k1 = None when X(m) is already projective; the
-    connecting map P(k1) -> P(k0) is the canonical generator.
-    """
-    alg.check_interval(m)
-    k0 = m.a
-    k1 = m.b + 1 if m.b < alg.n else None
-    return k0, k1

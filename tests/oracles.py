@@ -13,17 +13,17 @@ from ddcp.derived import (
     to_chain,
 )
 from ddcp.exactmat import Mat, rank, solve
-from ddcp.quiver import InputError, Interval, projective_resolution
+from ddcp.quiver import InputError, Interval
 
 
 def brute_ext_dim(alg, src, tgt):
     """Ext via a projective resolution with honest matrices: the cokernel of
     Hom(P(k0), tgt) -> Hom(P(k1), tgt) induced by the syzygy inclusion,
-    whose image is spanned by the flattened composites."""
-    k0, k1 = projective_resolution(alg, src)
-    if k1 is None:
+    whose image is spanned by the flattened composites.  The resolution is
+    0 -> P(b + 1) -> P(a) -> X(a, b) -> 0, with no P(b + 1) when b = n."""
+    if src.b == alg.n:
         return 0
-    p0, p1 = alg.projective(k0), alg.projective(k1)
+    p0, p1 = alg.projective(src.a), alg.projective(src.b + 1)
     incl = reps.rep_morphism(alg, [p1], [p0], {(0, 0): 1})
     maps0 = reps.morphism_space(reps.realize(alg, [p0]), reps.realize(alg, [tgt]))
     maps1 = reps.morphism_space(reps.realize(alg, [p1]), reps.realize(alg, [tgt]))

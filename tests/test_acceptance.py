@@ -239,8 +239,7 @@ def test_criterion_8_corner_verification(capsys):
     for n in (1, 2, 3, 4, 5):
         result = enumerate_and_classify(Algebra(n))
         for x in result.survivors:
-            tilting = bool(check_tilting_complex(x))
-            assert verify_homology_corners(x, tilting=tilting), x
+            assert verify_homology_corners(x), x
             count += 1
     with capsys.disabled():
         report(8, "corner restrictions verified on all %d survivors, n <= 5" % count)

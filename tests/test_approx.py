@@ -40,7 +40,7 @@ def make_V_object(alg, m):
 def test_hom_module_regular():
     alg = Algebra(3)
     a = regular(alg)
-    m, gens = hom_module(a, a)
+    m, gens = hom_module(a, a, end_of(a))
     assert m.dim == 6
     assert len(gens) == 6
 
@@ -49,7 +49,7 @@ def test_hom_module_projective_to_family():
     alg = Algebra(3)
     p1 = obj(alg, (1, 3, 0))
     v2 = make_V_object(alg, 2)
-    m, _ = hom_module(p1, v2)
+    m, _ = hom_module(p1, v2, end_of(v2))
     # one endomorphism-like map to P(1) and one onto I(2)
     assert m.dim == 2
 
@@ -58,7 +58,7 @@ def test_hom_module_zero():
     alg = Algebra(3)
     y = obj(alg, (1, 1, 0))
     t = obj(alg, (3, 3, 5))
-    m, _ = hom_module(y, t)
+    m, _ = hom_module(y, t, end_of(t))
     assert m.dim == 0
 
 

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -7,13 +7,12 @@ from ddcp.derived import DerivedMorphism, DerivedObject, compose
 from ddcp.approx import hom_module
 from ddcp.endalg import (
     PreconditionError,
+    SCAlgebra,
     corner_decomposition,
     end_of,
-    end_of_module,
     is_hereditary,
     is_linear_A,
     module_generators,
-    opposite,
     regular_module,
 )
 
@@ -51,17 +50,15 @@ def test_end_of_families_linear():
     assert is_linear_A(end_of(t1)) == 3
 
 
-def test_end_of_module_multiset():
-    alg = Algebra(3)
-    e = end_of_module(alg, {Interval(i, 3): 1 for i in (1, 2, 3)})
-    assert is_linear_A(e) == 3
+def opposite(c):
+    """The opposite algebra: same basis, transposed table."""
+    table = {(j, i): k for (i, j), k in c.table.items()}
+    return SCAlgebra(c.basis, c.idempotents, table)
 
 
 def test_opposite_involution_and_linearity():
     alg = Algebra(3)
-    e = end_of(full_projectives(alg))
-    op = opposite(e)
-    assert opposite(op).table == e.table
+    op = opposite(end_of(full_projectives(alg)))
     assert is_linear_A(op) == 3
     assert is_hereditary(op)
     semi = end_of(obj(alg, (1, 1, 0), (2, 2, 0), (3, 3, 0)))
@@ -147,9 +144,10 @@ def test_table_is_associative_and_unit_checked():
     assert e.dim == len(e.basis)
 
 
-# The multiplication table of end_of and the images of hom_module
-# apply the composition rule of quiver.space_dim on their own; derived.compose
-# applies it to morphisms, and is itself checked against the chain-homotopy
+# The multiplication table of end_of and the images of hom_module both come
+# from derived.composites, the lookup of a composite among the generators
+# graded_hom lists; derived.compose applies the rule of quiver.space_dim to
+# morphisms on its own, and is itself checked against the chain-homotopy
 # oracle (acceptance criterion 7).
 
 
@@ -170,10 +168,27 @@ def basis_morphism(x, label):
     return DerivedMorphism(x, x, {(src, tgt): 1})
 
 
-def test_end_of_table_matches_compose():
+def repeated_objects():
+    """Every object of at most 3 summands drawn with repetition, n <= 3,
+    shifts in {0, 1, 2}: repeated summands, and Ext after Ext composites of
+    degree 2, which vanish."""
+    for n in (1, 2, 3):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1, 2) for iv in alg.intervals()]
+        for size in (1, 2, 3):
+            for combo in combinations_with_replacement(atoms, size):
+                yield DerivedObject(alg, combo)
+
+
+def table_products(objects):
+    """Check every product of end_of(x)'s table against compose, and that
+    the identities come first, one per summand; return the count."""
     products = 0
-    for _, x in small_objects():
+    for x in objects:
         c = end_of(x)
+        assert [c.basis[e] for e in c.idempotents] == [
+            ("e", i) for i in range(len(x))
+        ]
         mors = [basis_morphism(x, label) for label in c.basis]
         for i, a in enumerate(mors):
             for j, b in enumerate(mors):
@@ -182,7 +197,12 @@ def test_end_of_table_matches_compose():
                 expect = {} if k is None else mors[k].entries
                 assert compose(b, a).entries == expect, (x, i, j)
                 products += 1
-    assert products == 4554
+    return products
+
+
+def test_end_of_table_matches_compose():
+    assert table_products(x for _, x in small_objects()) == 4554
+    assert table_products(repeated_objects()) == 28608
 
 
 def test_hom_module_action_matches_compose():

@@ -41,7 +41,8 @@ def test_add_sub_neg_scale():
     b = Mat.from_rows([[5, 6], [7, 8]])
     assert (a + b) - b == a
     assert -(-a) == a
-    assert a.scale(2) == a + a
+    two = Mat.identity(2) + Mat.identity(2)
+    assert two @ a == a + a
 
 
 def test_stacking():
@@ -96,5 +97,4 @@ def test_col_space_spans():
 
 def test_transpose_column_access():
     m = Mat.from_rows([[1, 2], [3, 4], [5, 6]])
-    assert m.transpose().transpose() == m
     assert m.column(1) == [Fraction(2), Fraction(4), Fraction(6)]

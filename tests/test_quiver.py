@@ -8,13 +8,12 @@ from ddcp.quiver import (
     Algebra,
     InputError,
     Interval,
-    compose_canonical,
     ext_dim,
     hom_dim,
-    projective_resolution,
     space_dim,
 )
 from ddcp import reps
+from ddcp.derived import DerivedObject, composites, graded_hom
 from oracles import brute_ext_dim
 
 
@@ -65,32 +64,31 @@ def test_space_dim_degrees():
     assert space_dim(alg, a, b, 2) == 0
 
 
-def test_projective_resolution():
-    alg = Algebra(3)
-    assert projective_resolution(alg, Interval(1, 2)) == (1, 3)
-    assert projective_resolution(alg, Interval(2, 3)) == (2, None)
+def compose_in_end(alg, summands, a, b):
+    """a after b among the generators of End(x), x the (a, b, shift)
+    summands, by derived.composites: a generator triple, or None."""
+    x = DerivedObject(alg, [(Interval(p, q), s) for p, q, s in summands])
+    gens = graded_hom(alg, x, x)
+    assert a in gens and b in gens
+    k = composites([a], gens)[0][gens.index(b)]
+    return None if k is None else gens[k]
 
 
 def test_compose_canonical_rules():
     alg = Algebra(3)
-    s1, s2, s3 = Interval(3, 3), Interval(2, 3), Interval(1, 3)
-    assert compose_canonical(alg, (s1, s2, HOM), (s2, s3, HOM)) == 1
-    # composite falls out of the target space
+    # summands sorted by (shift, a, b): 0 = X(1,3), 1 = X(2,3), 2 = X(3,3)
+    chain = [(3, 3, 0), (2, 3, 0), (1, 3, 0)]
+    assert compose_in_end(alg, chain, (1, 0, HOM), (2, 1, HOM)) == (2, 0, HOM)
+    # a pair that does not compose, though 2 -> 0 has a generator
+    assert compose_in_end(alg, chain, (1, 0, HOM), (2, 0, HOM)) is None
+    # composite falls out of the target space: 0 = X(1,1), 1 = X(1,2),
+    # 2 = X(2,2), and Hom(X(2,2), X(1,1)) = 0
     a, b, c = Interval(2, 2), Interval(1, 2), Interval(1, 1)
-    assert hom_dim(alg, a, b) and hom_dim(alg, b, c)
-    assert compose_canonical(alg, (a, b, HOM), (b, c, HOM)) == 0
-    # total degree two vanishes identically
-    x, y = Interval(1, 1), Interval(2, 2)
-    assert ext_dim(alg, x, y) == 1
-    z = Interval(3, 3)
-    assert ext_dim(alg, y, z) == 1
-    assert compose_canonical(alg, (x, y, EXT), (y, z, EXT)) == 0
-
-
-def test_compose_canonical_errors():
-    alg = Algebra(3)
-    a, b = Interval(1, 2), Interval(1, 1)
-    with pytest.raises(InputError):
-        compose_canonical(alg, (a, b, HOM), (a, b, HOM))  # middles differ
-    with pytest.raises(InputError):
-        compose_canonical(alg, (b, a, HOM), (a, b, HOM))  # no such generator
+    assert hom_dim(alg, a, b) and hom_dim(alg, b, c) and not hom_dim(alg, a, c)
+    fall = [(2, 2, 0), (1, 2, 0), (1, 1, 0)]
+    assert compose_in_end(alg, fall, (1, 0, HOM), (2, 1, HOM)) is None
+    # total degree two vanishes identically: X(1,1), X(2,2)[1], X(3,3)[2]
+    x, y, z = Interval(1, 1), Interval(2, 2), Interval(3, 3)
+    assert ext_dim(alg, x, y) == 1 and ext_dim(alg, y, z) == 1
+    ext_ext = [(1, 1, 0), (2, 2, 1), (3, 3, 2)]
+    assert compose_in_end(alg, ext_ext, (1, 2, EXT), (0, 1, EXT)) is None
