@@ -118,9 +118,10 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
         if min(s for _, s in pairs) != 0:
             continue  # shift normalization: each class counted once
         x = DerivedObject(alg, pairs)
-        if is_linear_A(end_of(x)) != n:
+        algebra = end_of(x)
+        if is_linear_A(algebra) != n:
             continue
-        if not check_ddcp(x):
+        if not check_ddcp(x, algebra):
             continue
         result.survivors.append(x)
         result.matched[x] = reference.get(x, "UNEXPECTED")

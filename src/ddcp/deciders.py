@@ -17,7 +17,7 @@ purposes but distinguished from a genuine condition failure.
 from dataclasses import dataclass, field
 
 from .derived import DerivedObject, cone
-from .endalg import corner_decomposition, end_of, is_hereditary
+from .endalg import corner, corner_decomposition, end_of, is_hereditary
 from .approx import (
     is_exact_at_middle,
     is_exact_sequence_with_zero,
@@ -137,17 +137,19 @@ def check_tilting_module(alg, multiset):
     ])
 
 
-def _decide(x, name, step):
+def _decide(x, name, step, algebra=None):
     """The frame shared by the complex deciders.
 
     After the preconditions (basic, hereditary endomorphism algebra),
     every indecomposable projective P(e) needs a unique supporting
     shift i, and then step(x, End(x), report of P(e), i) must return no
-    failures.  Each failing projective adds one reason naming its vertex."""
+    failures.  Each failing projective adds one reason naming its vertex.
+    algebra is End(x) when the caller already has it."""
     report = DeciderReport(name, False)
     if not x.is_basic():
         return _not_applicable(report, "object is not basic")
-    algebra = end_of(x)
+    if algebra is None:
+        algebra = end_of(x)
     if not is_hereditary(algebra):
         return _not_applicable(report, "endomorphism algebra is not hereditary")
     checks = []
@@ -169,13 +171,23 @@ def _decide(x, name, step):
 def _module_route(exact_test):
     """In-slice step: the minimal approximation P(e) -> X0 -> X1 by the
     shift-i slice passes exact_test, and the kernel of P(e) -> X0 lies in
-    the additive closure of the shift-(i+1) slice."""
+    the additive closure of the shift-(i+1) slice.  The slice is the block
+    of x's summands at shift i, so End(slice) is a corner of End(x); each
+    shift's slice and corner are built once per decision, for all the
+    projectives it supports."""
+    slices = {}
 
     def step(x, algebra, pr, i):
         alg = x.alg
-        t = _module_object(alg, _basic_support(x.slice(i)))
+        if i not in slices:
+            block = _basic_support(x.slice(i))
+            lo = [s for _, s in x.summands].index(i)
+            slices[i] = (
+                _module_object(alg, block),
+                corner(algebra, lo, lo + len(block)),
+            )
         seq = min_left_approx_sequence(
-            _module_object(alg, [alg.projective(pr.vertex)]), t
+            _module_object(alg, [alg.projective(pr.vertex)]), *slices[i]
         )
         pr.approx_summands = list(seq.t0.summands)
         pr.exact = exact_test(seq.f, seq.g)
@@ -229,12 +241,13 @@ def _cone_is(c, pr, p, i):
     return ["cone is %r, not %r[%d]" % (c, p, i + 1)]
 
 
-def check_ddcp(x):
+def check_ddcp(x, algebra=None):
     """Module-category route: for every indecomposable projective P(e),
     a unique supporting shift i; the minimal left approximation of P(e) by
     the shift-i slice is exact at the middle, with kernel inside the additive
-    closure of the shift-(i+1) slice."""
-    return _decide(x, "ddcp", _module_route(is_exact_at_middle))
+    closure of the shift-(i+1) slice.  algebra is end_of(x) when the caller
+    already has it."""
+    return _decide(x, "ddcp", _module_route(is_exact_at_middle), algebra)
 
 
 def check_ddcp_derived(x):
@@ -244,20 +257,21 @@ def check_ddcp_derived(x):
     return _decide(x, "ddcp-derived", _derived_route(_next_slice_is))
 
 
-def check_tilting_complex(x, route="derived"):
+def check_tilting_complex(x, route="derived", algebra=None):
     """Two-sided tilting test.
 
     Derived route: the approximation sequence of P(e)[i] completes to a
     triangle, i.e. cone(g) is exactly P(e)[i+1].  Module route: the in-slice
     sequence P(e) -> X0 -> X1 -> 0 is exact with kernel of f in the additive
-    closure of the next slice."""
+    closure of the next slice.  algebra is end_of(x) when the caller already
+    has it."""
     if route == "derived":
         step = _derived_route(_cone_is)
     elif route == "module":
         step = _module_route(is_exact_sequence_with_zero)
     else:
         raise ValueError("unknown route %r" % route)
-    return _decide(x, "tilting-" + route, step)
+    return _decide(x, "tilting-" + route, step, algebra)
 
 
 def _restrict_to_corner(intervals, verts):
@@ -278,14 +292,16 @@ def verify_homology_corners(x):
     when the object is two-sided tilting (check_tilting_complex(x)).
 
     Once check_ddcp(x) holds, every vertex has exactly one supporting shift,
-    so each slice lies inside the corner of its shift."""
+    so each slice lies inside the corner of its shift.  Both complex
+    deciders share one End(x)."""
     report = DeciderReport("corners", False)
-    ddcp = check_ddcp(x)
+    algebra = end_of(x)
+    ddcp = check_ddcp(x, algebra)
     if not ddcp:
         report.applicable = False
         report.reasons.append("object does not have the derived property")
         return report
-    tilting = bool(check_tilting_complex(x))
+    tilting = bool(check_tilting_complex(x, "derived", algebra))
     ok = True
     for i, verts in corner_decomposition(x):
         corner_alg = Algebra(len(verts))

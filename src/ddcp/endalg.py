@@ -8,6 +8,9 @@ Gabriel quiver, hereditariness, isomorphism with a linear-chain path algebra
 -- then reduce to set combinatorics on the multiplication table.
 """
 
+from collections import Counter
+from functools import cached_property
+
 from .quiver import InputError
 from .derived import composites, graded_hom
 
@@ -39,18 +42,27 @@ class SCAlgebra:
         """Index of basis_i * basis_j, or None when the product is zero."""
         return self.table.get((i, j))
 
+    @cached_property
+    def ends(self):
+        """(source, target) idempotent index of every basis element, read off
+        the table in one pass: e is the source of b when b * e = b and its
+        target when e * b = b."""
+        idem = set(self.idempotents)
+        src, tgt = [None] * self.dim, [None] * self.dim
+        for (i, j), k in self.table.items():
+            if j in idem and k == i:
+                src[i] = j
+            if i in idem and k == j:
+                tgt[j] = i
+        return list(zip(src, tgt))
+
     def src(self, i):
         """The idempotent index e with basis_i * e = basis_i."""
-        for e in self.idempotents:
-            if self.mul(i, e) == i:
-                return e
-        raise AssertionError("basis element without a source idempotent")
+        return self.ends[i][0]
 
     def tgt(self, i):
-        for e in self.idempotents:
-            if self.mul(e, i) == i:
-                return e
-        raise AssertionError("basis element without a target idempotent")
+        """The idempotent index e with e * basis_i = basis_i."""
+        return self.ends[i][1]
 
     def validate(self):
         """Raise InputError unless the table is unital and associative."""
@@ -79,13 +91,10 @@ class SCAlgebra:
     def is_basic(self):
         """No non-idempotent basis element is invertible between idempotents."""
         idem = set(self.idempotents)
-        for i in range(self.dim):
-            if i in idem:
-                continue
-            for j in range(self.dim):
-                if self.mul(i, j) in idem and self.mul(j, i) in idem:
-                    return False
-        return True
+        return not any(
+            i not in idem and k in idem and self.table.get((j, i)) in idem
+            for (i, j), k in self.table.items()
+        )
 
     def _require_basic(self):
         if not self.is_basic():
@@ -98,14 +107,11 @@ class SCAlgebra:
         return [i for i in range(self.dim) if i not in idem]
 
     def radical_square(self):
-        rad = self.radical_indices()
-        out = set()
-        for i in rad:
-            for j in rad:
-                p = self.mul(i, j)
-                if p is not None:
-                    out.add(p)
-        return out
+        idem = set(self.idempotents)
+        return {
+            k for (i, j), k in self.table.items()
+            if i not in idem and j not in idem
+        }
 
     def arrows(self):
         """Gabriel quiver arrows: basis of rad / rad^2, as basis indices."""
@@ -114,7 +120,7 @@ class SCAlgebra:
 
     def projective_basis(self, e):
         """Basis indices of the indecomposable left projective at idempotent e."""
-        return [i for i in range(self.dim) if self.mul(i, e) == i]
+        return [i for i, (s, _) in enumerate(self.ends) if s == e]
 
     def __repr__(self):
         return "SCAlgebra(dim=%d, idempotents=%d)" % (
@@ -139,32 +145,45 @@ def end_of(x):
     return SCAlgebra(basis, range(len(x)), table)
 
 
+def corner(algebra, lo, hi):
+    """End of the block lo..hi-1 of an object's summands, read off the
+    object's end_of algebra: the basis elements whose two ends lie in the
+    block, relabelled from 0 in end_of's order, identities first.  A
+    composite of two kept elements is kept, since its ends are theirs."""
+    keep = [
+        i for i, (s, t) in enumerate(algebra.ends)
+        if lo <= s < hi and lo <= t < hi
+    ]
+    new = {i: k for k, i in enumerate(keep)}
+    # ("e", i) and ("g", i, j, deg): the summand indices move down by lo
+    basis = [
+        label[:1] + tuple(v - lo for v in label[1:3]) + label[3:]
+        for label in (algebra.basis[i] for i in keep)
+    ]
+    table = {
+        (new[i], new[j]): new[k]
+        for (i, j), k in algebra.table.items()
+        if i in new and j in new
+    }
+    return SCAlgebra(basis, range(hi - lo), table)
+
+
 def is_hereditary(c):
     """True iff every simple module has projective dimension at most one.
 
     The radical of the projective at e is spanned by the non-idempotent
-    basis elements with source e; it is projective iff it matches the direct
-    sum of indecomposable projectives prescribed by its top, which a
-    dimension count detects because the comparison map is surjective.
+    basis elements with source e, and its top by the arrows with source e;
+    it is projective iff it matches the direct sum of the projectives at
+    the arrows' targets, which a dimension count detects because the
+    comparison map is surjective.
     """
     c._require_basic()
-    rad = set(c.radical_indices())
-    pdim = {e: len(c.projective_basis(e)) for e in c.idempotents}
-    for e in c.idempotents:
-        rad_pe = [i for i in c.projective_basis(e) if i in rad]
-        rad_rad_pe = set()
-        for r in rad:
-            for i in rad_pe:
-                p = c.mul(r, i)
-                if p is not None:
-                    rad_rad_pe.add(p)
-        cover_dim = 0
-        for i in rad_pe:
-            if i not in rad_rad_pe:
-                cover_dim += pdim[c.tgt(i)]
-        if cover_dim != len(rad_pe):
-            return False
-    return True
+    pdim = Counter(s for s, _ in c.ends)
+    cover = Counter()
+    for a in c.arrows():
+        s, t = c.ends[a]
+        cover[s] += pdim[t]
+    return all(cover[e] == pdim[e] - 1 for e in c.idempotents)
 
 
 def is_linear_A(c):

@@ -281,3 +281,63 @@ def chain_homotopy_compose(f, g):
         else:
             comp[k] = a @ b
     return homotopy_project(alg, f.src, g.tgt, comp, ch_src, ch_tgt)
+
+
+# SCAlgebra structure queries by scanning products through mul, the
+# references for the versions that read the table once.
+
+
+def src_reference(c, i):
+    """The idempotent index e with basis_i * e = basis_i."""
+    for e in c.idempotents:
+        if c.mul(i, e) == i:
+            return e
+    raise AssertionError("basis element without a source idempotent")
+
+
+def tgt_reference(c, i):
+    """The idempotent index e with e * basis_i = basis_i."""
+    for e in c.idempotents:
+        if c.mul(e, i) == i:
+            return e
+    raise AssertionError("basis element without a target idempotent")
+
+
+def projective_basis_reference(c, e):
+    return [i for i in range(c.dim) if c.mul(i, e) == i]
+
+
+def is_basic_reference(c):
+    """No non-idempotent basis element is invertible between idempotents."""
+    idem = set(c.idempotents)
+    for i in range(c.dim):
+        if i in idem:
+            continue
+        for j in range(c.dim):
+            if c.mul(i, j) in idem and c.mul(j, i) in idem:
+                return False
+    return True
+
+
+def radical_square_reference(c):
+    rad = c.radical_indices()
+    return {c.mul(i, j) for i in rad for j in rad} - {None}
+
+
+def is_hereditary_reference(c):
+    """rad P(e), spanned by the radical elements with source e, is
+    projective iff its dimension is that of the sum of the projectives
+    P(tgt i) over its top elements i, those not in rad . rad P(e)."""
+    if not is_basic_reference(c):
+        raise InputError("structure query requires a basic algebra")
+    rad = set(c.radical_indices())
+    pdim = {e: len(projective_basis_reference(c, e)) for e in c.idempotents}
+    for e in c.idempotents:
+        rad_pe = [i for i in projective_basis_reference(c, e) if i in rad]
+        rad_rad_pe = {c.mul(r, i) for r in rad for i in rad_pe}
+        cover_dim = sum(
+            pdim[tgt_reference(c, i)] for i in rad_pe if i not in rad_rad_pe
+        )
+        if cover_dim != len(rad_pe):
+            return False
+    return True

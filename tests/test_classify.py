@@ -129,3 +129,14 @@ def test_clique_funnel_closed_forms():
         normalised = [c for c in cliques if min(atoms[i][1] for i in c) == 0]
         assert len(cliques) == (n + 3) * 2 ** (n - 2)
         assert len(normalised) == (n + 1) * 2 ** (n - 2)
+
+
+def test_classification_builds_one_endomorphism_algebra_per_candidate(
+    end_of_calls,
+):
+    """End(x) is built once per shift-normalised candidate, (n+1) 2^(n-2),
+    and check_ddcp takes it from is_linear_A's caller."""
+    n = 5
+    assert enumerate_and_classify(Algebra(n)).lambda_count == 2 * n - 1
+    assert len(end_of_calls) == (n + 1) * 2 ** (n - 2) == 48
+    assert len(set(end_of_calls)) == len(end_of_calls)

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from ddcp import approx, deciders, endalg, exactmat, reps
+from ddcp import approx, deciders, exactmat, reps
 from ddcp.quiver import Algebra, Interval
 from ddcp.derived import DerivedObject
 from ddcp.deciders import (
@@ -79,17 +79,42 @@ def test_tilting_module_precondition():
     assert any("hereditary" in r for r in rep.reasons)
 
 
-def test_tilting_module_builds_one_endomorphism_algebra(monkeypatch):
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return endalg.end_of(x)
-
-    monkeypatch.setattr(deciders, "end_of", counted)
-    monkeypatch.setattr(approx, "end_of", counted)
+def test_tilting_module_builds_one_endomorphism_algebra(end_of_calls):
     assert check_tilting_module(Algebra(3), ms((1, 3), (2, 3), (3, 3)))
-    assert len(calls) == 1
+    assert len(end_of_calls) == 1
+
+
+def test_complex_deciders_build_one_endomorphism_algebra(end_of_calls):
+    """Each complex decider builds End(x) once, and not at all when the
+    object is not basic or the caller hands End(x) in; the module route
+    reads End(slice) off End(x).  verify_homology_corners builds End(x)
+    once for both of its complex deciders, plus End of each corner
+    module."""
+    complex_deciders = [
+        check_ddcp,
+        check_ddcp_derived,
+        lambda x: check_tilting_complex(x, "module"),
+        lambda x: check_tilting_complex(x, "derived"),
+    ]
+    alg = Algebra(3)
+    atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+    objects = [DerivedObject(alg, combo) for combo in combinations(atoms, 3)]
+    objects.append(obj(alg, (1, 2, 0), (1, 2, 0), (3, 3, 1)))
+    for x in objects:
+        for decide in complex_deciders:
+            end_of_calls.clear()
+            decide(x)
+            assert end_of_calls == ([x] if x.is_basic() else []), x
+        algebra = end_of(x)
+        end_of_calls.clear()
+        check_ddcp(x, algebra)
+        check_tilting_complex(x, "module", algebra)
+        check_tilting_complex(x, "derived", algebra)
+        assert end_of_calls == [], x
+    end_of_calls.clear()
+    x = make_T(alg, 1)
+    assert verify_homology_corners(x)
+    assert end_of_calls.count(x) == 1 and len(end_of_calls) == 5
 
 
 def test_ddcp_families_all_routes():

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -8,12 +9,21 @@ from ddcp.approx import hom_module
 from ddcp.endalg import (
     PreconditionError,
     SCAlgebra,
+    corner,
     corner_decomposition,
     end_of,
     is_hereditary,
     is_linear_A,
     module_generators,
     regular_module,
+)
+from oracles import (
+    is_basic_reference,
+    is_hereditary_reference,
+    projective_basis_reference,
+    radical_square_reference,
+    src_reference,
+    tgt_reference,
 )
 
 
@@ -220,3 +230,64 @@ def test_hom_module_action_matches_compose():
                     assert image.entries == {
                         gens[j][:2]: c for j, c in enumerate(column) if c
                     }, (y, t, ai, gi)
+
+
+def test_structure_queries_match_mul_scanning_references():
+    """The structure queries that read the table once agree with the
+    references that scan every product through mul: on the End algebras of
+    small_objects and repeated_objects, on their opposites, and on the
+    non-basic ones among both, where is_hereditary raises."""
+    algebras = [end_of(x) for _, x in small_objects()]
+    algebras += [end_of(x) for x in repeated_objects()]
+    outcomes = Counter()
+    for c in algebras + [opposite(c) for c in algebras]:
+        assert [(c.src(i), c.tgt(i)) for i in range(c.dim)] == [
+            (src_reference(c, i), tgt_reference(c, i)) for i in range(c.dim)
+        ]
+        for e in c.idempotents:
+            assert c.projective_basis(e) == projective_basis_reference(c, e)
+        assert c.radical_square() == radical_square_reference(c)
+        basic = c.is_basic()
+        assert basic == is_basic_reference(c)
+        if basic:
+            hereditary = is_hereditary(c)
+            assert hereditary == is_hereditary_reference(c)
+        else:
+            hereditary = None
+            for query in (is_hereditary, is_hereditary_reference):
+                with pytest.raises(InputError):
+                    query(c)
+        outcomes[basic, hereditary] += 1
+    assert outcomes == {
+        (True, True): 2728,
+        (True, False): 202,
+        (False, None): 888,
+    }
+
+
+def test_corner_is_end_of_the_slice():
+    """corner(end_of(x), lo, hi) equals end_of of the block of summands at
+    one shift, as a module at shift 0 (as the module route builds it), in
+    basis, idempotents and table: both shift blocks, empty ones included,
+    of every shift-normalised n-summand object over shifts {0, 1}, n <= 4
+    (the population of acceptance criterion 3 before its hereditary
+    filter)."""
+    blocks = 0
+    for n in (1, 2, 3, 4):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        for combo in combinations(atoms, n):
+            if min(s for _, s in combo) != 0:
+                continue
+            x = DerivedObject(alg, combo)
+            algebra = end_of(x)
+            for s in (0, 1):
+                lo = sum(1 for _, t in x.summands if t < s)
+                block = [(iv, 0) for iv, t in x.summands if t == s]
+                c = corner(algebra, lo, lo + len(block))
+                e = end_of(DerivedObject(alg, block))
+                assert (c.basis, c.idempotents, c.table) == (
+                    e.basis, e.idempotents, e.table
+                ), (x, s)
+                blocks += 1
+    assert blocks == 9696
