@@ -5,10 +5,8 @@ double-centraliser and tilting deciders, and exhaustive classification."""
 from .quiver import Algebra, Interval, InputError, ext_dim, hom_dim
 from .derived import DerivedMorphism, DerivedObject, cone, graded_hom
 from .endalg import (
-    PreconditionError,
     SCAlgebra,
     SCModule,
-    corner_decomposition,
     end_of,
     is_hereditary,
     is_linear_A,
@@ -38,7 +36,6 @@ __all__ = [
     "Algebra",
     "Interval",
     "InputError",
-    "PreconditionError",
     "ext_dim",
     "hom_dim",
     "DerivedObject",
@@ -50,7 +47,6 @@ __all__ = [
     "end_of",
     "is_hereditary",
     "is_linear_A",
-    "corner_decomposition",
     "hom_module",
     "min_left_approx_sequence",
     "check_module_dcp",

@@ -21,7 +21,6 @@ from .derived import (
     compose,
     composites,
     graded_hom,
-    make_object,
 )
 from .endalg import SCModule, end_of, forest_join, module_generators
 
@@ -63,6 +62,9 @@ def min_left_approx_sequence(y, t, algebra=None):
     # spanned by its basis, so rad Hom(y, t) is spanned by the basis vectors
     # a radical element hits, and the top by the heads: the basis vectors
     # that their idempotent fixes and no radical element hits.
+    # Idempotent l is summand l of the sorted t.summands (end_of, corner),
+    # so top0, and top1 below, list heads by idempotent in DerivedObject's
+    # order: position pos of a top is summand pos of T0 or T1.
     hit = {j for r in algebra.radical_indices() for j in m.images[r]}
     top0 = [
         (l, i)
@@ -70,9 +72,9 @@ def min_left_approx_sequence(y, t, algebra=None):
         for i in range(m.dim)
         if m.images[l][i] == i and i not in hit
     ]
-    t0, perm0 = make_object(alg, [t.summands[l] for l, _ in top0])
+    t0 = DerivedObject(alg, [t.summands[l] for l, _ in top0])
     f = DerivedMorphism(
-        y, t0, {(gens[i][0], perm0[pos]): 1 for pos, (_, i) in enumerate(top0)}
+        y, t0, {(gens[i][0], pos): 1 for pos, (_, i) in enumerate(top0)}
     )
 
     # Q0 = direct sum of projectives E e_l, basis (cover position, algebra
@@ -108,14 +110,13 @@ def min_left_approx_sequence(y, t, algebra=None):
 
     # The top of the kernel K, read in Q0 coordinates, gives T1 and g.
     top1 = module_generators(q0, kernel)
-    t1, perm1 = make_object(alg, [t.summands[l] for l, _ in top1])
+    t1 = DerivedObject(alg, [t.summands[l] for l, _ in top1])
 
     g_entries = {}
     for pos1, (_, kappa) in enumerate(top1):
         for (pos0, _), c in zip(q0_basis, kappa):
             if c:
-                key = (perm0[pos0], perm1[pos1])
-                g_entries[key] = g_entries.get(key, 0) + c
+                g_entries[pos0, pos1] = g_entries.get((pos0, pos1), 0) + c
     g = DerivedMorphism(t0, t1, g_entries)
     return ApproxSequence(t0, f, t1, g)
 

@@ -44,7 +44,10 @@ class ClassificationResult:
     n: int
     survivors: list = field(default_factory=list)
     matched: dict = field(default_factory=dict)
-    lambda_count: int = 0
+
+    @property
+    def lambda_count(self):
+        return len(self.survivors)
 
     def as_dict(self):
         return {
@@ -126,7 +129,6 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
         result.survivors.append(x)
         result.matched[x] = reference.get(x, "UNEXPECTED")
     result.survivors.sort(key=lambda x: x.summands)
-    result.lambda_count = len(result.survivors)
     return result
 
 

@@ -2,7 +2,7 @@
 
 Subcommands: hom, ext, end, approximate, check, classify, audit.
 Exit codes: 0 success / property holds, 1 property fails (check, audit),
-2 input error, 3 precondition violation.
+2 input error, 3 report not applicable.
 """
 
 import argparse
@@ -12,12 +12,7 @@ import sys
 
 from .quiver import Algebra, InputError, ext_dim, hom_dim, is_int
 from .derived import DerivedObject
-from .endalg import (
-    PreconditionError,
-    end_of,
-    is_hereditary,
-    is_linear_A,
-)
+from .endalg import end_of, is_hereditary, is_linear_A
 from .approx import min_left_approx_sequence
 from . import deciders
 from .classify import enumerate_and_classify, zero_path_audit
@@ -278,9 +273,6 @@ def run(argv=None):
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except PreconditionError as exc:
-        print("precondition violation: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
 
 
 def main():

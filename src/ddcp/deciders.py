@@ -17,7 +17,7 @@ purposes but distinguished from a genuine condition failure.
 from dataclasses import dataclass, field
 
 from .derived import DerivedObject, cone
-from .endalg import corner, corner_decomposition, end_of, is_hereditary
+from .endalg import corner, end_of, is_hereditary
 from .approx import (
     is_exact_at_middle,
     is_exact_sequence_with_zero,
@@ -291,9 +291,9 @@ def verify_homology_corners(x):
     group, must itself have the double centraliser property; and be tilting
     when the object is two-sided tilting (check_tilting_complex(x)).
 
-    Once check_ddcp(x) holds, every vertex has exactly one supporting shift,
-    so each slice lies inside the corner of its shift.  Both complex
-    deciders share one End(x)."""
+    Once check_ddcp(x) holds, each vertex's report records its one
+    supporting shift, and each slice lies inside the corner of the vertices
+    with its shift.  Both complex deciders share one End(x)."""
     report = DeciderReport("corners", False)
     algebra = end_of(x)
     ddcp = check_ddcp(x, algebra)
@@ -302,8 +302,11 @@ def verify_homology_corners(x):
         report.reasons.append("object does not have the derived property")
         return report
     tilting = bool(check_tilting_complex(x, "derived", algebra))
+    corners = {}
+    for pr in ddcp.projectives:
+        corners.setdefault(pr.degrees_found[0], []).append(pr.vertex)
     ok = True
-    for i, verts in corner_decomposition(x):
+    for i, verts in sorted(corners.items()):
         corner_alg = Algebra(len(verts))
         restricted = _restrict_to_corner(x.slice(i), verts)
         dcp = check_module_dcp(corner_alg, restricted)

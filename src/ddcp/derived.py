@@ -76,36 +76,12 @@ class DerivedObject:
         )
 
 
-def make_object(alg, pairs):
-    """Build a DerivedObject plus the permutation sending each input position
-    to its position in the canonically sorted summand tuple."""
-    pairs = list(pairs)
-    obj = DerivedObject(alg, pairs)
-    taken = [False] * len(obj.summands)
-    perm = []
-    for p in pairs:
-        for i, q in enumerate(obj.summands):
-            if not taken[i] and q == p:
-                taken[i] = True
-                perm.append(i)
-                break
-    return obj, perm
-
-
-def generator_degree(src_pair, tgt_pair):
-    """Degree of the (unique possible) generator between two summands, or
-    None when the shift gap rules any morphism out."""
-    (_, ss), (_, ts) = src_pair, tgt_pair
-    if ts == ss:
-        return HOM
-    if ts == ss + 1:
-        return EXT
-    return None
-
-
 def pair_space_dim(alg, src_pair, tgt_pair):
-    deg = generator_degree(src_pair, tgt_pair)
-    if deg is None:
+    """(dim, degree) of the space between two summands: the generator's
+    degree is the shift gap, Hom (0) or Ext^1 (1); any other gap admits no
+    morphism, (0, None)."""
+    deg = tgt_pair[1] - src_pair[1]
+    if deg not in (HOM, EXT):
         return 0, None
     return space_dim(alg, src_pair[0], tgt_pair[0], deg), deg
 

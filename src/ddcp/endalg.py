@@ -15,10 +15,6 @@ from .quiver import InputError
 from .derived import composites, graded_hom
 
 
-class PreconditionError(Exception):
-    """A decider or construction was invoked outside its hypotheses."""
-
-
 class SCAlgebra:
     """Finite-dimensional algebra given by a basis and a {0, 1} table.
 
@@ -225,30 +221,6 @@ def is_linear_A(c):
     if len(visited) != m:
         return None
     return m
-
-
-def corner_decomposition(x):
-    """Group the indecomposable projectives of the base algebra by the unique
-    shift of x whose slice supports their top vertex.
-
-    Returns a list of (shift, sorted vertex list).  Raises PreconditionError
-    when some vertex is supported in zero or several shifts (the
-    unique-degree condition fails).
-    """
-    alg = x.alg
-    degree_of = {}
-    for e in range(1, alg.n + 1):
-        degs = x.shifts_at(e)
-        if len(degs) != 1:
-            raise PreconditionError(
-                "vertex %d is supported in shifts %r, expected exactly one"
-                % (e, degs)
-            )
-        degree_of[e] = degs[0]
-    groups = {}
-    for e, d in degree_of.items():
-        groups.setdefault(d, []).append(e)
-    return [(d, sorted(groups[d])) for d in sorted(groups)]
 
 
 class SCModule:

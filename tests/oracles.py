@@ -9,7 +9,6 @@ from ddcp.derived import (
     compose,
     graded_hom,
     lift_chain,
-    make_object,
     to_chain,
 )
 from ddcp.exactmat import Mat, rank, solve
@@ -176,9 +175,10 @@ def minimality_check(f, t):
     if not is_left_approximation(f, t):
         return False
     for drop in range(len(f.tgt.summands)):
+        # kept is ascending, so its summands stay in sorted order
         kept = [i for i in range(len(f.tgt.summands)) if i != drop]
-        sub, perm = make_object(f.alg, [f.tgt.summands[i] for i in kept])
-        new_index = dict(zip(kept, perm))
+        sub = DerivedObject(f.alg, [f.tgt.summands[i] for i in kept])
+        new_index = {l: p for p, l in enumerate(kept)}
         remap = {
             (k, new_index[l]): c for (k, l), c in f.entries.items() if l != drop
         }

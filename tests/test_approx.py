@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
-from ddcp.derived import DerivedObject, make_object
+from ddcp.derived import DerivedObject
 from ddcp.endalg import SCModule, end_of, module_generators, regular_module
 from ddcp.exactmat import Mat, nullspace, rref, solve
 from ddcp.approx import (
@@ -208,7 +208,9 @@ def dense_generators(algebra, dim, actions):
     """Lifts of a basis of N / rad N for the module N of the given dimension
     with dense action matrices: the columns of the idempotents' actions that
     the radical's columns and the columns before them do not span, read off
-    the pivots of the row-reduced column matrix."""
+    the pivots of the row-reduced column matrix.  The candidates come
+    idempotent by idempotent and the pivots ascend, so the lifts are
+    grouped by ascending idempotent."""
     rad = [v for r in algebra.radical_indices() for v in actions[r].columns()]
     cands = [(e, v) for e in algebra.idempotents for v in actions[e].columns()]
     _, pivots = rref(Mat.from_cols(rad + [v for _, v in cands], nrows=dim))
@@ -219,12 +221,14 @@ def kernel_module_reference(y, t):
     """T1 and the entries of g by the kernel module: the kernel K of the
     cover Q0 -> Hom(y, t) is given dense action matrices in the coordinates
     of a kernel basis, one solve per algebra basis element, and its top is
-    mapped back to Q0 by that basis."""
+    mapped back to Q0 by that basis.  end_of(t)'s idempotent l is summand l
+    of the sorted t.summands, and dense_generators groups its lifts by
+    ascending idempotent, so the tops list T0's and T1's summands in
+    sorted order: position pos of a top is summand pos."""
     algebra = end_of(t)
     m, _ = hom_module(y, t, algebra)
     m_actions = dense_actions(m)
     top0 = dense_generators(algebra, m.dim, m_actions)
-    _, perm0 = make_object(y.alg, [t.summands[l] for l, _ in top0])
     q0_basis = [
         (pos, bi)
         for pos, (l, _) in enumerate(top0)
@@ -250,13 +254,13 @@ def kernel_module_reference(y, t):
         assert restricted is not None, "kernel not stable"
         k_actions.append(restricted)
     top1 = dense_generators(algebra, kbasis.ncols, k_actions)
-    t1, perm1 = make_object(y.alg, [t.summands[l] for l, _ in top1])
+    t1 = DerivedObject(y.alg, [t.summands[l] for l, _ in top1])
     g_entries = {}
     for pos1, (_, vec) in enumerate(top1):
         kappa = kbasis @ Mat.from_cols([vec], nrows=kbasis.ncols)
         for i, (pos0, _) in enumerate(q0_basis):
             if kappa[i, 0]:
-                key = (perm0[pos0], perm1[pos1])
+                key = (pos0, pos1)
                 g_entries[key] = g_entries.get(key, Fraction(0)) + kappa[i, 0]
     return t1, g_entries
 

@@ -14,7 +14,6 @@ from ddcp.derived import (
     cone,
     graded_hom,
     lift_chain,
-    make_object,
     to_chain,
 )
 from ddcp.exactmat import Mat
@@ -39,22 +38,6 @@ def test_object_normalization_and_slices():
     assert x.is_basic()
     dup = obj(alg, (1, 1, 0), (1, 1, 0))
     assert not dup.is_basic()
-
-
-def test_make_object_permutation():
-    alg = Algebra(3)
-    pairs = [(Interval(2, 3), 1), (Interval(1, 1), 0)]
-    x, perm = make_object(alg, pairs)
-    for pos, p in enumerate(pairs):
-        assert x.summands[perm[pos]] == p
-
-
-def test_make_object_accepts_an_iterator():
-    alg = Algebra(3)
-    pairs = [(Interval(2, 3), 1), (Interval(1, 1), 0)]
-    x, perm = make_object(alg, iter(pairs))
-    assert x == DerivedObject(alg, pairs)
-    assert perm == [1, 0]
 
 
 def test_object_rejects_non_integer_shifts():

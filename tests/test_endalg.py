@@ -6,11 +6,11 @@ import pytest
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedMorphism, DerivedObject, compose
 from ddcp.approx import hom_module
+from ddcp.classify import make_T, make_V
+from ddcp.deciders import verify_homology_corners
 from ddcp.endalg import (
-    PreconditionError,
     SCAlgebra,
     corner,
-    corner_decomposition,
     end_of,
     is_hereditary,
     is_linear_A,
@@ -112,27 +112,20 @@ def corner_algebra(alg, verts):
     return end_of(DerivedObject(alg, [(alg.projective(e), 0) for e in verts]))
 
 
-def test_corner_decomposition_groups():
+def test_homology_corners_group_vertices_by_shift():
+    """verify_homology_corners reads each vertex's shift off check_ddcp's
+    projective reports and checks one corner per shift, in shift order."""
     alg = Algebra(3)
-    t1 = obj(alg, (1, 1, 0), (2, 2, 1), (2, 3, 1))
-    groups = corner_decomposition(t1)
-    assert groups == [(0, [1]), (1, [2, 3])]
-    assert is_linear_A(corner_algebra(alg, groups[0][1])) == 1
-    assert is_linear_A(corner_algebra(alg, groups[1][1])) == 2
-    v2 = obj(alg, (2, 3, 0), (1, 3, 0), (1, 2, 0))
-    groups = corner_decomposition(v2)
-    assert groups == [(0, [1, 2, 3])]
-    assert is_linear_A(corner_algebra(alg, groups[0][1])) == 3
-
-
-def test_corner_decomposition_violation():
-    alg = Algebra(3)
-    bad = obj(alg, (1, 1, 0), (3, 3, 5))
-    with pytest.raises(PreconditionError):
-        corner_decomposition(bad)  # vertex 2 unsupported
-    double = obj(alg, (1, 2, 0), (2, 3, 1))
-    with pytest.raises(PreconditionError):
-        corner_decomposition(double)  # vertex 2 in two shifts
+    assert verify_homology_corners(make_T(alg, 1)).reasons == [
+        "shift 0 over chain algebra of 1: dcp=True tilting=True",
+        "shift 1 over chain algebra of 2: dcp=True tilting=True",
+    ]
+    assert verify_homology_corners(make_V(alg, 2)).reasons == [
+        "shift 0 over chain algebra of 3: dcp=True",
+    ]
+    # the corners of T_1 are {1} and {2, 3}, that of V_2 is {1, 2, 3}
+    for verts in ([1], [2, 3], [1, 2, 3]):
+        assert is_linear_A(corner_algebra(alg, verts)) == len(verts)
 
 
 def test_regular_module_and_generators():
