@@ -128,6 +128,18 @@ def test_homology_corners_group_vertices_by_shift():
         assert is_linear_A(corner_algebra(alg, verts)) == len(verts)
 
 
+def test_corner_decomposition_violation():
+    """Objects whose vertices are not each in exactly one shift get no
+    homology corners: verify_homology_corners reports them not applicable."""
+    alg = Algebra(3)
+    bad = obj(alg, (1, 1, 0), (3, 3, 5))  # vertex 2 unsupported
+    double = obj(alg, (1, 2, 0), (2, 3, 1))  # vertex 2 in two shifts
+    for x in (bad, double):
+        r = verify_homology_corners(x)
+        assert not r.applicable
+        assert r.reasons == ["object does not have the derived property"]
+
+
 def test_regular_module_and_generators():
     alg = Algebra(3)
     e = end_of(full_projectives(alg))
