@@ -7,12 +7,12 @@ summand pair whose Hom space (equal shifts) or Ext^1 space (target shift one
 higher) is nonzero.  Composition has a closed {0, 1} form; the test suite
 checks it against honest chain-level computation in K^b(proj).  Mapping cones
 are computed at chain level, from two-term projective resolutions and chain
-maps.
+maps.  Every map here, a morphism's entries as much as a chain differential
+or lift, is sparse: {(source index, target index): nonzero Fraction}.
 """
 
 from fractions import Fraction
 
-from .exactmat import Mat, hstack, vstack
 from .quiver import EXT, HOM, InputError, Interval, is_int, space_dim
 
 
@@ -114,23 +114,37 @@ def composites(acting, gens):
     ]
 
 
+def compose_entries(f, g):
+    """g after f for sparse maps {(source, target): scalar}, zero sums left
+    out."""
+    by_source = {}
+    for (j, i), c in g.items():
+        by_source.setdefault(j, []).append((i, c))
+    out = {}
+    for (k, j), c in f.items():
+        for i, d in by_source.get(j, ()):
+            out[k, i] = out.get((k, i), 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
 class DerivedMorphism:
+    """A scalar per (source summand, target summand) pair.  The constructor
+    keeps the nonzero entries as Fractions; validate() checks them."""
+
     def __init__(self, src, tgt, entries):
         self.alg = src.alg
         self.src = src
         self.tgt = tgt
-        clean = {}
-        for (k, l), c in entries.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            d, _ = pair_space_dim(self.alg, src.summands[k], tgt.summands[l])
-            if not d:
-                raise InputError(
-                    "entry (%d, %d) has no morphism space" % (k, l)
-                )
-            clean[(k, l)] = c
-        self.entries = clean
+        self.entries = {kl: q for kl, c in entries.items() if (q := Fraction(c))}
+
+    def validate(self):
+        """Raise InputError unless every entry joins a source and a target
+        summand whose morphism space is nonzero."""
+        src, tgt = self.src.summands, self.tgt.summands
+        for k, l in self.entries:
+            if not (0 <= k < len(src) and 0 <= l < len(tgt)
+                    and pair_space_dim(self.alg, src[k], tgt[l])[0]):
+                raise InputError("entry (%d, %d) has no morphism space" % (k, l))
 
     def is_zero(self):
         return not self.entries
@@ -140,58 +154,50 @@ class DerivedMorphism:
 
 
 def compose(f, g):
-    """g after f, via the combinatorial composition rule."""
+    """g after f, via the combinatorial composition rule: the product of
+    the entries, kept where the outer pair has a morphism space."""
     if g.src is not f.tgt and g.src != f.tgt:
         raise InputError("non-composable derived morphisms")
-    alg = f.alg
-    entries = {}
-    for (k, l), c in f.entries.items():
-        for (l2, m), d in g.entries.items():
-            if l2 != l:
-                continue
-            if pair_space_dim(alg, f.src.summands[k], g.tgt.summands[m])[0]:
-                key = (k, m)
-                entries[key] = entries.get(key, Fraction(0)) + c * d
-    return DerivedMorphism(f.src, g.tgt, entries)
+    src, tgt = f.src.summands, g.tgt.summands
+    return DerivedMorphism(f.src, g.tgt, {
+        (k, m): c
+        for (k, m), c in compose_entries(f.entries, g.entries).items()
+        if pair_space_dim(f.alg, src[k], tgt[m])[0]
+    })
 
 
 class ChainComplex:
     """Bounded complex of projective interval modules.
 
     comps maps degree -> list of vertex labels (entry e is the projective
-    with top at vertex e); diffs maps degree k to the scalar matrix of the
-    differential into degree k+1, against canonical generators.  The
+    with top at vertex e); diffs maps degree k to the differential into
+    degree k+1, sparse against canonical generators: {(j, i): c} sends
+    generator j of degree k to c times generator i of degree k+1.  The
     constructor only stores its arguments; validate() checks them.
     """
 
     def __init__(self, alg, comps, diffs):
         self.alg = alg
         self.comps = {k: list(v) for k, v in comps.items() if v}
-        self.diffs = {k: m for k, m in diffs.items() if m.nrows and m.ncols}
+        self.diffs = {k: d for k, d in diffs.items() if d}
 
     def validate(self):
-        """Raise InputError unless every differential has the shape of its
-        degrees, maps P(c) only to projectives P(r) with r <= c (the only
-        nonzero Hom spaces), and the differentials square to zero."""
+        """Raise InputError unless every entry joins generators of its
+        degrees k and k+1, maps P(c) only to a projective P(r) with r <= c
+        (the only nonzero Hom spaces), and the differentials square to
+        zero."""
         for k, d in self.diffs.items():
             cols = self.comps.get(k, [])
             rows = self.comps.get(k + 1, [])
-            if (d.nrows, d.ncols) != (len(rows), len(cols)):
-                raise InputError("differential shape mismatch at %d" % k)
-            for i, r in enumerate(rows):
-                for j, c in enumerate(cols):
-                    if d[i, j] and r > c:
-                        raise InputError(
-                            "no morphism P(%d) -> P(%d) at %d" % (c, r, k)
-                        )
-            nxt = self.diffs.get(k + 1)
-            if nxt is not None and not (nxt @ d).is_zero():
+            for j, i in d:
+                if not (0 <= j < len(cols) and 0 <= i < len(rows)):
+                    raise InputError("differential shape mismatch at %d" % k)
+                if rows[i] > cols[j]:
+                    raise InputError(
+                        "no morphism P(%d) -> P(%d) at %d" % (cols[j], rows[i], k)
+                    )
+            if compose_entries(d, self.diffs.get(k + 1, {})):
                 raise InputError("chain differential does not square to zero")
-
-    def diff(self, k):
-        rows = len(self.comps.get(k + 1, []))
-        cols = len(self.comps.get(k, []))
-        return self.diffs.get(k, Mat(rows, cols))
 
 
 def to_chain(alg, x):
@@ -207,50 +213,39 @@ def to_chain(alg, x):
     syz_pos = []
 
     def push(deg, label):
-        comps.setdefault(deg, [])
-        comps[deg].append(label)
+        comps.setdefault(deg, []).append(label)
         return deg, len(comps[deg]) - 1
 
     for iv, s in x.summands:
         cover_pos.append(push(-s, iv.a))
         syz_pos.append(push(-s - 1, iv.b + 1) if iv.b < alg.n else None)
     diffs = {}
-    for k in comps:
-        if k + 1 in comps:
-            diffs[k] = Mat(len(comps[k + 1]), len(comps[k]))
-    for idx, (iv, s) in enumerate(x.summands):
-        if syz_pos[idx] is not None:
-            deg, col = syz_pos[idx]
-            _, row = cover_pos[idx]
-            diffs[deg][row, col] = 1
+    for syz, (_, row) in zip(syz_pos, cover_pos):
+        if syz is not None:
+            deg, col = syz
+            diffs.setdefault(deg, {})[col, row] = Fraction(1)
     return ChainComplex(alg, comps, diffs), cover_pos, syz_pos
 
 
 def lift_chain(f, src_chain, tgt_chain):
-    """Chain map representing a derived morphism, as degree -> scalar Mat,
-    between the to_chain representatives of its ends."""
-    cx, cx_cover, cx_syz = src_chain
-    cy, cy_cover, cy_syz = tgt_chain
-    mats = {}
-    for k in cx.comps:
-        mats[k] = Mat(len(cy.comps.get(k, [])), len(cx.comps[k]))
+    """Chain map representing a derived morphism, as degree -> sparse map
+    {(source index, target index): c}, between the to_chain representatives
+    of its ends."""
+    _, cx_cover, cx_syz = src_chain
+    _, cy_cover, cy_syz = tgt_chain
+    maps = {}
     for (k, l), c in f.entries.items():
-        (siv, ss) = f.src.summands[k]
-        (tiv, ts) = f.tgt.summands[l]
-        if ts == ss:
+        if f.tgt.summands[l][1] == f.src.summands[k][1]:
             deg, col = cx_cover[k]
-            _, row = cy_cover[l]
-            mats[deg][row, col] += c
+            maps.setdefault(deg, {})[col, cy_cover[l][1]] = c
             if cx_syz[k] is not None:
                 # tgt syzygy exists whenever the source one does (t.b <= s.b)
                 deg2, col2 = cx_syz[k]
-                _, row2 = cy_syz[l]
-                mats[deg2][row2, col2] += c
+                maps.setdefault(deg2, {})[col2, cy_syz[l][1]] = c
         else:
             deg, col = cx_syz[k]
-            _, row = cy_cover[l]
-            mats[deg][row, col] += c
-    return mats
+            maps.setdefault(deg, {})[col, cy_cover[l][1]] = c
+    return maps
 
 
 def chain_homology_object(alg, chain):
@@ -273,20 +268,19 @@ def chain_homology_object(alg, chain):
     cycles = []  # (degree, index) of the generators whose column reduces to 0
     killed = set()  # (degree, index) of the generators some column kills
     for k, cols in chain.comps.items():
-        d = chain.diffs.get(k)
-        if d is None:
-            cycles.extend((k, j) for j in range(len(cols)))
-            continue
-        rows = chain.comps[k + 1]
+        rows = chain.comps.get(k + 1, [])
         order = sorted(range(len(rows)), key=rows.__getitem__)
         place = {i: p for p, i in enumerate(order)}
+        columns = {}  # column j -> {row place: entry}
+        for (j, i), c in chain.diffs.get(k, {}).items():
+            columns.setdefault(j, {})[place[i]] = c
         reduced = {}  # lowest row place -> reduced column with that low
         for j in sorted(range(len(cols)), key=cols.__getitem__):
-            col = {place[i]: d[i, j] for i in range(d.nrows) if d[i, j]}
+            col = columns.get(j, {})
             low = max(col, default=None)
             while low in reduced:
                 other = reduced[low]
-                c = col[low] / other[low]
+                c = Fraction(col[low], other[low])  # exact for int entries too
                 for p, x in other.items():
                     y = col.get(p, 0) - c * x
                     if y:
@@ -313,28 +307,23 @@ def cone(g):
     alg = g.alg
     src_chain = to_chain(alg, g.src)
     tgt_chain = to_chain(alg, g.tgt)
-    cx = src_chain[0]
-    cy = tgt_chain[0]
+    cx, cy = src_chain[0], tgt_chain[0]
     lifted = lift_chain(g, src_chain, tgt_chain)
-    degrees = set(cy.comps) | {k - 1 for k in cx.comps}
-    comps = {}
-    for k in degrees:
-        labels = list(cy.comps.get(k, [])) + list(cx.comps.get(k + 1, []))
-        if labels:
-            comps[k] = labels
+    comps = {
+        k: cy.comps.get(k, []) + cx.comps.get(k + 1, [])
+        for k in set(cy.comps) | {k - 1 for k in cx.comps}
+    }
+    # d^k = [[d_tgt^k, g^{k+1}], [0, -d_src^{k+1}]]: the source's generators
+    # follow the target's in each degree, so their indices are offset
     diffs = {}
     for k in comps:
-        if k + 1 not in comps:
-            continue
         ytop = len(cy.comps.get(k, []))
-        xtop = len(cx.comps.get(k + 1, []))
         ybot = len(cy.comps.get(k + 1, []))
-        xbot = len(cx.comps.get(k + 2, []))
-        gk = lifted.get(k + 1, Mat(ybot, xtop))
-        diffs[k] = vstack([
-            hstack([cy.diff(k), gk]),
-            hstack([Mat(xbot, ytop), -cx.diff(k + 1)]),
-        ])
+        d = dict(cy.diffs.get(k, {}))
+        for (j, i), c in lifted.get(k + 1, {}).items():
+            d[ytop + j, i] = c
+        for (j, i), c in cx.diffs.get(k + 1, {}).items():
+            d[ytop + j, ybot + i] = -c
+        diffs[k] = d
     chain = ChainComplex(alg, comps, diffs)
     return chain_homology_object(alg, chain)
-

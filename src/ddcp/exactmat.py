@@ -1,10 +1,10 @@
-"""Dense exact-rational matrices.
+"""Dense exact-rational matrices, a test reference only.
 
-The chain lifts and differentials of the derived route are scalar
-matrices; elimination (rref, and the rank, kernels and solves built on it)
-serves only the reference computations of the tests.  Matrices here are
-tiny (rarely more than ~40 rows), so a plain dense Fraction implementation
-is exact and fast enough.
+No production path builds a Mat: the derived route's chain lifts and
+differentials are sparse maps (derived.py).  The representation references
+(reps.py) and the tests build these matrices and eliminate (rref, and the
+rank, kernels and solves built on it).  Matrices here are tiny, so a plain
+dense Fraction implementation is exact and fast enough.
 """
 
 from fractions import Fraction
@@ -131,21 +131,6 @@ def hstack(mats, nrows=None):
         for i in range(nrows):
             rows[i].extend(m.rows[i])
     return Mat(nrows, sum(m.ncols for m in mats), rows)
-
-
-def vstack(mats, ncols=None):
-    mats = list(mats)
-    if not mats:
-        if ncols is None:
-            raise ValueError("ncols required for empty vstack")
-        return Mat(0, ncols)
-    ncols = mats[0].ncols
-    rows = []
-    for m in mats:
-        if m.ncols != ncols:
-            raise ValueError("column mismatch in vstack")
-        rows.extend(row[:] for row in m.rows)
-    return Mat(sum(m.nrows for m in mats), ncols, rows)
 
 
 def rref(m):

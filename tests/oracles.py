@@ -1,12 +1,11 @@
 """Brute-force references that the closed-form rules are checked against."""
 
-from fractions import Fraction
-
 from ddcp import reps
 from ddcp.derived import (
     DerivedMorphism,
     DerivedObject,
     compose,
+    compose_entries,
     graded_hom,
     lift_chain,
     to_chain,
@@ -110,14 +109,10 @@ def chain_rep(alg, chain):
     for k, labels in chain.comps.items():
         ivs[k] = [Interval(e, alg.n) for e in labels]
         comps[k] = reps.realize(alg, ivs[k])
-    diffs = {}
-    for k, m in chain.diffs.items():
-        entries = {}
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                if m[i, j]:
-                    entries[(j, i)] = m[i, j]
-        diffs[k] = reps.rep_morphism(alg, ivs[k], ivs[k + 1], entries)
+    diffs = {
+        k: reps.rep_morphism(alg, ivs[k], ivs[k + 1], d)
+        for k, d in chain.diffs.items()
+    }
     return comps, diffs
 
 
@@ -191,9 +186,9 @@ def derived_identity(x):
     return DerivedMorphism(x, x, {(k, k): 1 for k in range(len(x.summands))})
 
 
-def homotopy_project(alg, y, x, mats, src_chain=None, tgt_chain=None):
-    """Express a chain map C(y) -> C(x) in the canonical generator basis of
-    Hom_{D^b}(y, x), modulo null-homotopies."""
+def homotopy_project(alg, y, x, maps, src_chain=None, tgt_chain=None):
+    """Express a chain map C(y) -> C(x), as lift_chain gives one, in the
+    canonical generator basis of Hom_{D^b}(y, x), modulo null-homotopies."""
     if src_chain is None:
         src_chain = to_chain(alg, y)
     if tgt_chain is None:
@@ -224,25 +219,22 @@ def homotopy_project(alg, y, x, mats, src_chain=None, tgt_chain=None):
         nc = len(cy.comps.get(k, []))
         if nr == 0 or nc == 0:
             continue
-        fk = mats.get(k, Mat(nr, nc))
-        dx_prev = cx.diff(k - 1)  # C(x)^{k-1} -> C(x)^k
-        dy_k = cy.diff(k)  # C(y)^k -> C(y)^{k+1}
+        fk = maps.get(k, {})
+        dx_prev = cx.diffs.get(k - 1, {})  # C(x)^{k-1} -> C(x)^k
+        dy_k = cy.diffs.get(k, {})  # C(y)^k -> C(y)^{k+1}
         for i in range(nr):
             for j in range(nc):
-                row = [Fraction(0)] * nvars
-                for gidx in range(len(gens)):
-                    lm = lifts[gidx].get(k)
-                    if lm is not None and lm.nrows == nr and lm[i, j]:
-                        row[gidx] = lm[i, j]
+                row = [lift.get(k, {}).get((j, i), 0) for lift in lifts]
+                row += [0] * len(hvars)
                 for hidx, (hk, hi, hj) in enumerate(hvars):
                     # (d_x^{k-1} s^k)[i, j]
-                    if hk == k and hj == j and dx_prev.ncols > hi:
-                        row[len(gens) + hidx] += dx_prev[i, hi]
+                    if hk == k and hj == j:
+                        row[len(gens) + hidx] += dx_prev.get((hi, i), 0)
                     # (s^{k+1} d_y^k)[i, j]
-                    if hk == k + 1 and hi == i and dy_k.nrows > hj:
-                        row[len(gens) + hidx] += dy_k[hj, j]
+                    if hk == k + 1 and hi == i:
+                        row[len(gens) + hidx] += dy_k.get((j, hj), 0)
                 rows.append(row)
-                rhs.append([fk[i, j]])
+                rhs.append([fk.get((j, i), 0)])
     if not rows:
         return DerivedMorphism(y, x, {})
     system = Mat.from_rows(rows, ncols=nvars)
@@ -268,18 +260,7 @@ def chain_homotopy_compose(f, g):
     ch_tgt = to_chain(alg, g.tgt)
     lf = lift_chain(f, ch_src, ch_mid)
     lg = lift_chain(g, ch_mid, ch_tgt)
-    comp = {}
-    cx = ch_src[0]
-    cz = ch_tgt[0]
-    for k in cx.comps:
-        nr = len(cz.comps.get(k, []))
-        nc = len(cx.comps[k])
-        a = lg.get(k)
-        b = lf.get(k)
-        if a is None or b is None or a.nrows == 0:
-            comp[k] = Mat(nr, nc)
-        else:
-            comp[k] = a @ b
+    comp = {k: compose_entries(lf[k], lg.get(k, {})) for k in lf}
     return homotopy_project(alg, f.src, g.tgt, comp, ch_src, ch_tgt)
 
 

@@ -386,16 +386,22 @@ def test_rank_counts_match_subrepresentation_reference(monkeypatch):
 
 
 def test_module_route_does_no_elimination(monkeypatch):
-    """The module route decides on the approximation sequence it built: no
-    rref, which rank, solve and nullspace all go through, and no
-    RepMorphism."""
+    """Neither route builds a matrix: the module route decides on the
+    approximation sequence it built, the derived route reduces sparse cone
+    differentials.  So no rref, which rank, solve and nullspace all go
+    through, no Mat and no RepMorphism."""
     counts = Counter()
     rref = exactmat.rref
+    mat_init = exactmat.Mat.__init__
     init = reps.RepMorphism.__init__
 
     def counting_rref(m):
         counts["rref"] += 1
         return rref(m)
+
+    def counting_mat_init(self, *args):
+        counts["Mat"] += 1
+        mat_init(self, *args)
 
     def counting_init(self, *args):
         counts["RepMorphism"] += 1
@@ -404,6 +410,7 @@ def test_module_route_does_no_elimination(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("ddcp") and getattr(module, "rref", None) is rref:
             monkeypatch.setattr(module, "rref", counting_rref)
+    monkeypatch.setattr(exactmat.Mat, "__init__", counting_mat_init)
     monkeypatch.setattr(reps.RepMorphism, "__init__", counting_init)
     for alg, multiset in small_basic_modules():
         check_module_dcp(alg, multiset)
@@ -411,10 +418,12 @@ def test_module_route_does_no_elimination(monkeypatch):
     for x in criterion_3_objects():
         check_ddcp(x)
         check_tilting_module_route(x)
+        check_ddcp_derived(x)
+        check_tilting_complex(x, "derived")
     assert counts == Counter()
     # the counters do see the references, which eliminate
     alg = Algebra(2)
     reps.kernel(
         reps.rep_morphism(alg, [Interval(1, 2)], [Interval(1, 1)], {(0, 0): 1})
     )
-    assert counts["rref"] and counts["RepMorphism"]
+    assert counts["rref"] and counts["Mat"] and counts["RepMorphism"]

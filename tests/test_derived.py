@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -11,12 +12,12 @@ from ddcp.derived import (
     DerivedObject,
     chain_homology_object,
     compose,
+    compose_entries,
     cone,
     graded_hom,
     lift_chain,
     to_chain,
 )
-from ddcp.exactmat import Mat
 from oracles import (
     chain_homology_reference,
     chain_homotopy_compose,
@@ -65,8 +66,10 @@ def test_morphism_entry_validation():
     alg = Algebra(3)
     x = obj(alg, (3, 3, 0))
     y = obj(alg, (1, 1, 0))
-    with pytest.raises(InputError):
-        DerivedMorphism(x, y, {(0, 0): 1})
+    DerivedMorphism(y, y, {(0, 0): 1}).validate()
+    for entries in ({(0, 0): 1}, {(1, 0): 1}, {(0, -1): 1}):
+        with pytest.raises(InputError, match="no morphism space"):
+            DerivedMorphism(x, y, entries).validate()
 
 
 def test_to_chain_and_lift_are_chain_maps():
@@ -82,13 +85,14 @@ def test_to_chain_and_lift_are_chain_maps():
         cy = to_chain(alg, y)
         for k, l, _deg in graded_hom(alg, x, y):
             f = DerivedMorphism(x, y, {(k, l): 1})
-            mats = lift_chain(f, cx, cy)
+            maps = lift_chain(f, cx, cy)
+            assert maps
             for deg in cx[0].comps:
-                lm = mats[deg]
-                dy = cy[0].diff(deg)
-                dx = cx[0].diff(deg)
-                nxt = mats.get(deg + 1, Mat(dy.nrows, dx.nrows))
-                assert dy @ lm == nxt @ dx
+                lm = maps.get(deg, {})
+                dy = cy[0].diffs.get(deg, {})
+                dx = cx[0].diffs.get(deg, {})
+                nxt = maps.get(deg + 1, {})
+                assert compose_entries(lm, dy) == compose_entries(dx, nxt)
 
 
 def exhaustive_objects(alg, count, seed):
@@ -151,23 +155,33 @@ def test_cone_collapses_syzygy():
 def test_chain_complex_rejects_bad_differential():
     alg = Algebra(3)
     comps = {0: [3], 1: [3], 2: [3]}
-    d = Mat.identity(1)
+    d = {(0, 0): Fraction(1)}
     with pytest.raises(InputError):
         ChainComplex(alg, comps, {0: d, 1: d}).validate()
 
 
 def test_chain_complex_rejects_entry_without_morphism():
     alg = Algebra(3)
-    ChainComplex(alg, {0: [2], 1: [1]}, {0: Mat.identity(1)}).validate()
+    d = {(0, 0): Fraction(1)}
+    ChainComplex(alg, {0: [2], 1: [1]}, {0: d}).validate()
     # Hom(P(1), P(2)) = 0: X(1, 3) does not map into X(2, 3)
     with pytest.raises(InputError, match="no morphism"):
-        ChainComplex(alg, {0: [1], 1: [2]}, {0: Mat.identity(1)}).validate()
+        ChainComplex(alg, {0: [1], 1: [2]}, {0: d}).validate()
 
 
 def test_chain_complex_rejects_differential_shape():
+    """Every entry must join a generator of degree k to one of degree k+1."""
     alg = Algebra(3)
-    with pytest.raises(InputError, match="shape"):
-        ChainComplex(alg, {0: [3], 1: [1, 2]}, {0: Mat.identity(1)}).validate()
+    comps = {0: [3], 1: [1, 2]}
+    ChainComplex(alg, comps, {0: {(0, 1): Fraction(1)}}).validate()
+    for diffs in (
+        {0: {(1, 0): Fraction(1)}},  # no second generator in degree 0
+        {0: {(0, 2): Fraction(1)}},  # no third generator in degree 1
+        {0: {(0, -1): Fraction(1)}},
+        {1: {(0, 0): Fraction(1)}},  # no degree 2
+    ):
+        with pytest.raises(InputError, match="shape"):
+            ChainComplex(alg, comps, diffs).validate()
 
 
 def derived_route_cones(monkeypatch):
@@ -217,6 +231,9 @@ def test_cone_matches_representation_reference(monkeypatch):
     chains = []
 
     def recording(alg, chain):
+        assert all(
+            type(c) is Fraction for d in chain.diffs.values() for c in d.values()
+        )
         chains.append(chain)
         return chain_homology_object(alg, chain)
 

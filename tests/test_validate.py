@@ -1,8 +1,9 @@
-"""The constructors of SCAlgebra, SCModule, RepMorphism and ChainComplex only
-store their arguments, so each validator is exercised here: over every
-instance the library builds for a population of objects and modules (the
-library builds no RepMorphism; the test references do), and against a broken
-instance it must reject."""
+"""The constructors of SCAlgebra, SCModule, RepMorphism, ChainComplex and
+DerivedMorphism only store their arguments (DerivedMorphism's as nonzero
+Fractions), so each validator is exercised here: over every instance the
+library builds for a population of objects and modules (the library builds
+no RepMorphism; the test references do), and against a broken instance it
+must reject."""
 
 from collections import Counter
 from itertools import combinations
@@ -19,7 +20,7 @@ from ddcp.deciders import (
     check_tilting_module,
     verify_homology_corners,
 )
-from ddcp.derived import ChainComplex, DerivedObject
+from ddcp.derived import ChainComplex, DerivedMorphism, DerivedObject
 from ddcp.endalg import SCAlgebra, SCModule, regular_module
 from ddcp.exactmat import Mat
 from ddcp.quiver import Algebra, InputError, Interval
@@ -41,14 +42,17 @@ def validating(cls, counts):
 
 @pytest.fixture
 def validated(monkeypatch):
-    """Validate every SCAlgebra, SCModule and ChainComplex the library
-    builds; returns the number validated per class."""
+    """Validate every SCAlgebra, SCModule, ChainComplex and DerivedMorphism
+    the library builds; returns the number validated per class."""
     counts = Counter()
     module = validating(SCModule, counts)
+    morphism = validating(DerivedMorphism, counts)
     monkeypatch.setattr(endalg, "SCAlgebra", validating(SCAlgebra, counts))
     monkeypatch.setattr(endalg, "SCModule", module)
     monkeypatch.setattr(approx, "SCModule", module)
     monkeypatch.setattr(derived, "ChainComplex", validating(ChainComplex, counts))
+    monkeypatch.setattr(derived, "DerivedMorphism", morphism)
+    monkeypatch.setattr(approx, "DerivedMorphism", morphism)
     return counts
 
 
@@ -86,7 +90,9 @@ def test_every_built_instance_validates(validated):
         check_module_dcp(alg, multiset)
         check_tilting_module(alg, multiset)
     enumerate_and_classify(Algebra(4))
-    assert set(validated) == {"SCAlgebra", "SCModule", "ChainComplex"}
+    assert set(validated) == {
+        "SCAlgebra", "SCModule", "ChainComplex", "DerivedMorphism"
+    }
     assert min(validated.values()) > 0
 
 
