@@ -35,7 +35,10 @@ def hom_module(y, t, algebra):
     # the idempotent ("e", s) is the degree-0 generator s -> s
     acting = [(lab[1], lab[1], 0) if lab[0] == "e" else lab[1:]
               for lab in algebra.basis]
-    return SCModule(algebra, len(gens), composites(acting, gens)), gens
+    images = [[None] * len(gens) for _ in acting]
+    for (a, j), k in composites(acting, gens).items():
+        images[a][j] = k
+    return SCModule(algebra, len(gens), images), gens
 
 
 @dataclass

@@ -6,7 +6,16 @@ basic with exactly n summands, and its endomorphism algebra must be the chain
 algebra itself, which forces every pair of summands to be comparable (some
 nonzero Hom or Ext space in one direction).  Candidates are therefore
 enumerated as n-cliques in the comparability graph on (interval, shift)
-atoms.
+atoms.  Shift window 2 is complete up to shift: End(x) = A_n needs every
+pair of summands comparable, since e_j A_n e_i is nonzero for all i <= j,
+and no morphism crosses a shift gap of two or more (pair_space_dim; a
+hereditary algebra has no Ext^2).  So a candidate spans at most two
+consecutive shifts, which shift normalisation makes {0, 1}.
+
+Each shift-normalised candidate then meets three necessary conditions, in
+order of cost: is_linear_A(End(x)), deciders.ddcp_precheck (check_ddcp's
+rules that need no approximation sequence) and check_ddcp itself.  The
+order is free, since a pre-check reason is itself a check_ddcp failure.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +25,7 @@ from itertools import combinations
 from .quiver import InputError, hom_dim
 from .derived import DerivedObject, pair_space_dim
 from .endalg import end_of, is_linear_A
-from .deciders import check_ddcp
+from .deciders import check_ddcp, ddcp_precheck
 
 
 def make_V(alg, m):
@@ -71,30 +80,32 @@ def _comparable(alg, p, q):
 
 
 def _clique_candidates(alg, atoms, size):
-    """All size-cliques of the comparability graph, as index tuples."""
-    m = len(atoms)
-    adj = [set() for _ in range(m)]
-    for i, j in combinations(range(m), 2):
+    """All size-cliques of the comparability graph, as increasing index
+    tuples in lexicographic order.  Vertex sets are int bitsets: later[i]
+    holds the atoms after i comparable with it, and a branch stops once
+    fewer atoms remain allowed than the clique still needs (Bron and
+    Kerbosch's bounding, without pivots, since every clique of this size is
+    wanted)."""
+    later = [0] * len(atoms)
+    for i, j in combinations(range(len(atoms)), 2):
         if _comparable(alg, atoms[i], atoms[j]):
-            adj[i].add(j)
-            adj[j].add(i)
+            later[i] |= 1 << j
     out = []
 
-    def grow(clique, allowed, start):
+    def grow(clique, allowed):
         if len(clique) == size:
             out.append(tuple(clique))
             return
         need = size - len(clique)
-        for i in sorted(allowed):
-            if i < start:
-                continue
-            if m - i < need:
-                break
+        while allowed.bit_count() >= need:
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
             clique.append(i)
-            grow(clique, allowed & adj[i], i + 1)
+            grow(clique, allowed & later[i])
             clique.pop()
 
-    grow([], set(range(m)), 0)
+    grow([], (1 << len(atoms)) - 1)
     return out
 
 
@@ -102,7 +113,12 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
     """Search all basic n-summand objects with shifts in [0, degree_window),
     minimum shift zero, keep those whose endomorphism algebra is the chain
     algebra and which pass the double-centraliser decider, and match them
-    against the constructive families."""
+    against the constructive families.
+
+    Candidates are checked by is_linear_A, then ddcp_precheck, then
+    check_ddcp (see the module docstring for why the order is free and
+    why degree_window=2 is complete up to shift).  n above bound raises
+    InputError; library callers pass bound=n for a larger n."""
     n = alg.n
     if degree_window < 1:
         raise InputError("degree window must be at least 1: %d" % degree_window)
@@ -123,6 +139,8 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
         x = DerivedObject(alg, pairs)
         algebra = end_of(x)
         if is_linear_A(algebra) != n:
+            continue
+        if ddcp_precheck(x) is not None:
             continue
         if not check_ddcp(x, algebra):
             continue

@@ -137,6 +137,44 @@ def check_tilting_module(alg, multiset):
     ])
 
 
+def _shift_failure(shifts):
+    return "supported in shifts %r, expected exactly one" % shifts
+
+
+def kernel_interval(x, e, i):
+    """Kernel of P(e) -> X0, the minimal approximation of P(e) by x's shift-i
+    slice (i the one shift supporting e): X(b + 1, n), b the largest right
+    end of a shift-i summand containing e, or None when b = n.  Some X0
+    summand ends at that b, since P(e) -> X(a, b) factors only through
+    summands ending at b or later, and f hits each, so f maps P(e) = X(e, n)
+    onto X(e, b)."""
+    b = max(iv.b for iv, s in x.summands if s == i and iv.a <= e <= iv.b)
+    return Interval(b + 1, x.alg.n) if b < x.alg.n else None
+
+
+def _kernel_failures(x, kernel, i):
+    if kernel is None or kernel in x.slice(i + 1):
+        return []
+    return ["kernel interval %r outside add of the shift-%d slice"
+            % (kernel, i + 1)]
+
+
+def ddcp_precheck(x):
+    """The first failure, "vertex e: reason", that check_ddcp(x) reports by
+    a rule needing no approximation sequence (no unique supporting shift, or
+    the kernel interval outside the next slice), or None.  A reason means
+    check_ddcp(x) fails, so a caller may reject by it first."""
+    for e in range(1, x.alg.n + 1):
+        shifts = x.shifts_at(e)
+        failures = (
+            _kernel_failures(x, kernel_interval(x, e, shifts[0]), shifts[0])
+            if len(shifts) == 1 else [_shift_failure(shifts)]
+        )
+        if failures:
+            return "vertex %d: %s" % (e, failures[0])
+    return None
+
+
 def _decide(x, name, step, algebra=None):
     """The frame shared by the complex deciders.
 
@@ -159,10 +197,7 @@ def _decide(x, name, step, algebra=None):
         if len(pr.degrees_found) == 1:
             failures = step(x, algebra, pr, pr.degrees_found[0])
         else:
-            failures = [
-                "supported in shifts %r, expected exactly one"
-                % pr.degrees_found
-            ]
+            failures = [_shift_failure(pr.degrees_found)]
         pr.verdict = not failures
         checks.append((pr.verdict, "vertex %d: %s" % (e, "; ".join(failures))))
     return _judge(report, checks)
@@ -191,19 +226,10 @@ def _module_route(exact_test):
         )
         pr.approx_summands = list(seq.t0.summands)
         pr.exact = exact_test(seq.f, seq.g)
-        # f maps P(e) = X(e, n) onto X(e, b), b the largest right end of a
-        # T0 summand (f hits each), so its kernel is X(b + 1, n)
-        b = max(iv.b for iv, _ in seq.t0.summands)
-        pr.kernel_intervals = {Interval(b + 1, alg.n): 1} if b < alg.n else {}
+        kernel = kernel_interval(x, pr.vertex, i)
+        pr.kernel_intervals = {} if kernel is None else {kernel: 1}
         failures = [] if pr.exact else ["sequence not exact"]
-        following = x.slice(i + 1)
-        outside = [iv for iv in pr.kernel_intervals if iv not in following]
-        if outside:
-            failures.append(
-                "kernel interval %s outside add of the shift-%d slice"
-                % (", ".join(map(repr, sorted(outside))), i + 1)
-            )
-        return failures
+        return failures + _kernel_failures(x, kernel, i)
 
     return step
 

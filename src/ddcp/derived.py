@@ -98,20 +98,26 @@ def graded_hom(alg, y, x):
 
 
 def composites(acting, gens):
-    """The one composition lookup: images[i][j] is the position in gens of
-    acting[i] after gens[j], or None when the composite vanishes.
+    """The one composition lookup, sparse: {(i, j): k} where gens[k] is
+    acting[i] after gens[j], for the pairs whose composite is nonzero.
 
     Both lists hold canonical generators (src idx, tgt idx, degree), and
     gens holds every generator of its graded Hom space, as graded_hom lists
     them.  a after b is the generator (src b, tgt a, deg a + deg b) when
-    tgt b = src a; it vanishes when the pair does not compose or when that
-    space has no generator (quiver.space_dim)."""
-    index = {g: j for j, g in enumerate(gens)}
-    return [
-        [index.get((bs, at, ad + bd)) if bt == as_ else None
-         for bs, bt, bd in gens]
-        for as_, at, ad in acting
-    ]
+    tgt b = src a; it vanishes when that space has no generator
+    (quiver.space_dim).  gens is grouped by target, so a pair that does not
+    compose is never visited."""
+    index = {g: k for k, g in enumerate(gens)}
+    into = {}
+    for j, (bs, bt, bd) in enumerate(gens):
+        into.setdefault(bt, []).append((j, bs, bd))
+    out = {}
+    for i, (as_, at, ad) in enumerate(acting):
+        for j, bs, bd in into.get(as_, ()):
+            k = index.get((bs, at, ad + bd))
+            if k is not None:
+                out[i, j] = k
+    return out
 
 
 def compose_entries(f, g):

@@ -132,13 +132,7 @@ def end_of(x):
     identity, the idempotent ("e", i) at index i."""
     gens = sorted(graded_hom(x.alg, x, x), key=lambda g: g[0] != g[1])
     basis = [("e", i) if i == j else ("g", i, j, deg) for i, j, deg in gens]
-    table = {
-        (i, j): k
-        for i, row in enumerate(composites(gens, gens))
-        for j, k in enumerate(row)
-        if k is not None
-    }
-    return SCAlgebra(basis, range(len(x)), table)
+    return SCAlgebra(basis, range(len(x)), composites(gens, gens))
 
 
 def corner(algebra, lo, hi):

@@ -1,13 +1,19 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
+from ddcp import classify
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.classify import (
     _clique_candidates,
+    _comparable,
     enumerate_and_classify,
     make_T,
     make_V,
     zero_path_audit,
 )
+from ddcp.deciders import check_ddcp
 
 
 def test_degree_window_below_one_rejected():
@@ -140,3 +146,69 @@ def test_classification_builds_one_endomorphism_algebra_per_candidate(
     assert enumerate_and_classify(Algebra(n)).lambda_count == 2 * n - 1
     assert len(end_of_calls) == (n + 1) * 2 ** (n - 2) == 48
     assert len(set(end_of_calls)) == len(end_of_calls)
+
+
+def set_based_cliques(alg, atoms, size):
+    """The set-based clique search that _clique_candidates replaced, kept
+    as its reference: sorts the allowed set at every node and prunes by
+    index only."""
+    m = len(atoms)
+    adj = [set() for _ in range(m)]
+    for i, j in combinations(range(m), 2):
+        if _comparable(alg, atoms[i], atoms[j]):
+            adj[i].add(j)
+            adj[j].add(i)
+    out = []
+
+    def grow(clique, allowed, start):
+        if len(clique) == size:
+            out.append(tuple(clique))
+            return
+        need = size - len(clique)
+        for i in sorted(allowed):
+            if i < start:
+                continue
+            if m - i < need:
+                break
+            clique.append(i)
+            grow(clique, allowed & adj[i], i + 1)
+            clique.pop()
+
+    grow([], set(range(m)), 0)
+    return out
+
+
+@pytest.mark.parametrize("window,top", [(2, 8), (3, 5)])
+def test_bitset_cliques_match_set_based_search(window, top):
+    for n in range(1, top + 1):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
+        assert _clique_candidates(alg, atoms, n) == set_based_cliques(
+            alg, atoms, n
+        )
+
+
+def test_precheck_rejections_fail_check_ddcp(monkeypatch):
+    """Over every shift-normalised candidate with End = A_n, n <= 7, each
+    one ddcp_precheck rejects fails check_ddcp, and, as measured, each one
+    it passes survives check_ddcp."""
+    outcomes = Counter()
+    precheck = classify.ddcp_precheck
+
+    def checked(x):
+        reason = precheck(x)
+        verdict = bool(check_ddcp(x))
+        assert reason is None or not verdict, (x, reason)
+        outcomes["passed" if reason is None else "rejected", verdict] += 1
+        return reason
+
+    monkeypatch.setattr(classify, "ddcp_precheck", checked)
+    for n in range(1, 8):
+        assert enumerate_and_classify(Algebra(n), bound=n).lambda_count == (
+            2 * n - 1
+        )
+    # (n+1) 2^(n-2) candidates at each n, 2n - 1 of them survivors
+    assert outcomes == {
+        ("passed", True): 49,
+        ("rejected", False): 448 - 49,
+    }

@@ -13,6 +13,7 @@ from ddcp.deciders import (
     check_module_dcp,
     check_tilting_complex,
     check_tilting_module,
+    kernel_interval,
     verify_homology_corners,
 )
 from ddcp.classify import make_T, make_V
@@ -320,6 +321,30 @@ def criterion_3_objects():
             x = DerivedObject(alg, combo)
             if min(s for _, s in combo) == 0 and is_hereditary(end_of(x)):
                 yield x
+
+
+def test_kernel_interval_matches_approximation():
+    """kernel_interval(x, e, i) is X(b + 1, n), b the largest right end of
+    a summand of T0 in the minimal approximation of P(e) by the shift-i
+    slice, at every vertex with a unique shift of every criterion-3
+    object."""
+    expected = {}  # many objects share a slice: one sequence per (e, slice)
+    checks = 0
+    for x in criterion_3_objects():
+        alg = x.alg
+        for e in range(1, alg.n + 1):
+            shifts = x.shifts_at(e)
+            if len(shifts) != 1:
+                continue
+            i = shifts[0]
+            t = DerivedObject(alg, [(iv, 0) for iv in x.slice(i)])
+            if (e, t) not in expected:
+                seq = approx.min_left_approx_sequence(obj(alg, (e, alg.n, 0)), t)
+                b = max(iv.b for iv, _ in seq.t0.summands)
+                expected[e, t] = Interval(b + 1, alg.n) if b < alg.n else None
+            assert kernel_interval(x, e, i) == expected[e, t], (x, e)
+            checks += 1
+    assert checks == 5520
 
 
 def small_basic_modules():

@@ -70,7 +70,7 @@ def compose_in_end(alg, summands, a, b):
     x = DerivedObject(alg, [(Interval(p, q), s) for p, q, s in summands])
     gens = graded_hom(alg, x, x)
     assert a in gens and b in gens
-    k = composites([a], gens)[0][gens.index(b)]
+    k = composites([a], gens).get((0, gens.index(b)))
     return None if k is None else gens[k]
 
 
