@@ -34,13 +34,16 @@ def object_to_json(x):
 
 def object_from_json(data, n=None):
     """The object a JSON mapping names; n, a, b and shift must be JSON
-    integers (not strings, floats or booleans)."""
+    integers (not strings, floats or booleans).  The n argument, when
+    given, may stand in for a missing n, but a present n must equal it."""
     if not isinstance(data, dict):
         raise InputError("object JSON must be a mapping")
-    if n is None:
-        n = data.get("n")
-    if not is_int(n):
+    if not is_int(data.get("n", n)):
         raise InputError("object JSON needs an integer n")
+    if n is None:
+        n = data["n"]
+    elif data.get("n", n) != n:
+        raise InputError("object JSON has n = %d, expected %d" % (data["n"], n))
     alg = Algebra(n)
     summands = data.get("summands")
     if not isinstance(summands, list):

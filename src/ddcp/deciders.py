@@ -12,9 +12,19 @@ projective adds a reason naming its vertex.
 Precondition failures (non-basic object, endomorphism algebra not
 hereditary) are reported as "not applicable" -- false for classification
 purposes but distinguished from a genuine condition failure.
+
+The deciders share the work that depends only on the object they are asked
+about: End(x) and whether it is hereditary, each shift's slice and corner,
+each in-slice sequence of P(e), each derived-route (T0, cone(g)), and the
+module deciders' regular sequence.  Asking several deciders about one object
+in a row, as the route-agreement checks do, builds each piece once.  The
+memo is keyed by the object's value, not its identity, so every report is
+what a fresh computation gives; it holds the last object only, so it never
+grows with the number of objects decided.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .derived import DerivedObject, cone
 from .endalg import corner, end_of, is_hereditary
@@ -100,12 +110,37 @@ def _judge(report, checks):
 _NOT_INJECTIVE = "approximation of the regular module not injective"
 
 
-def _regular_sequence(t, algebra=None):
+@lru_cache(maxsize=1)
+def _memo(x):
+    """The shared work of the last object asked about, by key."""
+    return {}
+
+
+def _once(x, key, build):
+    memo = _memo(x)
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _end(x, algebra=None):
+    """End(x), or the algebra = end_of(x) the caller already holds."""
+    return _once(x, "end", lambda: end_of(x) if algebra is None else algebra)
+
+
+def _hereditary(x, algebra=None):
+    return _once(x, "hereditary", lambda: is_hereditary(_end(x, algebra)))
+
+
+def _regular_sequence(t):
     """f and g of the minimal add-t approximation sequence A -> M0 -> M1 of
-    the regular module; algebra is End(t) when the caller already has it."""
-    alg = t.alg
-    y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
-    seq = min_left_approx_sequence(y, t, algebra)
+    the regular module."""
+    def build():
+        alg = t.alg
+        y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
+        return min_left_approx_sequence(y, t, _end(t))
+
+    seq = _once(t, "regular", build)
     return seq.f, seq.g
 
 
@@ -126,10 +161,9 @@ def check_tilting_module(alg, multiset):
     the minimal sequence 0 -> A -> M0 -> M1 -> 0 must be exact throughout."""
     report = DeciderReport("tilting-module", False)
     t = _module_object(alg, _basic_support(multiset))
-    algebra = end_of(t)
-    if not is_hereditary(algebra):
+    if not _hereditary(t):
         return _not_applicable(report, "endomorphism algebra is not hereditary")
-    f, g = _regular_sequence(t, algebra)
+    f, g = _regular_sequence(t)
     exact = is_exact_sequence_with_zero(f, g)
     return _judge(report, [
         (is_injective(f), _NOT_INJECTIVE),
@@ -180,22 +214,20 @@ def _decide(x, name, step, algebra=None):
 
     After the preconditions (basic, hereditary endomorphism algebra),
     every indecomposable projective P(e) needs a unique supporting
-    shift i, and then step(x, End(x), report of P(e), i) must return no
+    shift i, and then step(x, report of P(e), i) must return no
     failures.  Each failing projective adds one reason naming its vertex.
     algebra is End(x) when the caller already has it."""
     report = DeciderReport(name, False)
     if not x.is_basic():
         return _not_applicable(report, "object is not basic")
-    if algebra is None:
-        algebra = end_of(x)
-    if not is_hereditary(algebra):
+    if not _hereditary(x, algebra):
         return _not_applicable(report, "endomorphism algebra is not hereditary")
     checks = []
     for e in range(1, x.alg.n + 1):
         pr = ProjectiveReport(e, x.shifts_at(e))
         report.projectives.append(pr)
         if len(pr.degrees_found) == 1:
-            failures = step(x, algebra, pr, pr.degrees_found[0])
+            failures = step(x, pr, pr.degrees_found[0])
         else:
             failures = [_shift_failure(pr.degrees_found)]
         pr.verdict = not failures
@@ -203,27 +235,26 @@ def _decide(x, name, step, algebra=None):
     return _judge(report, checks)
 
 
+def _slice(x, i):
+    """x's shift-i slice as a module, and its End: the block of x's summands
+    at shift i, so End(slice) is a corner of End(x)."""
+    block = _basic_support(x.slice(i))
+    lo = [s for _, s in x.summands].index(i)
+    return _module_object(x.alg, block), corner(_end(x), lo, lo + len(block))
+
+
 def _module_route(exact_test):
     """In-slice step: the minimal approximation P(e) -> X0 -> X1 by the
     shift-i slice passes exact_test, and the kernel of P(e) -> X0 lies in
-    the additive closure of the shift-(i+1) slice.  The slice is the block
-    of x's summands at shift i, so End(slice) is a corner of End(x); each
-    shift's slice and corner are built once per decision, for all the
-    projectives it supports."""
-    slices = {}
+    the additive closure of the shift-(i+1) slice."""
 
-    def step(x, algebra, pr, i):
-        alg = x.alg
-        if i not in slices:
-            block = _basic_support(x.slice(i))
-            lo = [s for _, s in x.summands].index(i)
-            slices[i] = (
-                _module_object(alg, block),
-                corner(algebra, lo, lo + len(block)),
-            )
-        seq = min_left_approx_sequence(
-            _module_object(alg, [alg.projective(pr.vertex)]), *slices[i]
-        )
+    def step(x, pr, i):
+        def build():
+            y = _module_object(x.alg, [x.alg.projective(pr.vertex)])
+            t, algebra = _once(x, ("slice", i), lambda: _slice(x, i))
+            return min_left_approx_sequence(y, t, algebra)
+
+        seq = _once(x, ("in-slice", pr.vertex), build)
         pr.approx_summands = list(seq.t0.summands)
         pr.exact = exact_test(seq.f, seq.g)
         kernel = kernel_interval(x, pr.vertex, i)
@@ -238,13 +269,17 @@ def _derived_route(cone_test):
     """Cone step: cone_test(cone, report, P(e), i) judges the mapping cone of
     g in the minimal add-x approximation sequence P(e)[i] -> T0 -> T1."""
 
-    def step(x, algebra, pr, i):
+    def step(x, pr, i):
         p = x.alg.projective(pr.vertex)
-        seq = min_left_approx_sequence(
-            DerivedObject(x.alg, [(p, i)]), x, algebra
-        )
-        pr.approx_summands = list(seq.t0.summands)
-        return cone_test(cone(seq.g), pr, p, i)
+
+        def build():
+            y = DerivedObject(x.alg, [(p, i)])
+            seq = min_left_approx_sequence(y, x, _end(x))
+            return seq.t0.summands, cone(seq.g)
+
+        t0, c = _once(x, ("cone", pr.vertex), build)
+        pr.approx_summands = list(t0)
+        return cone_test(c, pr, p, i)
 
     return step
 
@@ -283,21 +318,20 @@ def check_ddcp_derived(x):
     return _decide(x, "ddcp-derived", _derived_route(_next_slice_is))
 
 
-def check_tilting_complex(x, route="derived", algebra=None):
+def check_tilting_complex(x, route="derived"):
     """Two-sided tilting test.
 
     Derived route: the approximation sequence of P(e)[i] completes to a
     triangle, i.e. cone(g) is exactly P(e)[i+1].  Module route: the in-slice
     sequence P(e) -> X0 -> X1 -> 0 is exact with kernel of f in the additive
-    closure of the next slice.  algebra is end_of(x) when the caller already
-    has it."""
+    closure of the next slice."""
     if route == "derived":
         step = _derived_route(_cone_is)
     elif route == "module":
         step = _module_route(is_exact_sequence_with_zero)
     else:
         raise ValueError("unknown route %r" % route)
-    return _decide(x, "tilting-" + route, step, algebra)
+    return _decide(x, "tilting-" + route, step)
 
 
 def _restrict_to_corner(intervals, verts):
@@ -319,15 +353,14 @@ def verify_homology_corners(x):
 
     Once check_ddcp(x) holds, each vertex's report records its one
     supporting shift, and each slice lies inside the corner of the vertices
-    with its shift.  Both complex deciders share one End(x)."""
+    with its shift."""
     report = DeciderReport("corners", False)
-    algebra = end_of(x)
-    ddcp = check_ddcp(x, algebra)
+    ddcp = check_ddcp(x)
     if not ddcp:
         report.applicable = False
         report.reasons.append("object does not have the derived property")
         return report
-    tilting = bool(check_tilting_complex(x, "derived", algebra))
+    tilting = bool(check_tilting_complex(x, "derived"))
     corners = {}
     for pr in ddcp.projectives:
         corners.setdefault(pr.degrees_found[0], []).append(pr.vertex)

@@ -2,7 +2,14 @@ import sys
 
 import pytest
 
-from ddcp import endalg
+from ddcp import deciders, endalg
+
+
+@pytest.fixture(autouse=True)
+def fresh_decider_memo():
+    """Each test starts with none of the deciders' shared work, so a test
+    that counts calls or monkeypatches a layer sees every build."""
+    deciders._memo.cache_clear()
 
 
 @pytest.fixture

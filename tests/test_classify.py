@@ -13,7 +13,7 @@ from ddcp.classify import (
     make_V,
     zero_path_audit,
 )
-from ddcp.deciders import check_ddcp
+from ddcp.deciders import check_ddcp, check_tilting_complex
 
 
 def test_degree_window_below_one_rejected():
@@ -212,3 +212,19 @@ def test_precheck_rejections_fail_check_ddcp(monkeypatch):
         ("passed", True): 49,
         ("rejected", False): 448 - 49,
     }
+
+
+def test_tilting_survivors_agree_across_routes():
+    """Among the survivors of the classification at n <= 6, every T_i and
+    exactly V_1 and V_n are two-sided tilting, by both routes."""
+    for n in range(1, 7):
+        result = enumerate_and_classify(Algebra(n), bound=n)
+        tilting = set()
+        for x in result.survivors:
+            module = bool(check_tilting_complex(x, "module"))
+            assert module == bool(check_tilting_complex(x, "derived")), x
+            if module:
+                tilting.add(result.matched[x])
+        assert tilting == {"V_1", "V_%d" % n} | {
+            "T_%d" % i for i in range(1, n)
+        }, n

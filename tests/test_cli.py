@@ -172,6 +172,17 @@ def test_object_json_accepts_only_integers(capsys):
     for n in (True, 3.0, "3"):
         with pytest.raises(InputError):
             object_from_json(dict(good, n=n))
+        with pytest.raises(InputError):
+            object_from_json(dict(good, n=n), 3)
+    assert object_from_json(good, 3) == object_from_json(good)
+    with pytest.raises(InputError):
+        object_from_json(good, 4)
+    # a present n is checked against --n, not overridden by it
+    bad_n = '{"n": "x", "summands": [{"a": 1, "b": 1, "shift": 0}]}'
+    assert run(["check", "--n", "3", "--mode", "ddcp", "--object", bad_n]) == EXIT_INPUT
+    other_n = '{"n": 3, "summands": [{"a": 1, "b": 4, "shift": 0}]}'
+    assert run(["end", "--n", "4", "--object", other_n]) == EXIT_INPUT
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("window", ["0", "-1"])

@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -80,42 +81,47 @@ def test_tilting_module_precondition():
     assert any("hereditary" in r for r in rep.reasons)
 
 
+COMPLEX_DECIDERS = [
+    check_ddcp,
+    check_ddcp_derived,
+    lambda x: check_tilting_complex(x, "module"),
+    lambda x: check_tilting_complex(x, "derived"),
+]
+
+
 def test_tilting_module_builds_one_endomorphism_algebra(end_of_calls):
     assert check_tilting_module(Algebra(3), ms((1, 3), (2, 3), (3, 3)))
     assert len(end_of_calls) == 1
 
 
 def test_complex_deciders_build_one_endomorphism_algebra(end_of_calls):
-    """Each complex decider builds End(x) once, and not at all when the
-    object is not basic or the caller hands End(x) in; the module route
-    reads End(slice) off End(x).  verify_homology_corners builds End(x)
-    once for both of its complex deciders, plus End of each corner
-    module."""
-    complex_deciders = [
-        check_ddcp,
-        check_ddcp_derived,
-        lambda x: check_tilting_complex(x, "module"),
-        lambda x: check_tilting_complex(x, "derived"),
-    ]
+    """End(x) is built once per basic object, however many complex deciders
+    ask, and not at all when the object is not basic or the caller hands
+    End(x) to check_ddcp; the module route reads End(slice) off End(x).
+    verify_homology_corners builds End(x) once for both of its complex
+    deciders, plus End of each corner module once for both module
+    deciders."""
     alg = Algebra(3)
     atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
     objects = [DerivedObject(alg, combo) for combo in combinations(atoms, 3)]
     objects.append(obj(alg, (1, 2, 0), (1, 2, 0), (3, 3, 1)))
     for x in objects:
-        for decide in complex_deciders:
-            end_of_calls.clear()
+        end_of_calls.clear()
+        for decide in COMPLEX_DECIDERS:
             decide(x)
-            assert end_of_calls == ([x] if x.is_basic() else []), x
+        assert end_of_calls == ([x] if x.is_basic() else []), x
+    for x in objects:
         algebra = end_of(x)
+        deciders._memo.cache_clear()
         end_of_calls.clear()
         check_ddcp(x, algebra)
-        check_tilting_complex(x, "module", algebra)
-        check_tilting_complex(x, "derived", algebra)
+        for decide in COMPLEX_DECIDERS[1:]:
+            decide(x)
         assert end_of_calls == [], x
     end_of_calls.clear()
     x = make_T(alg, 1)
     assert verify_homology_corners(x)
-    assert end_of_calls.count(x) == 1 and len(end_of_calls) == 5
+    assert end_of_calls.count(x) == 1 and len(end_of_calls) == 3
 
 
 def test_ddcp_families_all_routes():
@@ -452,3 +458,59 @@ def test_module_route_does_no_elimination(monkeypatch):
         reps.rep_morphism(alg, [Interval(1, 2)], [Interval(1, 1)], {(0, 0): 1})
     )
     assert counts["rref"] and counts["Mat"] and counts["RepMorphism"]
+
+
+def deciders_per_object():
+    """For each object of criterion 3 and each small basic module, the
+    deciders a route-agreement check asks about it, as calls."""
+    for x in criterion_3_objects():
+        yield [partial(decide, x) for decide in COMPLEX_DECIDERS]
+    for alg, multiset in small_basic_modules():
+        yield [
+            partial(decide, alg, multiset)
+            for decide in (check_module_dcp, check_tilting_module)
+        ]
+
+
+def test_shared_work_is_built_once_and_leaves_reports_unchanged(
+    monkeypatch, end_of_calls
+):
+    """Each report is the one a fresh computation gives, whichever deciders
+    were asked about the object before it: in order, in reverse order, and
+    asked again.  A caller editing a report's approx_summands or
+    kernel_intervals leaves every later report as it was.  Asking every
+    decider about one object builds End(x) once, and one approximation
+    sequence per route and unique-shift vertex (for a module, the regular
+    module's once)."""
+    sequences = []
+    build = deciders.min_left_approx_sequence
+
+    def recording(y, t, algebra):
+        sequences.append((y, t))
+        return build(y, t, algebra)
+
+    monkeypatch.setattr(deciders, "min_left_approx_sequence", recording)
+    for calls in deciders_per_object():
+        fresh = []
+        for decide in calls:
+            deciders._memo.cache_clear()
+            fresh.append(decide().as_dict())
+        deciders._memo.cache_clear()
+        end_of_calls.clear()
+        sequences.clear()
+        for decide, expected in zip(calls + calls, fresh + fresh):
+            report = decide()
+            assert report.as_dict() == expected
+            for pr in report.projectives:
+                pr.approx_summands.append((Interval(1, 1), 7))
+                pr.kernel_intervals[Interval(1, 1)] = 7
+        (x,) = end_of_calls
+        if len(calls) == len(COMPLEX_DECIDERS):
+            unique = [e for e in range(1, x.alg.n + 1) if len(x.shifts_at(e)) == 1]
+            assert len(sequences) == 2 * len(unique)
+        else:
+            assert len(sequences) == 1
+        deciders._memo.cache_clear()
+        assert [decide().as_dict() for decide in calls[::-1]] == fresh[::-1]
+    # the memo never holds more than the last object's work
+    assert deciders._memo.cache_info().currsize == 1

@@ -186,7 +186,9 @@ def test_chain_complex_rejects_differential_shape():
 
 def derived_route_cones(monkeypatch):
     """The morphisms whose cone the derived route builds for the
-    shift-normalised n-summand objects over shifts {0, 1}, n <= 3."""
+    shift-normalised n-summand objects over shifts {0, 1}, n <= 3: one per
+    object and unique-shift vertex, since both derived deciders share each
+    cone."""
     morphisms = []
 
     def recording(g):
@@ -243,4 +245,4 @@ def test_cone_matches_representation_reference(monkeypatch):
     for g in morphisms:
         assert cone(g) == chain_homology_reference(g.alg, chains[-1])
     assert len(chains) == len(morphisms)
-    assert len(route) == 544
+    assert len(route) == 272
