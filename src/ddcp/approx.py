@@ -13,6 +13,7 @@ and kernel membership transfer.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .quiver import InputError
 from .derived import (
@@ -42,12 +43,22 @@ def hom_module(y, t, algebra):
 
 @dataclass
 class ApproxSequence:
-    """Minimal left add-t-approximation sequence y -> T0 -> T1."""
+    """Minimal left add-t-approximation sequence y -> T0 -> T1.  f_ranks
+    and g_ranks, rank f_v and rank g_v at every vertex v, are counted on
+    first use and kept."""
 
     t0: DerivedObject
     f: DerivedMorphism
     t1: DerivedObject
     g: DerivedMorphism
+
+    @cached_property
+    def f_ranks(self):
+        return _ranks(self.f)
+
+    @cached_property
+    def g_ranks(self):
+        return _ranks(self.g)
 
 
 def min_left_approx_sequence(y, t, algebra=None):
@@ -79,56 +90,43 @@ def min_left_approx_sequence(y, t, algebra=None):
         y, t0, {(gens[i][0], pos): 1 for pos, (_, i) in enumerate(top0)}
     )
 
-    # Q0 = direct sum of projectives E e_l, basis (cover position, algebra
-    # basis element beta with source l), on which a acts by relabelling
-    # (pos, beta) -> (pos, a beta); the cover sends (pos, beta) to
-    # beta . b_head, a basis vector or zero.
-    q0_basis = [
-        (pos, bi)
-        for pos, (l, _) in enumerate(top0)
-        for bi in algebra.projective_basis(l)
-    ]
-    q0_index = {pb: i for i, pb in enumerate(q0_basis)}
-    # (pos, None) is not in the index: a beta = 0
-    q0 = SCModule(algebra, len(q0_basis), [
-        [q0_index.get((pos, algebra.mul(a, bi))) for pos, bi in q0_basis]
-        for a in range(algebra.dim)
-    ])
-    # The kernel of the cover: e_j for a zero column j, and e_j - e_first
-    # for a column j whose basis vector an earlier column, first, hit first.
+    # Q0 = direct sum of projectives E e_l, one copy pos per head, a
+    # submodule of the free module of module_generators: basis (pos, beta),
+    # beta an algebra basis element with source l.  The cover sends
+    # (pos, beta) to beta . b_head, a basis vector or zero.  Its kernel, in
+    # Q0's order: (pos, beta) for a zero image, and (pos, beta) - first for
+    # an image that an earlier basis element, first, hit first.
     kernel = []
     first = {}
-    for j, (pos, bi) in enumerate(q0_basis):
-        image = m.images[bi][top0[pos][1]]
-        kappa = [0] * q0.dim
-        kappa[j] = 1
-        if image is None:
-            kernel.append(kappa)
-        elif image in first:
-            kappa[first[image]] = -1
-            kernel.append(kappa)
-        else:
-            first[image] = j
+    for pos, (l, i) in enumerate(top0):
+        for beta in algebra.projective_basis(l):
+            image = m.images[beta][i]
+            if image is None:
+                kernel.append({(pos, beta): 1})
+            elif image in first:
+                kernel.append({first[image]: -1, (pos, beta): 1})
+            else:
+                first[image] = (pos, beta)
 
     # The top of the kernel K, read in Q0 coordinates, gives T1 and g.
-    top1 = module_generators(q0, kernel)
+    top1 = module_generators(algebra, kernel)
     t1 = DerivedObject(alg, [t.summands[l] for l, _ in top1])
 
     g_entries = {}
     for pos1, (_, kappa) in enumerate(top1):
-        for (pos0, _), c in zip(q0_basis, kappa):
-            if c:
-                g_entries[pos0, pos1] = g_entries.get((pos0, pos1), 0) + c
+        for (pos0, _), c in kappa.items():
+            g_entries[pos0, pos1] = g_entries.get((pos0, pos1), 0) + c
     g = DerivedMorphism(t0, t1, g_entries)
     return ApproxSequence(t0, f, t1, g)
 
 
-def _alive(x, v):
-    return {k for k, (iv, _) in enumerate(x.summands) if iv.a <= v <= iv.b}
+def _alive(iv, v):
+    return iv.a <= v <= iv.b
 
 
 def _dims(x):
-    return [len(_alive(x, v)) for v in range(1, x.alg.n + 1)]
+    return [sum(_alive(iv, v) for iv, _ in x.summands)
+            for v in range(1, x.alg.n + 1)]
 
 
 def _ranks(f):
@@ -138,32 +136,37 @@ def _ranks(f):
     alive at v, and dim X_v is the number of summands alive at v.  Each row
     of f_v, one per target summand, is zero, b_k or b_j - b_k: f has one
     head entry per T0 summand, and each g row comes from a kernel top
-    vector, which is e_j or e_j - e_first.  So forest_join counts rank f_v."""
+    vector, which is e_j or e_j - e_first.  So forest_join counts rank f_v.
+    The entries are grouped by target row once, for every vertex."""
+    src, tgt = f.src.summands, f.tgt.summands
+    rows = {}
+    for k, l in f.entries:
+        rows.setdefault(l, []).append((k, src[k][0]))
     ranks = []
     for v in range(1, f.alg.n + 1):
-        src, join = _alive(f.src, v), forest_join(len(f.src))
-        rows = [[k for k, l in f.entries if l == row and k in src]
-                for row in _alive(f.tgt, v)]
-        ranks.append(sum(map(join, rows)))
+        join = forest_join()
+        ranks.append(sum(
+            join([k for k, iv in row if _alive(iv, v)])
+            for l, row in rows.items() if _alive(tgt[l][0], v)
+        ))
     return ranks
 
 
-def is_exact_at_middle(f, g):
-    """rank f_v + rank g_v = dim X0_v at every vertex v, so that image(f) =
-    kernel(g).  f and g come from min_left_approx_sequence, where g after f
-    vanishes by construction: each component of g is a vector of the kernel
-    of the cover Q0 = Hom(T0, t) -> Hom(y, t), which is composition with f,
-    so Hom(g f, t) = 0, and g f = 0 because T1 lies in add t.  So the rank
-    count alone decides exactness."""
-    ranks = [a + b for a, b in zip(_ranks(f), _ranks(g))]
-    return ranks == _dims(f.tgt)
+def is_exact_at_middle(seq):
+    """rank f_v + rank g_v = dim T0_v at every vertex v, so that image(f) =
+    kernel(g).  g after f vanishes by construction: each component of g is
+    a vector of the kernel of the cover Q0 = Hom(T0, t) -> Hom(y, t), which
+    is composition with f, so Hom(g f, t) = 0, and g f = 0 because T1 lies
+    in add t.  So the rank count alone decides exactness."""
+    ranks = [a + b for a, b in zip(seq.f_ranks, seq.g_ranks)]
+    return ranks == _dims(seq.t0)
 
 
-def is_exact_sequence_with_zero(f, g):
-    """Exact at the middle with g surjective: rank g_v = dim X1_v."""
-    return is_exact_at_middle(f, g) and _ranks(g) == _dims(g.tgt)
+def is_exact_sequence_with_zero(seq):
+    """Exact at the middle with g surjective: rank g_v = dim T1_v."""
+    return is_exact_at_middle(seq) and seq.g_ranks == _dims(seq.t1)
 
 
-def is_injective(f):
-    """rank f_v = dim src_v at every vertex v."""
-    return _ranks(f) == _dims(f.src)
+def is_injective(seq):
+    """rank f_v = dim y_v at every vertex v."""
+    return seq.f_ranks == _dims(seq.f.src)

@@ -133,15 +133,14 @@ def _hereditary(x, algebra=None):
 
 
 def _regular_sequence(t):
-    """f and g of the minimal add-t approximation sequence A -> M0 -> M1 of
-    the regular module."""
+    """The minimal add-t approximation sequence A -> M0 -> M1 of the
+    regular module."""
     def build():
         alg = t.alg
         y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
         return min_left_approx_sequence(y, t, _end(t))
 
-    seq = _once(t, "regular", build)
-    return seq.f, seq.g
+    return _once(t, "regular", build)
 
 
 def check_module_dcp(alg, multiset):
@@ -149,10 +148,10 @@ def check_module_dcp(alg, multiset):
     approximation f of the regular module is injective and the induced
     sequence is exact at the middle term."""
     report = DeciderReport("dcp", False)
-    f, g = _regular_sequence(_module_object(alg, _basic_support(multiset)))
+    seq = _regular_sequence(_module_object(alg, _basic_support(multiset)))
     return _judge(report, [
-        (is_injective(f), _NOT_INJECTIVE),
-        (is_exact_at_middle(f, g), "sequence not exact at the middle term"),
+        (is_injective(seq), _NOT_INJECTIVE),
+        (is_exact_at_middle(seq), "sequence not exact at the middle term"),
     ])
 
 
@@ -163,11 +162,11 @@ def check_tilting_module(alg, multiset):
     t = _module_object(alg, _basic_support(multiset))
     if not _hereditary(t):
         return _not_applicable(report, "endomorphism algebra is not hereditary")
-    f, g = _regular_sequence(t)
-    exact = is_exact_sequence_with_zero(f, g)
+    seq = _regular_sequence(t)
     return _judge(report, [
-        (is_injective(f), _NOT_INJECTIVE),
-        (exact, "sequence not exact (middle or surjectivity)"),
+        (is_injective(seq), _NOT_INJECTIVE),
+        (is_exact_sequence_with_zero(seq),
+         "sequence not exact (middle or surjectivity)"),
     ])
 
 
@@ -256,7 +255,7 @@ def _module_route(exact_test):
 
         seq = _once(x, ("in-slice", pr.vertex), build)
         pr.approx_summands = list(seq.t0.summands)
-        pr.exact = exact_test(seq.f, seq.g)
+        pr.exact = exact_test(seq)
         kernel = kernel_interval(x, pr.vertex, i)
         pr.kernel_intervals = {} if kernel is None else {kernel: 1}
         failures = [] if pr.exact else ["sequence not exact"]

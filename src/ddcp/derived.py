@@ -152,24 +152,8 @@ class DerivedMorphism:
                     and pair_space_dim(self.alg, src[k], tgt[l])[0]):
                 raise InputError("entry (%d, %d) has no morphism space" % (k, l))
 
-    def is_zero(self):
-        return not self.entries
-
     def __repr__(self):
         return "DMor(%r -> %r, %r)" % (self.src, self.tgt, self.entries)
-
-
-def compose(f, g):
-    """g after f, via the combinatorial composition rule: the product of
-    the entries, kept where the outer pair has a morphism space."""
-    if g.src is not f.tgt and g.src != f.tgt:
-        raise InputError("non-composable derived morphisms")
-    src, tgt = f.src.summands, g.tgt.summands
-    return DerivedMorphism(f.src, g.tgt, {
-        (k, m): c
-        for (k, m), c in compose_entries(f.entries, g.entries).items()
-        if pair_space_dim(f.alg, src[k], tgt[m])[0]
-    })
 
 
 class ChainComplex:

@@ -229,14 +229,6 @@ class SCModule:
         self.dim = dim
         self.images = list(images)
 
-    def act(self, a, v):
-        """The vector a . v, for v a list of dim coordinates."""
-        w = [0] * self.dim
-        for c, j in zip(v, self.images[a]):
-            if c and j is not None:
-                w[j] += c
-        return w
-
     def validate(self):
         """Raise InputError unless the images make a unital module."""
         if len(self.images) != self.algebra.dim:
@@ -265,47 +257,59 @@ class SCModule:
                         )
 
 
-def regular_module(c):
-    """The algebra as a left module over itself, in its own basis."""
-    images = [[c.mul(a, j) for j in range(c.dim)] for a in range(c.dim)]
-    return SCModule(c, c.dim, images)
-
-
-def forest_join(size):
+def forest_join():
     """join(support) reads the vector with nonzero coordinates support,
     which must be zero, +-b_j or +-(b_j - b_k), as nothing, an edge from j to
-    a ground node or an edge from j to k.  Such vectors are linearly
+    the ground node None or an edge from j to k.  Such vectors are linearly
     independent iff their edges form a forest, so join, which adds the edge,
-    is True exactly when the vector is independent of those joined before."""
-    tree = list(range(size + 1))  # tree[j] labels j's tree; size: the ground
+    is True exactly when the vector is independent of those joined before.
+    Coordinates are any hashable labels other than None."""
+    parent = {}  # a tree's nodes lead to its root, which has no entry
+
+    def root(j):
+        while j in parent:
+            j = parent[j]
+        return j
 
     def join(support):
-        a, b = (tree[j] for j in [*support, size, size][:2])
+        ends = iter(support)
+        a, b = root(next(ends, None)), root(next(ends, None))
         if a != b:
-            tree[:] = [b if label == a else label for label in tree]
+            parent[a] = b
         return a != b
 
     return join
 
 
-def module_generators(module, vectors):
-    """Minimal generating set of the submodule N spanned by vectors,
-    grouped by top idempotent.
+def free_act(algebra, a, v):
+    """a . v in a free left module, a sum of copies of the algebra: v is a
+    sparse vector {(copy, beta): c} over basis elements beta, and a sends
+    (copy, beta) to (copy, a beta), or to zero when a beta = 0."""
+    w = {}
+    for (copy, beta), c in v.items():
+        ab = algebra.mul(a, beta)
+        if ab is not None:
+            w[copy, ab] = w.get((copy, ab), 0) + c
+    return {key: c for key, c in w.items() if c}
+
+
+def module_generators(algebra, vectors):
+    """Minimal generating set of the submodule N spanned by vectors of a
+    free left module (free_act), grouped by top idempotent.
 
     rad N is spanned by the r . v for radical basis elements r.  Returns a
-    list of (idempotent index, vector) lifting a basis of N / rad N, each
-    vector lying in the corresponding idempotent component.  Every vector
-    given, and every a . v, must suit forest_join.
+    list of (idempotent index, sparse vector) lifting a basis of N / rad N,
+    each vector lying in the corresponding idempotent component.  Every
+    vector given, and every a . v, must suit forest_join.
     """
-    algebra = module.algebra
-    join = forest_join(module.dim)
+    join = forest_join()
     for r in algebra.radical_indices():
         for v in vectors:
-            join(j for j, c in enumerate(module.act(r, v)) if c)
+            join(free_act(algebra, r, v))
     gens = []
     for e in algebra.idempotents:
         for v in vectors:
-            w = module.act(e, v)
-            if join(j for j, c in enumerate(w) if c):
+            w = free_act(algebra, e, v)
+            if join(w):
                 gens.append((e, w))
     return gens

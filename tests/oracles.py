@@ -1,17 +1,122 @@
 """Brute-force references that the closed-form rules are checked against."""
 
 from ddcp import reps
+from ddcp.approx import hom_module
 from ddcp.derived import (
     DerivedMorphism,
     DerivedObject,
-    compose,
     compose_entries,
     graded_hom,
     lift_chain,
+    pair_space_dim,
     to_chain,
 )
+from ddcp.endalg import SCModule, end_of, forest_join
 from ddcp.exactmat import Mat, rank, solve
 from ddcp.quiver import InputError, Interval
+
+
+def compose(f, g):
+    """g after f, via the combinatorial composition rule: the product of
+    the entries, kept where the outer pair has a morphism space."""
+    if g.src is not f.tgt and g.src != f.tgt:
+        raise InputError("non-composable derived morphisms")
+    src, tgt = f.src.summands, g.tgt.summands
+    return DerivedMorphism(f.src, g.tgt, {
+        (k, m): c
+        for (k, m), c in compose_entries(f.entries, g.entries).items()
+        if pair_space_dim(f.alg, src[k], tgt[m])[0]
+    })
+
+
+def regular_module(c):
+    """The algebra as a left module over itself, in its own basis."""
+    images = [[c.mul(a, j) for j in range(c.dim)] for a in range(c.dim)]
+    return SCModule(c, c.dim, images)
+
+
+def module_act(module, a, v):
+    """The vector a . v, for v a dense list of module.dim coordinates."""
+    w = [0] * module.dim
+    for c, j in zip(v, module.images[a]):
+        if c and j is not None:
+            w[j] += c
+    return w
+
+
+def dense_module_generators(module, vectors):
+    """module_generators on dense vectors of an SCModule: lifts of a basis
+    of N / rad N, N spanned by vectors, grouped by idempotent, each step
+    decided by forest_join on the dense action's support."""
+    algebra = module.algebra
+    join = forest_join()
+
+    def support(w):
+        return [j for j, c in enumerate(w) if c]
+
+    for r in algebra.radical_indices():
+        for v in vectors:
+            join(support(module_act(module, r, v)))
+    gens = []
+    for e in algebra.idempotents:
+        for v in vectors:
+            w = module_act(module, e, v)
+            if join(support(w)):
+                gens.append((e, w))
+    return gens
+
+
+def dense_cover_reference(y, t):
+    """The cover Q0 -> Hom(y, t) of a minimal approximation sequence as a
+    dense SCModule, with T1 and the nonzero entries of g from its kernel
+    top.
+
+    Q0 is the direct sum of the projectives E e_l, one per head of
+    Hom(y, t), with basis (cover position, algebra basis element beta with
+    source l) and a full images table: a sends (pos, beta) to (pos, a beta).
+    The kernel vectors are dense, e_j or e_j - e_first, and the kernel top
+    is found by dense_module_generators.  Returns (q0, t1, g entries)."""
+    algebra = end_of(t)
+    m, _ = hom_module(y, t, algebra)
+    hit = {j for r in algebra.radical_indices() for j in m.images[r]}
+    top0 = [
+        (l, i)
+        for l in algebra.idempotents
+        for i in range(m.dim)
+        if m.images[l][i] == i and i not in hit
+    ]
+    q0_basis = [
+        (pos, bi)
+        for pos, (l, _) in enumerate(top0)
+        for bi in algebra.projective_basis(l)
+    ]
+    q0_index = {pb: i for i, pb in enumerate(q0_basis)}
+    # (pos, None) is not in the index: a beta = 0
+    q0 = SCModule(algebra, len(q0_basis), [
+        [q0_index.get((pos, algebra.mul(a, bi))) for pos, bi in q0_basis]
+        for a in range(algebra.dim)
+    ])
+    kernel = []
+    first = {}
+    for j, (pos, bi) in enumerate(q0_basis):
+        image = m.images[bi][top0[pos][1]]
+        kappa = [0] * q0.dim
+        kappa[j] = 1
+        if image is None:
+            kernel.append(kappa)
+        elif image in first:
+            kappa[first[image]] = -1
+            kernel.append(kappa)
+        else:
+            first[image] = j
+    top1 = dense_module_generators(q0, kernel)
+    t1 = DerivedObject(y.alg, [t.summands[l] for l, _ in top1])
+    g_entries = {}
+    for pos1, (_, kappa) in enumerate(top1):
+        for (pos0, _), c in zip(q0_basis, kappa):
+            if c:
+                g_entries[pos0, pos1] = g_entries.get((pos0, pos1), 0) + c
+    return q0, t1, {key: c for key, c in g_entries.items() if c}
 
 
 def brute_ext_dim(alg, src, tgt):

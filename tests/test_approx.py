@@ -5,7 +5,7 @@ import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedObject
-from ddcp.endalg import SCModule, end_of, module_generators, regular_module
+from ddcp.endalg import SCModule, end_of, module_generators
 from ddcp.exactmat import Mat, nullspace, rref, solve
 from ddcp.approx import (
     hom_module,
@@ -14,11 +14,13 @@ from ddcp.approx import (
     is_injective,
     min_left_approx_sequence,
 )
-from ddcp import approx, reps
+from ddcp import approx, endalg, reps
 from oracles import (
     approximation_matrix,
+    dense_cover_reference,
     is_left_approximation,
     minimality_check,
+    regular_module,
     to_rep_morphism,
 )
 
@@ -73,8 +75,8 @@ def test_V_family_approximation_of_regular(n):
         expected_t1 = {Interval(1, k): 1 for k in range(m, n)}
         assert seq.t0.slice(0) == expected_t0
         assert seq.t1.slice(0) == expected_t1
-        assert is_injective(seq.f)
-        assert is_exact_at_middle(seq.f, seq.g)
+        assert is_injective(seq)
+        assert is_exact_at_middle(seq)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -90,8 +92,8 @@ def test_two_shift_family_module_sequences(n):
         assert seq.t1.slice(0) == {
             Interval(i + 1, j): 1 for j in range(i + 1, n)
         }
-        assert is_injective(seq.f)
-        assert is_exact_sequence_with_zero(seq.f, seq.g)
+        assert is_injective(seq)
+        assert is_exact_sequence_with_zero(seq)
 
         # quotient-module shape: kernel is a power of an interval
         y2 = obj(alg, *[(k, n, 0) for k in range(1, i + 1)])
@@ -180,7 +182,7 @@ def test_hom_functor_exactness_of_sequences():
     # applying Hom(-, t) to the returned sequence must be exact with the
     # induced map of f surjective
     from ddcp.exactmat import rank
-    from ddcp.derived import graded_hom, compose, DerivedMorphism
+    from ddcp.derived import graded_hom
 
     alg = Algebra(3)
     t = obj(alg, (1, 1, 0), (2, 2, 1), (2, 3, 1))
@@ -295,24 +297,58 @@ def test_kernel_top_matches_kernel_module_reference():
     assert count == 3 * 4 + 5 * 42 + 7 * 299
 
 
+def test_sparse_cover_matches_dense_reference():
+    """The cover's kernel and kernel top, read as sparse vectors acted on
+    through End(t)'s table, give the T1 and g of the dense construction:
+    Q0 as an SCModule with a full images table, which validates, dense
+    kernel vectors and dense actions.  Its images are the regular action on
+    each block E e_l, one per summand of T0 in idempotent order."""
+    count = 0
+    for y, t in approximation_pairs():
+        seq = min_left_approx_sequence(y, t)
+        q0, t1, g_entries = dense_cover_reference(y, t)
+        q0.validate()
+        assert seq.t1 == t1
+        assert seq.g.entries == g_entries
+        algebra = q0.algebra
+        reg = regular_module(algebra)
+        blocks = [
+            algebra.projective_basis(l)
+            for l in sorted(t.summands.index(p) for p in seq.t0.summands)
+        ]
+        expect = [[] for _ in range(algebra.dim)]
+        offset = 0
+        for pb in blocks:
+            for a in range(algebra.dim):
+                expect[a] += [
+                    None if reg.images[a][bi] is None
+                    else offset + pb.index(reg.images[a][bi])
+                    for bi in pb
+                ]
+            offset += len(pb)
+        assert (q0.dim, q0.images) == (offset, expect)
+        count += 1
+    assert count == 3 * 4 + 5 * 42 + 7 * 299
+
+
 def test_sequences_are_unit_and_edge_combinatorics(monkeypatch):
     """The shape the counting relies on: every f entry is 1, every g entry
-    is +-1, and every vector module_generators is handed or builds by act
-    is zero, +-b_j or +-(b_j - b_k)."""
+    is +-1, and every sparse vector module_generators is handed or builds
+    by free_act is zero, +-b_j or +-(b_j - b_k)."""
     seen = []
 
-    def recording_generators(module, vectors):
+    def recording_generators(algebra, vectors):
         seen.extend(vectors)
-        return module_generators(module, vectors)
+        return module_generators(algebra, vectors)
 
-    def recording_act(self, a, v):
-        w = act(self, a, v)
+    def recording_act(algebra, a, v):
+        w = free_act(algebra, a, v)
         seen.append(w)
         return w
 
-    act = SCModule.act
+    free_act = endalg.free_act
     monkeypatch.setattr(approx, "module_generators", recording_generators)
-    monkeypatch.setattr(SCModule, "act", recording_act)
+    monkeypatch.setattr(endalg, "free_act", recording_act)
     for y, t in approximation_pairs():
         seq = min_left_approx_sequence(y, t)
         assert set(seq.f.entries.values()) <= {1}
@@ -325,14 +361,17 @@ def test_sequences_are_unit_and_edge_combinatorics(monkeypatch):
                   for row in range(len(seq.t1))]
         assert all(r == [1] for r in f_rows)
         assert all(r in ([1], [-1], [-1, 1]) for r in g_rows)
-    shapes = {tuple(sorted(c for c in v if c)) for v in seen}
+    # sparse vectors keep no zero coordinate
+    assert all(all(v.values()) for v in seen)
+    shapes = {tuple(sorted(v.values())) for v in seen}
     assert shapes <= {(), (1,), (-1,), (-1, 1)}
     assert (-1, 1) in shapes
 
 
 def test_one_module_per_sequence(monkeypatch):
-    """The only modules a sequence builds are Hom(y, t) and the cover Q0, a
-    sum of projectives E e_l; none is built in kernel coordinates."""
+    """The only module a sequence builds is Hom(y, t): the cover Q0 and its
+    kernel are read off End(t)'s table as sparse vectors, and no module is
+    built in Q0 or kernel coordinates."""
     built = []
 
     class Counting(SCModule):
@@ -345,24 +384,5 @@ def test_one_module_per_sequence(monkeypatch):
     y, t = regular(alg), make_V_object(alg, 2)
     seq = min_left_approx_sequence(y, t)
     assert not seq.t1.is_zero()
-    hom, q0 = built
-    algebra = end_of(t)
-    assert hom.images == hom_module(y, t, algebra)[0].images
-    # Q0 is the sum of the projectives E e_l, one per summand of T0 in
-    # idempotent order, each with the regular action
-    reg = regular_module(algebra)
-    blocks = [
-        algebra.projective_basis(l)
-        for l in sorted(t.summands.index(p) for p in seq.t0.summands)
-    ]
-    expect = [[] for _ in range(algebra.dim)]
-    offset = 0
-    for pb in blocks:
-        for a in range(algebra.dim):
-            expect[a] += [
-                None if reg.images[a][bi] is None
-                else offset + pb.index(reg.images[a][bi])
-                for bi in pb
-            ]
-        offset += len(pb)
-    assert (q0.dim, q0.images) == (offset, expect)
+    hom, = built
+    assert hom.images == hom_module(y, t, end_of(t))[0].images

@@ -105,6 +105,28 @@ def test_window_three_classification(n):
     assert all(len(x.shifts()) <= 2 for x in result.survivors)
 
 
+def test_wider_windows_add_no_normalised_clique():
+    """Window 2 is complete: the shift-normalised cliques (minimum shift 0,
+    as enumerate_and_classify filters) of windows 3 and 4 are those of
+    window 2, n <= 6, since no morphism crosses a shift gap of 2."""
+    for n in range(1, 7):
+        alg = Algebra(n)
+
+        def normalised(window):
+            atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
+            cliques = [
+                [atoms[i] for i in c] for c in _clique_candidates(alg, atoms, n)
+            ]
+            return {
+                frozenset(c) for c in cliques if min(s for _, s in c) == 0
+            }
+
+        two = normalised(2)
+        assert two
+        assert normalised(3) == two
+        assert normalised(4) == two
+
+
 def test_zero_path_audit():
     for n in (1, 2, 3, 4, 5):
         assert zero_path_audit(Algebra(n), n)

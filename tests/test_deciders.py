@@ -373,24 +373,24 @@ def test_rank_counts_match_subrepresentation_reference(monkeypatch):
     references = {}  # many objects share a sequence: build each reference once
 
     def checked(rank_test, reference):
-        def test(*maps):
-            key = rank_test, repr(maps)
+        def test(seq):
+            key = rank_test, repr((seq.f, seq.g))
             if key not in references:
-                rep_maps = [to_rep_morphism(h) for h in maps]
+                f, g = to_rep_morphism(seq.f), to_rep_morphism(seq.g)
                 references[key] = (
-                    kernel_intervals_reference(rep_maps[0]),
-                    reference(*rep_maps),
+                    kernel_intervals_reference(f),
+                    reference(f, g),
                 )
             kernel, verdict = references[key]
             kernels.append(kernel)
-            assert rank_test(*maps) == verdict
+            assert rank_test(seq) == verdict
             verdicts.setdefault(rank_test.__name__, set()).add(verdict)
             return verdict
 
         return test
 
     for rank_test, reference in (
-        (approx.is_injective, injective_reference),
+        (approx.is_injective, lambda f, g: injective_reference(f)),
         (approx.is_exact_at_middle, exact_at_middle_reference),
         (approx.is_exact_sequence_with_zero, exact_with_zero_reference),
     ):
@@ -414,6 +414,52 @@ def test_rank_counts_match_subrepresentation_reference(monkeypatch):
         "is_exact_at_middle": {True, False},
         "is_exact_sequence_with_zero": {True, False},
     }
+
+
+def test_each_sequence_counts_its_ranks_once(monkeypatch):
+    """Asked about one object, the four complex deciders count rank f_v and
+    rank g_v of each in-slice sequence at most once each, and both module
+    deciders those of the one regular sequence: the predicates read the
+    counts the sequence keeps.  Checked on the criterion-3 objects and on
+    basic modules of at most five summands, n <= 4."""
+    built, ranked = [], []
+    build, ranks = approx.min_left_approx_sequence, approx._ranks
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recording_ranks(h):
+        ranked.append(h)
+        return ranks(h)
+
+    monkeypatch.setattr(deciders, "min_left_approx_sequence", recording_build)
+    monkeypatch.setattr(approx, "_ranks", recording_ranks)
+
+    def counted(decide):
+        built.clear()
+        ranked.clear()
+        decide()
+        maps = {id(h) for seq in built for h in (seq.f, seq.g)}
+        # ranked keeps every map alive, so equal ids mean the same map
+        assert len({id(h) for h in ranked}) == len(ranked)
+        assert {id(h) for h in ranked} <= maps
+        return len(ranked)
+
+    total = 0
+    for x in criterion_3_objects():
+        total += counted(lambda: [
+            check_ddcp(x),
+            check_ddcp_derived(x),
+            check_tilting_complex(x, "module"),
+            check_tilting_complex(x, "derived"),
+        ])
+    for alg, multiset in small_basic_modules():
+        total += counted(lambda: [
+            check_module_dcp(alg, multiset),
+            check_tilting_module(alg, multiset),
+        ])
+    assert total > 0
 
 
 def test_module_route_does_no_elimination(monkeypatch):

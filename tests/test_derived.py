@@ -11,7 +11,6 @@ from ddcp.derived import (
     DerivedMorphism,
     DerivedObject,
     chain_homology_object,
-    compose,
     compose_entries,
     cone,
     graded_hom,
@@ -21,6 +20,7 @@ from ddcp.derived import (
 from oracles import (
     chain_homology_reference,
     chain_homotopy_compose,
+    compose,
     derived_identity,
 )
 

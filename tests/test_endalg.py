@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
-from ddcp.derived import DerivedMorphism, DerivedObject, compose
+from ddcp.derived import DerivedMorphism, DerivedObject
 from ddcp.approx import hom_module
 from ddcp.classify import make_T, make_V
 from ddcp.deciders import verify_homology_corners
@@ -15,13 +15,15 @@ from ddcp.endalg import (
     is_hereditary,
     is_linear_A,
     module_generators,
-    regular_module,
 )
 from oracles import (
+    compose,
     is_basic_reference,
     is_hereditary_reference,
+    module_act,
     projective_basis_reference,
     radical_square_reference,
+    regular_module,
     src_reference,
     tgt_reference,
 )
@@ -144,9 +146,12 @@ def test_regular_module_and_generators():
     alg = Algebra(3)
     e = end_of(full_projectives(alg))
     reg = regular_module(e)
+    reg.validate()
     assert reg.dim == e.dim
-    units = [[int(i == j) for j in range(reg.dim)] for i in range(reg.dim)]
-    gens = module_generators(reg, units)
+    # the regular module is the free module of one copy, 0: its basis
+    # vector b_i is the sparse unit {(0, i): 1}
+    units = [{(0, i): 1} for i in range(reg.dim)]
+    gens = module_generators(e, units)
     # the algebra is generated by its idempotents, one per projective
     assert gens == [(l, units[l]) for l in e.idempotents]
 
@@ -161,9 +166,9 @@ def test_table_is_associative_and_unit_checked():
 
 # The multiplication table of end_of and the images of hom_module both come
 # from derived.composites, the lookup of a composite among the generators
-# graded_hom lists; derived.compose applies the rule of quiver.space_dim to
-# morphisms on its own, and is itself checked against the chain-homotopy
-# oracle (acceptance criterion 7).
+# graded_hom lists; the reference compose (tests/oracles.py) applies the
+# rule of quiver.space_dim to morphisms on its own, and is itself checked
+# against the chain-homotopy oracle (acceptance criterion 7).
 
 
 def small_objects():
@@ -231,7 +236,7 @@ def test_hom_module_action_matches_compose():
                 for gi, (k, l, _) in enumerate(gens):
                     image = compose(DerivedMorphism(y, t, {(k, l): 1}), a)
                     unit = [int(j == gi) for j in range(m.dim)]
-                    column = m.act(ai, unit)
+                    column = module_act(m, ai, unit)
                     assert image.entries == {
                         gens[j][:2]: c for j, c in enumerate(column) if c
                     }, (y, t, ai, gi)

@@ -21,11 +21,11 @@ from ddcp.deciders import (
     verify_homology_corners,
 )
 from ddcp.derived import ChainComplex, DerivedMorphism, DerivedObject
-from ddcp.endalg import SCAlgebra, SCModule, regular_module
+from ddcp.endalg import SCAlgebra, SCModule
 from ddcp.exactmat import Mat
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.reps import RepMorphism, realize
-from oracles import identity_morphism
+from oracles import identity_morphism, regular_module
 
 
 def validating(cls, counts):
@@ -81,8 +81,9 @@ def test_every_built_instance_validates(validated):
             check_tilting_complex(x, "module")
             check_tilting_complex(x, "derived")
             verify_homology_corners(x)
-            c = endalg.end_of(x)
-            regular_module(c)
+            # a test reference (oracles.py), like the dense cover Q0 that
+            # test_approx.py validates
+            regular_module(endalg.end_of(x)).validate()
     alg5 = Algebra(5)
     modules = [(alg, m) for n in (1, 2, 3) for alg, m in basic_modules(n)]
     modules += [(alg5, make_V(alg5, m).slice(0)) for m in range(1, 6)]
