@@ -75,9 +75,9 @@ def min_left_approx_sequence(y, t, algebra=None):
     # spanned by its basis, so rad Hom(y, t) is spanned by the basis vectors
     # a radical element hits, and the top by the heads: the basis vectors
     # that their idempotent fixes and no radical element hits.
-    # Idempotent l is summand l of the sorted t.summands (end_of, corner),
-    # so top0, and top1 below, list heads by idempotent in DerivedObject's
-    # order: position pos of a top is summand pos of T0 or T1.
+    # Idempotent l is summand l of the sorted t.summands (end_of), so top0,
+    # and top1 below, list heads by idempotent in DerivedObject's order:
+    # position pos of a top is summand pos of T0 or T1.
     hit = {j for r in algebra.radical_indices() for j in m.images[r]}
     top0 = [
         (l, i)

@@ -14,7 +14,7 @@ hereditary) are reported as "not applicable" -- false for classification
 purposes but distinguished from a genuine condition failure.
 
 The deciders share the work that depends only on the object they are asked
-about: End(x) and whether it is hereditary, each shift's slice and corner,
+about: End(x) and whether it is hereditary, each shift's slice and its End,
 each in-slice sequence of P(e), each derived-route (T0, cone(g)), and the
 module deciders' regular sequence.  Asking several deciders about one object
 in a row, as the route-agreement checks do, builds each piece once.  The
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .derived import DerivedObject, cone
-from .endalg import corner, end_of, is_hereditary
+from .endalg import end_of, is_hereditary
 from .approx import (
     is_exact_at_middle,
     is_exact_sequence_with_zero,
@@ -123,13 +123,12 @@ def _once(x, key, build):
     return memo[key]
 
 
-def _end(x, algebra=None):
-    """End(x), or the algebra = end_of(x) the caller already holds."""
-    return _once(x, "end", lambda: end_of(x) if algebra is None else algebra)
+def _end(x):
+    return _once(x, "end", lambda: end_of(x))
 
 
-def _hereditary(x, algebra=None):
-    return _once(x, "hereditary", lambda: is_hereditary(_end(x, algebra)))
+def _hereditary(x):
+    return _once(x, "hereditary", lambda: is_hereditary(_end(x)))
 
 
 def _regular_sequence(t):
@@ -208,18 +207,17 @@ def ddcp_precheck(x):
     return None
 
 
-def _decide(x, name, step, algebra=None):
+def _decide(x, name, step):
     """The frame shared by the complex deciders.
 
     After the preconditions (basic, hereditary endomorphism algebra),
     every indecomposable projective P(e) needs a unique supporting
     shift i, and then step(x, report of P(e), i) must return no
-    failures.  Each failing projective adds one reason naming its vertex.
-    algebra is End(x) when the caller already has it."""
+    failures.  Each failing projective adds one reason naming its vertex."""
     report = DeciderReport(name, False)
     if not x.is_basic():
         return _not_applicable(report, "object is not basic")
-    if not _hereditary(x, algebra):
+    if not _hereditary(x):
         return _not_applicable(report, "endomorphism algebra is not hereditary")
     checks = []
     for e in range(1, x.alg.n + 1):
@@ -235,11 +233,9 @@ def _decide(x, name, step, algebra=None):
 
 
 def _slice(x, i):
-    """x's shift-i slice as a module, and its End: the block of x's summands
-    at shift i, so End(slice) is a corner of End(x)."""
-    block = _basic_support(x.slice(i))
-    lo = [s for _, s in x.summands].index(i)
-    return _module_object(x.alg, block), corner(_end(x), lo, lo + len(block))
+    """x's shift-i slice as a module, and its End."""
+    t = _module_object(x.alg, _basic_support(x.slice(i)))
+    return t, end_of(t)
 
 
 def _module_route(exact_test):
@@ -301,13 +297,12 @@ def _cone_is(c, pr, p, i):
     return ["cone is %r, not %r[%d]" % (c, p, i + 1)]
 
 
-def check_ddcp(x, algebra=None):
+def check_ddcp(x):
     """Module-category route: for every indecomposable projective P(e),
     a unique supporting shift i; the minimal left approximation of P(e) by
     the shift-i slice is exact at the middle, with kernel inside the additive
-    closure of the shift-(i+1) slice.  algebra is end_of(x) when the caller
-    already has it."""
-    return _decide(x, "ddcp", _module_route(is_exact_at_middle), algebra)
+    closure of the shift-(i+1) slice."""
+    return _decide(x, "ddcp", _module_route(is_exact_at_middle))
 
 
 def check_ddcp_derived(x):

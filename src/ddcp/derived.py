@@ -21,8 +21,11 @@ class DerivedObject:
 
     def __init__(self, alg, pairs):
         self.alg = alg
-        pairs = [(alg.check_interval(iv), s) for iv, s in pairs]
+        pairs = list(pairs)
         for iv, s in pairs:
+            if not isinstance(iv, Interval):
+                raise InputError("summand %r is not an interval" % (iv,))
+            alg.check_interval(iv)
             if not is_int(s):
                 raise InputError("shift of %r must be an integer: %r" % (iv, s))
         self.summands = tuple(sorted(pairs, key=lambda p: (p[1], p[0].a, p[0].b)))

@@ -52,14 +52,6 @@ class SCAlgebra:
                 tgt[j] = i
         return list(zip(src, tgt))
 
-    def src(self, i):
-        """The idempotent index e with basis_i * e = basis_i."""
-        return self.ends[i][0]
-
-    def tgt(self, i):
-        """The idempotent index e with e * basis_i = basis_i."""
-        return self.ends[i][1]
-
     def validate(self):
         """Raise InputError unless the table is unital and associative."""
         b = self.dim
@@ -135,29 +127,6 @@ def end_of(x):
     return SCAlgebra(basis, range(len(x)), composites(gens, gens))
 
 
-def corner(algebra, lo, hi):
-    """End of the block lo..hi-1 of an object's summands, read off the
-    object's end_of algebra: the basis elements whose two ends lie in the
-    block, relabelled from 0 in end_of's order, identities first.  A
-    composite of two kept elements is kept, since its ends are theirs."""
-    keep = [
-        i for i, (s, t) in enumerate(algebra.ends)
-        if lo <= s < hi and lo <= t < hi
-    ]
-    new = {i: k for k, i in enumerate(keep)}
-    # ("e", i) and ("g", i, j, deg): the summand indices move down by lo
-    basis = [
-        label[:1] + tuple(v - lo for v in label[1:3]) + label[3:]
-        for label in (algebra.basis[i] for i in keep)
-    ]
-    table = {
-        (new[i], new[j]): new[k]
-        for (i, j), k in algebra.table.items()
-        if i in new and j in new
-    }
-    return SCAlgebra(basis, range(hi - lo), table)
-
-
 def is_hereditary(c):
     """True iff every simple module has projective dimension at most one.
 
@@ -189,7 +158,7 @@ def is_linear_A(c):
     out_of = {}
     into = {}
     for a in arrows:
-        s, t = c.src(a), c.tgt(a)
+        s, t = c.ends[a]
         if s in out_of or t in into or s == t:
             return None
         out_of[s] = a
@@ -208,7 +177,7 @@ def is_linear_A(c):
         composite = a if composite is None else c.mul(a, composite)
         if composite is None:
             return None
-        vertex = c.tgt(a)
+        vertex = c.ends[a][1]
         if vertex in visited:
             return None
         visited.add(vertex)

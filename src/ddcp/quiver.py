@@ -27,8 +27,9 @@ class Interval:
     b: int
 
     def __post_init__(self):
-        if not (1 <= self.a <= self.b):
-            raise InputError("invalid interval (%r, %r)" % (self.a, self.b))
+        a, b = self.a, self.b
+        if not (is_int(a) and is_int(b) and 1 <= a <= b):
+            raise InputError("invalid interval (%r, %r)" % (a, b))
 
     @property
     def support(self):
@@ -45,8 +46,10 @@ class Algebra:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("need at least one vertex")
+        if not (is_int(self.n) and self.n >= 1):
+            raise InputError(
+                "number of vertices must be a positive integer: %r" % (self.n,)
+            )
 
     def check_interval(self, iv):
         if iv.b > self.n:

@@ -81,8 +81,8 @@ def observed(counts, end_of_s):
             counts["rejected: " + kind[0]] += 1
         return reason
 
-    def check_ddcp(x, algebra=None):
-        report = originals["check_ddcp"](x, algebra)
+    def check_ddcp(x):
+        report = originals["check_ddcp"](x)
         counts["survivors" if report else "passed precheck, failed"] += 1
         return report
 

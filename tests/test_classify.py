@@ -14,6 +14,8 @@ from ddcp.classify import (
     zero_path_audit,
 )
 from ddcp.deciders import check_ddcp, check_tilting_complex
+from ddcp.derived import DerivedObject
+from ddcp.endalg import end_of, is_linear_A
 
 
 def test_degree_window_below_one_rejected():
@@ -159,15 +161,42 @@ def test_clique_funnel_closed_forms():
         assert len(normalised) == (n + 1) * 2 ** (n - 2)
 
 
+def test_end_is_linear_on_every_normalised_clique():
+    """End(x) = A_n on every shift-normalised n-clique over shifts {0, 1},
+    n <= 8, as the module docstring argues: is_linear_A, which
+    enumerate_and_classify asks on each of them, never rejects one."""
+    objects = 0
+    for n in range(1, 9):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        for c in _clique_candidates(alg, atoms, n):
+            pairs = [atoms[i] for i in c]
+            if min(s for _, s in pairs) == 0:
+                assert is_linear_A(end_of(DerivedObject(alg, pairs))) == n
+                objects += 1
+    assert objects == 1024
+
+
 def test_classification_builds_one_endomorphism_algebra_per_candidate(
     end_of_calls,
 ):
     """End(x) is built once per shift-normalised candidate, (n+1) 2^(n-2),
-    and check_ddcp takes it from is_linear_A's caller."""
+    for is_linear_A.  check_ddcp, which only the 2n - 1 survivors reach,
+    builds End(x) again and the End of each slice: V_m's one slice is V_m
+    itself, and T_i has two."""
     n = 5
-    assert enumerate_and_classify(Algebra(n)).lambda_count == 2 * n - 1
-    assert len(end_of_calls) == (n + 1) * 2 ** (n - 2) == 48
-    assert len(set(end_of_calls)) == len(end_of_calls)
+    result = enumerate_and_classify(Algebra(n))
+    assert result.lambda_count == 2 * n - 1
+    decided = Counter(result.survivors)
+    for x in result.survivors:
+        decided.update(
+            DerivedObject(x.alg, [(iv, 0) for iv, s in x.summands if s == i])
+            for i in x.shifts()
+        )
+    candidates = Counter(end_of_calls) - decided
+    assert len(candidates) == sum(candidates.values())
+    assert len(candidates) == (n + 1) * 2 ** (n - 2) == 48
+    assert len(end_of_calls) == 48 + 9 + 5 + 2 * 4
 
 
 def set_based_cliques(alg, atoms, size):

@@ -94,11 +94,20 @@ def test_tilting_module_builds_one_endomorphism_algebra(end_of_calls):
     assert len(end_of_calls) == 1
 
 
+def slice_modules(x):
+    """Each shift slice of x as a module at shift 0."""
+    return {
+        DerivedObject(x.alg, [(iv, 0) for iv, s in x.summands if s == i])
+        for i in x.shifts()
+    }
+
+
 def test_complex_deciders_build_one_endomorphism_algebra(end_of_calls):
-    """End(x) is built once per basic object, however many complex deciders
-    ask, and not at all when the object is not basic or the caller hands
-    End(x) to check_ddcp; the module route reads End(slice) off End(x).
-    verify_homology_corners builds End(x) once for both of its complex
+    """End(x) is built first and once per basic object, however many complex
+    deciders ask, and not at all when the object is not basic.  After it
+    come the Ends of the slices the module route asks for, each built at
+    most once, by end_of as for any other object.  verify_homology_corners
+    builds End(x) and the Ends of both slices once for both of its complex
     deciders, plus End of each corner module once for both module
     deciders."""
     alg = Algebra(3)
@@ -109,19 +118,20 @@ def test_complex_deciders_build_one_endomorphism_algebra(end_of_calls):
         end_of_calls.clear()
         for decide in COMPLEX_DECIDERS:
             decide(x)
-        assert end_of_calls == ([x] if x.is_basic() else []), x
-    for x in objects:
-        algebra = end_of(x)
-        deciders._memo.cache_clear()
-        end_of_calls.clear()
-        check_ddcp(x, algebra)
-        for decide in COMPLEX_DECIDERS[1:]:
-            decide(x)
-        assert end_of_calls == [], x
+        if not x.is_basic():
+            assert end_of_calls == [], x
+            continue
+        first, *slices = end_of_calls
+        assert first == x
+        assert len(set(slices)) == len(slices), x
+        assert set(slices) <= slice_modules(x), x
     end_of_calls.clear()
     x = make_T(alg, 1)
     assert verify_homology_corners(x)
-    assert end_of_calls.count(x) == 1 and len(end_of_calls) == 3
+    assert end_of_calls[:3] == [
+        x, obj(alg, (1, 1, 0)), obj(alg, (2, 2, 0), (2, 3, 0))
+    ]
+    assert len(end_of_calls) == 5
 
 
 def test_ddcp_families_all_routes():
@@ -527,7 +537,8 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
     kernel_intervals leaves every later report as it was.  Asking every
     decider about one object builds End(x) once, and one approximation
     sequence per route and unique-shift vertex (for a module, the regular
-    module's once)."""
+    module's once), and the End of each slice the module route asks for at
+    most once."""
     sequences = []
     build = deciders.min_left_approx_sequence
 
@@ -550,11 +561,14 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
             for pr in report.projectives:
                 pr.approx_summands.append((Interval(1, 1), 7))
                 pr.kernel_intervals[Interval(1, 1)] = 7
-        (x,) = end_of_calls
+        x, *slices = end_of_calls
+        assert len(set(slices)) == len(slices)
         if len(calls) == len(COMPLEX_DECIDERS):
+            assert set(slices) <= slice_modules(x)
             unique = [e for e in range(1, x.alg.n + 1) if len(x.shifts_at(e)) == 1]
             assert len(sequences) == 2 * len(unique)
         else:
+            assert slices == []
             assert len(sequences) == 1
         deciders._memo.cache_clear()
         assert [decide().as_dict() for decide in calls[::-1]] == fresh[::-1]

@@ -10,7 +10,6 @@ from ddcp.classify import make_T, make_V
 from ddcp.deciders import verify_homology_corners
 from ddcp.endalg import (
     SCAlgebra,
-    corner,
     end_of,
     is_hereditary,
     is_linear_A,
@@ -251,7 +250,7 @@ def test_structure_queries_match_mul_scanning_references():
     algebras += [end_of(x) for x in repeated_objects()]
     outcomes = Counter()
     for c in algebras + [opposite(c) for c in algebras]:
-        assert [(c.src(i), c.tgt(i)) for i in range(c.dim)] == [
+        assert c.ends == [
             (src_reference(c, i), tgt_reference(c, i)) for i in range(c.dim)
         ]
         for e in c.idempotents:
@@ -273,31 +272,3 @@ def test_structure_queries_match_mul_scanning_references():
         (True, False): 202,
         (False, None): 888,
     }
-
-
-def test_corner_is_end_of_the_slice():
-    """corner(end_of(x), lo, hi) equals end_of of the block of summands at
-    one shift, as a module at shift 0 (as the module route builds it), in
-    basis, idempotents and table: both shift blocks, empty ones included,
-    of every shift-normalised n-summand object over shifts {0, 1}, n <= 4
-    (the population of acceptance criterion 3 before its hereditary
-    filter)."""
-    blocks = 0
-    for n in (1, 2, 3, 4):
-        alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        for combo in combinations(atoms, n):
-            if min(s for _, s in combo) != 0:
-                continue
-            x = DerivedObject(alg, combo)
-            algebra = end_of(x)
-            for s in (0, 1):
-                lo = sum(1 for _, t in x.summands if t < s)
-                block = [(iv, 0) for iv, t in x.summands if t == s]
-                c = corner(algebra, lo, lo + len(block))
-                e = end_of(DerivedObject(alg, block))
-                assert (c.basis, c.idempotents, c.table) == (
-                    e.basis, e.idempotents, e.table
-                ), (x, s)
-                blocks += 1
-    assert blocks == 9696

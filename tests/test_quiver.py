@@ -26,6 +26,15 @@ def test_interval_validation():
         Interval(3, 2)
     with pytest.raises(InputError):
         Algebra(3).interval(2, 4)
+    for a, b in ((1.5, 2), (1, 2.0), ("1", 2), (True, 2), (1, None)):
+        with pytest.raises(InputError):
+            Interval(a, b)
+    for n in (0, 2.5, "2", True, None):
+        with pytest.raises(InputError):
+            Algebra(n)
+    for summand in ((1, 2), "X(1,2)", None):
+        with pytest.raises(InputError):
+            DerivedObject(Algebra(3), [(summand, 0)])
 
 
 def test_algebra_families():
