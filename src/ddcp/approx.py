@@ -25,13 +25,14 @@ from .derived import (
 from .endalg import SCModule, end_of, forest_join, module_generators
 
 
-def hom_module(y, t, algebra):
-    """Hom(y, t) as a left module over algebra = end_of(t), acting by
+def hom_module(y, t):
+    """Hom(y, t) as a left module over end_of(t), acting by
     post-composition.
 
     The underlying space has one coordinate per canonical generator y -> t;
     returns (SCModule, generator list)."""
-    gens = graded_hom(y.alg, y, t)
+    gens = graded_hom(y, t)
+    algebra = end_of(t)
     # the idempotent ("e", s) is the degree-0 generator s -> s
     acting = [(lab[1], lab[1], 0) if lab[0] == "e" else lab[1:]
               for lab in algebra.basis]
@@ -61,14 +62,13 @@ class ApproxSequence:
         return _ranks(self.g)
 
 
-def min_left_approx_sequence(y, t, algebra=None):
+def min_left_approx_sequence(y, t):
     """Construct the minimal sequence by projective presentation transport."""
     alg = y.alg
     if not t.is_basic():
         raise InputError("approximation target must be basic")
-    if algebra is None:
-        algebra = end_of(t)
-    m, gens = hom_module(y, t, algebra)
+    m, gens = hom_module(y, t)
+    algebra = m.algebra
 
     # The top of Hom(y, t), grouped by summand l of t: the cover is by the
     # projectives E e_l, dual to the summands t_l themselves.  Hom(y, t) is

@@ -14,8 +14,9 @@ consecutive shifts, which shift normalisation makes {0, 1}.
 
 Each shift-normalised candidate then meets three necessary conditions, in
 order of cost: is_linear_A(End(x)), deciders.ddcp_precheck (check_ddcp's
-rules that need no approximation sequence) and check_ddcp itself.  The
-order is free, since a pre-check reason is itself a check_ddcp failure.
+rules that need no approximation sequence) and check_ddcp itself, which
+reads End(x) from end_of's cache.  The order is free, since a pre-check
+reason is itself a check_ddcp failure.
 
 End(x) = A_n holds on every candidate, so is_linear_A checks the search
 and rejects nothing.  D^b(kA_n) is directed: its Auslander-Reiten quiver is
@@ -84,11 +85,11 @@ class ClassificationResult:
         }
 
 
-def _comparable(alg, p, q):
-    return pair_space_dim(alg, p, q)[0] or pair_space_dim(alg, q, p)[0]
+def _comparable(p, q):
+    return pair_space_dim(p, q)[0] or pair_space_dim(q, p)[0]
 
 
-def _clique_candidates(alg, atoms, size):
+def _clique_candidates(atoms, size):
     """All size-cliques of the comparability graph, as increasing index
     tuples in lexicographic order.  Vertex sets are int bitsets: later[i]
     holds the atoms after i comparable with it, and a branch stops once
@@ -97,7 +98,7 @@ def _clique_candidates(alg, atoms, size):
     wanted)."""
     later = [0] * len(atoms)
     for i, j in combinations(range(len(atoms)), 2):
-        if _comparable(alg, atoms[i], atoms[j]):
+        if _comparable(atoms[i], atoms[j]):
             later[i] |= 1 << j
     out = []
 
@@ -141,7 +142,7 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
     reference.update(
         {make_T(alg, i): "T_%d" % i for i in range(1, n)}
     )
-    for idxs in _clique_candidates(alg, atoms, n):
+    for idxs in _clique_candidates(atoms, n):
         pairs = [atoms[i] for i in idxs]
         if min(s for _, s in pairs) != 0:
             continue  # shift normalization: each class counted once

@@ -93,19 +93,11 @@ def _morphism_json(f):
     ]
 
 
-def cmd_hom(args):
+def cmd_dim(args):
     alg = Algebra(args.n)
     src = _parse_interval(alg, args.src)
     tgt = _parse_interval(alg, args.tgt)
-    print(hom_dim(alg, src, tgt))
-    return EXIT_OK
-
-
-def cmd_ext(args):
-    alg = Algebra(args.n)
-    src = _parse_interval(alg, args.src)
-    tgt = _parse_interval(alg, args.tgt)
-    print(ext_dim(alg, src, tgt))
+    print(args.dim(alg, src, tgt))
     return EXIT_OK
 
 
@@ -152,23 +144,20 @@ def _module_multiset(x):
     return x.slice(0)
 
 
+# check --mode: the decider each mode runs on the parsed object
+CHECKS = {
+    "dcp": lambda x: deciders.check_module_dcp(x.alg, _module_multiset(x)),
+    "tilting-module":
+        lambda x: deciders.check_tilting_module(x.alg, _module_multiset(x)),
+    "ddcp": deciders.check_ddcp,
+    "ddcp-derived": deciders.check_ddcp_derived,
+    "tilting": deciders.check_tilting_complex,
+    "corners": deciders.verify_homology_corners,
+}
+
+
 def cmd_check(args):
-    x = _parse_object_arg(args.object, args.n)
-    alg = x.alg
-    if args.mode == "dcp":
-        report = deciders.check_module_dcp(alg, _module_multiset(x))
-    elif args.mode == "tilting-module":
-        report = deciders.check_tilting_module(alg, _module_multiset(x))
-    elif args.mode == "ddcp":
-        report = deciders.check_ddcp(x)
-    elif args.mode == "ddcp-derived":
-        report = deciders.check_ddcp_derived(x)
-    elif args.mode == "tilting":
-        report = deciders.check_tilting_complex(x)
-    elif args.mode == "corners":
-        report = deciders.verify_homology_corners(x)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError("unknown mode %r" % args.mode)
+    report = CHECKS[args.mode](_parse_object_arg(args.object, args.n))
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     if not report.applicable:
         return EXIT_PRECONDITION
@@ -208,17 +197,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hom", help="dimension of a Hom space of intervals")
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--from", dest="src", required=True, metavar="a,b")
-    p.add_argument("--to", dest="tgt", required=True, metavar="c,d")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser("ext", help="dimension of an Ext space of intervals")
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--from", dest="src", required=True, metavar="a,b")
-    p.add_argument("--to", dest="tgt", required=True, metavar="c,d")
-    p.set_defaults(func=cmd_ext)
+    for name, text, dim in (
+        ("hom", "dimension of a Hom space of intervals", hom_dim),
+        ("ext", "dimension of an Ext space of intervals", ext_dim),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--n", type=integer, required=True)
+        p.add_argument("--from", dest="src", required=True, metavar="a,b")
+        p.add_argument("--to", dest="tgt", required=True, metavar="c,d")
+        p.set_defaults(func=cmd_dim, dim=dim)
 
     p = sub.add_parser("end", help="endomorphism algebra of an object")
     p.add_argument("--n", type=integer, required=True)
@@ -236,18 +223,7 @@ def build_parser():
     p = sub.add_parser("check", help="run a property decider")
     p.add_argument("--n", type=integer, required=True)
     p.add_argument("--object", required=True, metavar="JSON")
-    p.add_argument(
-        "--mode",
-        required=True,
-        choices=[
-            "dcp",
-            "tilting-module",
-            "ddcp",
-            "ddcp-derived",
-            "tilting",
-            "corners",
-        ],
-    )
+    p.add_argument("--mode", required=True, choices=list(CHECKS))
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("classify", help="enumerate all qualifying objects")

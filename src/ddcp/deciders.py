@@ -14,13 +14,13 @@ hereditary) are reported as "not applicable" -- false for classification
 purposes but distinguished from a genuine condition failure.
 
 The deciders share the work that depends only on the object they are asked
-about: End(x) and whether it is hereditary, each shift's slice and its End,
-each in-slice sequence of P(e), each derived-route (T0, cone(g)), and the
-module deciders' regular sequence.  Asking several deciders about one object
-in a row, as the route-agreement checks do, builds each piece once.  The
-memo is keyed by the object's value, not its identity, so every report is
-what a fresh computation gives; it holds the last object only, so it never
-grows with the number of objects decided.
+about: whether End(x) is hereditary, each in-slice sequence of P(e), each
+derived-route (T0, cone(g)), and the module deciders' regular sequence.
+Asking several deciders about one object in a row, as the route-agreement
+checks do, builds each piece once.  The memo is keyed by the object's value,
+not its identity, so every report is what a fresh computation gives; it
+holds the last object only, so it never grows with the number of objects
+decided.  End(x), and the End of each slice, come from end_of's own cache.
 """
 
 from dataclasses import dataclass, field
@@ -123,12 +123,8 @@ def _once(x, key, build):
     return memo[key]
 
 
-def _end(x):
-    return _once(x, "end", lambda: end_of(x))
-
-
 def _hereditary(x):
-    return _once(x, "hereditary", lambda: is_hereditary(_end(x)))
+    return _once(x, "hereditary", lambda: is_hereditary(end_of(x)))
 
 
 def _regular_sequence(t):
@@ -137,7 +133,7 @@ def _regular_sequence(t):
     def build():
         alg = t.alg
         y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
-        return min_left_approx_sequence(y, t, _end(t))
+        return min_left_approx_sequence(y, t)
 
     return _once(t, "regular", build)
 
@@ -233,9 +229,8 @@ def _decide(x, name, step):
 
 
 def _slice(x, i):
-    """x's shift-i slice as a module, and its End."""
-    t = _module_object(x.alg, _basic_support(x.slice(i)))
-    return t, end_of(t)
+    """x's shift-i slice as a module."""
+    return _module_object(x.alg, _basic_support(x.slice(i)))
 
 
 def _module_route(exact_test):
@@ -246,8 +241,7 @@ def _module_route(exact_test):
     def step(x, pr, i):
         def build():
             y = _module_object(x.alg, [x.alg.projective(pr.vertex)])
-            t, algebra = _once(x, ("slice", i), lambda: _slice(x, i))
-            return min_left_approx_sequence(y, t, algebra)
+            return min_left_approx_sequence(y, _slice(x, i))
 
         seq = _once(x, ("in-slice", pr.vertex), build)
         pr.approx_summands = list(seq.t0.summands)
@@ -269,7 +263,7 @@ def _derived_route(cone_test):
 
         def build():
             y = DerivedObject(x.alg, [(p, i)])
-            seq = min_left_approx_sequence(y, x, _end(x))
+            seq = min_left_approx_sequence(y, x)
             return seq.t0.summands, cone(seq.g)
 
         t0, c = _once(x, ("cone", pr.vertex), build)

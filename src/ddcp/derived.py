@@ -79,22 +79,25 @@ class DerivedObject:
         )
 
 
-def pair_space_dim(alg, src_pair, tgt_pair):
+def pair_space_dim(src_pair, tgt_pair):
     """(dim, degree) of the space between two summands: the generator's
     degree is the shift gap, Hom (0) or Ext^1 (1); any other gap admits no
     morphism, (0, None)."""
     deg = tgt_pair[1] - src_pair[1]
     if deg not in (HOM, EXT):
         return 0, None
-    return space_dim(alg, src_pair[0], tgt_pair[0], deg), deg
+    return space_dim(src_pair[0], tgt_pair[0], deg), deg
 
 
-def graded_hom(alg, y, x):
-    """Canonical generators of Hom_{D^b}(y, x): (src idx, tgt idx, degree)."""
+def graded_hom(y, x):
+    """Canonical generators of Hom_{D^b}(y, x): (src idx, tgt idx, degree).
+    Objects over different algebras raise InputError."""
+    if y.alg != x.alg:
+        raise InputError("objects over %r and %r" % (y.alg, x.alg))
     gens = []
     for k, sp in enumerate(y.summands):
         for l, tp in enumerate(x.summands):
-            d, deg = pair_space_dim(alg, sp, tp)
+            d, deg = pair_space_dim(sp, tp)
             if d:
                 gens.append((k, l, deg))
     return gens
@@ -152,7 +155,7 @@ class DerivedMorphism:
         src, tgt = self.src.summands, self.tgt.summands
         for k, l in self.entries:
             if not (0 <= k < len(src) and 0 <= l < len(tgt)
-                    and pair_space_dim(self.alg, src[k], tgt[l])[0]):
+                    and pair_space_dim(src[k], tgt[l])[0]):
                 raise InputError("entry (%d, %d) has no morphism space" % (k, l))
 
     def __repr__(self):
@@ -193,7 +196,7 @@ class ChainComplex:
                 raise InputError("chain differential does not square to zero")
 
 
-def to_chain(alg, x):
+def to_chain(x):
     """Chain representative of a split object, with position bookkeeping.
 
     Each summand (X(a, b), s) contributes its projective cover P(a) in degree
@@ -211,13 +214,13 @@ def to_chain(alg, x):
 
     for iv, s in x.summands:
         cover_pos.append(push(-s, iv.a))
-        syz_pos.append(push(-s - 1, iv.b + 1) if iv.b < alg.n else None)
+        syz_pos.append(push(-s - 1, iv.b + 1) if iv.b < x.alg.n else None)
     diffs = {}
     for syz, (_, row) in zip(syz_pos, cover_pos):
         if syz is not None:
             deg, col = syz
             diffs.setdefault(deg, {})[col, row] = Fraction(1)
-    return ChainComplex(alg, comps, diffs), cover_pos, syz_pos
+    return ChainComplex(x.alg, comps, diffs), cover_pos, syz_pos
 
 
 def lift_chain(f, src_chain, tgt_chain):
@@ -241,7 +244,7 @@ def lift_chain(f, src_chain, tgt_chain):
     return maps
 
 
-def chain_homology_object(alg, chain):
+def chain_homology_object(chain):
     """Homology of a chain complex of projectives as a split object.
 
     P(e) = X(e, n) is one-dimensional at each vertex v >= e, with identity
@@ -291,15 +294,14 @@ def chain_homology_object(alg, chain):
                 pairs.append((Interval(rows[i], cols[j] - 1), -(k + 1)))
     for k, j in cycles:
         if (k, j) not in killed:
-            pairs.append((Interval(chain.comps[k][j], alg.n), -k))
-    return DerivedObject(alg, pairs)
+            pairs.append((Interval(chain.comps[k][j], chain.alg.n), -k))
+    return DerivedObject(chain.alg, pairs)
 
 
 def cone(g):
     """Mapping cone of a derived morphism, returned split."""
-    alg = g.alg
-    src_chain = to_chain(alg, g.src)
-    tgt_chain = to_chain(alg, g.tgt)
+    src_chain = to_chain(g.src)
+    tgt_chain = to_chain(g.tgt)
     cx, cy = src_chain[0], tgt_chain[0]
     lifted = lift_chain(g, src_chain, tgt_chain)
     comps = {
@@ -318,5 +320,4 @@ def cone(g):
         for (j, i), c in cx.diffs.get(k + 1, {}).items():
             d[ytop + j, ybot + i] = -c
         diffs[k] = d
-    chain = ChainComplex(alg, comps, diffs)
-    return chain_homology_object(alg, chain)
+    return chain_homology_object(ChainComplex(g.alg, comps, diffs))

@@ -9,7 +9,7 @@ Gabriel quiver, hereditariness, isomorphism with a linear-chain path algebra
 """
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .quiver import InputError
 from .derived import composites, graded_hom
@@ -117,12 +117,17 @@ class SCAlgebra:
         )
 
 
+@lru_cache(maxsize=4)
 def end_of(x):
     """Endomorphism algebra of a split object: the graded Hom space
     Hom(x, x), identities first, with composition as product.  A generator
     from a summand to itself has degree 0, so it is that summand's
-    identity, the idempotent ("e", i) at index i."""
-    gens = sorted(graded_hom(x.alg, x, x), key=lambda g: g[0] != g[1])
+    identity, the idempotent ("e", i) at index i.
+
+    The one cache of End: keyed by the object's value, it keeps the last
+    four, which covers a decision's traffic (the object, its two slices
+    and one module).  Callers share the algebra and must not change it."""
+    gens = sorted(graded_hom(x, x), key=lambda g: g[0] != g[1])
     basis = [("e", i) if i == j else ("g", i, j, deg) for i, j, deg in gens]
     return SCAlgebra(basis, range(len(x)), composites(gens, gens))
 

@@ -10,6 +10,7 @@ suite rather than taken on faith.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class InputError(ValueError):
@@ -60,11 +61,8 @@ class Algebra:
         return self.check_interval(Interval(a, b))
 
     def intervals(self):
-        return [
-            Interval(a, b)
-            for a in range(1, self.n + 1)
-            for b in range(a, self.n + 1)
-        ]
+        """Every interval of the algebra, as a fresh list."""
+        return list(_intervals(self.n))
 
     def projective(self, i):
         return self.interval(i, self.n)
@@ -76,6 +74,13 @@ class Algebra:
         return self.interval(i, i)
 
 
+@lru_cache
+def _intervals(n):
+    return tuple(
+        Interval(a, b) for a in range(1, n + 1) for b in range(a, n + 1)
+    )
+
+
 # Degrees of canonical generators: an honest morphism, or an extension class.
 HOM = 0
 EXT = 1
@@ -85,27 +90,28 @@ def hom_dim(alg, src, tgt):
     """dim Hom(X(src), X(tgt)); 0 or 1 on intervals."""
     alg.check_interval(src)
     alg.check_interval(tgt)
-    return 1 if tgt.a <= src.a <= tgt.b <= src.b else 0
+    return space_dim(src, tgt, HOM)
 
 
 def ext_dim(alg, src, tgt):
     """dim Ext^1(X(src), X(tgt)); 0 or 1 on intervals."""
     alg.check_interval(src)
     alg.check_interval(tgt)
-    return 1 if src.a < tgt.a <= src.b + 1 <= tgt.b else 0
+    return space_dim(src, tgt, EXT)
 
 
-def space_dim(alg, src, tgt, degree):
+def space_dim(src, tgt, degree):
     """dim Hom_{D^b}(X(src), X(tgt)[degree]): Hom for degree 0, Ext^1 for
     degree 1, and 0 in every other degree (no Ext^2 over a hereditary
-    algebra).
+    algebra).  The intervals are taken as checked, as every summand of a
+    DerivedObject is; hom_dim and ext_dim check theirs.
 
     This is the one composition rule of the package: a composite of
     canonical generators of degrees d1 and d2 is the canonical generator of
     the target space of degree d1 + d2 when that space is nonzero, and
     vanishes otherwise."""
     if degree == HOM:
-        return hom_dim(alg, src, tgt)
+        return 1 if tgt.a <= src.a <= tgt.b <= src.b else 0
     if degree == EXT:
-        return ext_dim(alg, src, tgt)
+        return 1 if src.a < tgt.a <= src.b + 1 <= tgt.b else 0
     return 0

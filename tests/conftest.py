@@ -6,24 +6,29 @@ from ddcp import deciders, endalg
 
 
 @pytest.fixture(autouse=True)
-def fresh_decider_memo():
-    """Each test starts with none of the deciders' shared work, so a test
-    that counts calls or monkeypatches a layer sees every build."""
+def fresh_caches():
+    """Each test starts with no End cached and none of the deciders' shared
+    work, so a test that counts builds or monkeypatches a layer sees every
+    build."""
+    endalg.end_of.cache_clear()
     deciders._memo.cache_clear()
 
 
 @pytest.fixture
 def end_of_calls(monkeypatch):
-    """The objects end_of is called on, in call order, from every module of
-    the package that imported it."""
-    calls = []
+    """The objects whose End is built (end_of's cache misses), in build
+    order, through every module of the package that imported end_of."""
+    builds = []
     end_of = endalg.end_of
 
     def counted(x):
-        calls.append(x)
-        return end_of(x)
+        misses = end_of.cache_info().misses
+        algebra = end_of(x)
+        if end_of.cache_info().misses > misses:
+            builds.append(x)
+        return algebra
 
     for name, module in list(sys.modules.items()):
         if name.startswith("ddcp") and getattr(module, "end_of", None) is end_of:
             monkeypatch.setattr(module, "end_of", counted)
-    return calls
+    return builds

@@ -6,10 +6,9 @@ lines are identical:
 
     PYTHONPATH=src python tests/equivalence_dump.py
 
-Standard library only, and not collected by pytest.  It calls only public
-entry points whose signatures stay put (hom_module with End(t) given,
-verify_homology_corners with the object alone), so it runs unchanged
-against earlier checkouts too.
+Standard library only, and not collected by pytest.  It calls the entry
+points as this checkout defines them; to compare with an earlier checkout,
+run that checkout's own copy of the script.
 
 Populations:
 - end: every shift-normalised object of at most n summands over shifts
@@ -89,9 +88,8 @@ def approx_pairs():
             for e in range(1, n + 1)
         ]
         for t in normalised_objects(n, range(1, n + 1)):
-            algebra = end_of(t)
             for y in ys:
-                yield y, t, algebra
+                yield y, t
 
 
 def basic_modules():
@@ -122,14 +120,14 @@ def end_items():
 
 
 def hom_items():
-    for y, t, algebra in approx_pairs():
-        m, gens = hom_module(y, t, algebra)
+    for y, t in approx_pairs():
+        m, gens = hom_module(y, t)
         yield [obj_json(y), obj_json(t), gens, m.images]
 
 
 def approx_items():
-    for y, t, algebra in approx_pairs():
-        seq = min_left_approx_sequence(y, t, algebra)
+    for y, t in approx_pairs():
+        seq = min_left_approx_sequence(y, t)
         yield [
             obj_json(y),
             obj_json(t),

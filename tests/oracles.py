@@ -11,7 +11,7 @@ from ddcp.derived import (
     pair_space_dim,
     to_chain,
 )
-from ddcp.endalg import SCModule, end_of, forest_join
+from ddcp.endalg import SCModule, forest_join
 from ddcp.exactmat import Mat, rank, solve
 from ddcp.quiver import InputError, Interval
 
@@ -25,7 +25,7 @@ def compose(f, g):
     return DerivedMorphism(f.src, g.tgt, {
         (k, m): c
         for (k, m), c in compose_entries(f.entries, g.entries).items()
-        if pair_space_dim(f.alg, src[k], tgt[m])[0]
+        if pair_space_dim(src[k], tgt[m])[0]
     })
 
 
@@ -76,8 +76,8 @@ def dense_cover_reference(y, t):
     source l) and a full images table: a sends (pos, beta) to (pos, a beta).
     The kernel vectors are dense, e_j or e_j - e_first, and the kernel top
     is found by dense_module_generators.  Returns (q0, t1, g entries)."""
-    algebra = end_of(t)
-    m, _ = hom_module(y, t, algebra)
+    m, _ = hom_module(y, t)
+    algebra = m.algebra
     hit = {j for r in algebra.radical_indices() for j in m.images[r]}
     top0 = [
         (l, i)
@@ -248,9 +248,8 @@ def to_rep_morphism(f):
 def approximation_matrix(f, t):
     """Matrix of composing with f: Hom(T0, t) -> Hom(y, t), in the canonical
     generator bases."""
-    alg = f.alg
-    cols = graded_hom(alg, f.tgt, t)
-    rows = graded_hom(alg, f.src, t)
+    cols = graded_hom(f.tgt, t)
+    rows = graded_hom(f.src, t)
     row_index = {r: i for i, r in enumerate(rows)}
     m = Mat(len(rows), len(cols))
     for j, (k, l, deg) in enumerate(cols):
@@ -265,9 +264,8 @@ def approximation_matrix(f, t):
 
 def is_left_approximation(f, t):
     """True iff every morphism from the source into add t factors through f."""
-    alg = f.alg
     m = approximation_matrix(f, t)
-    return rank(m) == len(graded_hom(alg, f.src, t))
+    return rank(m) == len(graded_hom(f.src, t))
 
 
 def minimality_check(f, t):
@@ -295,12 +293,12 @@ def homotopy_project(alg, y, x, maps, src_chain=None, tgt_chain=None):
     """Express a chain map C(y) -> C(x), as lift_chain gives one, in the
     canonical generator basis of Hom_{D^b}(y, x), modulo null-homotopies."""
     if src_chain is None:
-        src_chain = to_chain(alg, y)
+        src_chain = to_chain(y)
     if tgt_chain is None:
-        tgt_chain = to_chain(alg, x)
+        tgt_chain = to_chain(x)
     cy = src_chain[0]
     cx = tgt_chain[0]
-    gens = graded_hom(alg, y, x)
+    gens = graded_hom(y, x)
     lifts = [
         lift_chain(
             DerivedMorphism(y, x, {(k, l): 1}), src_chain, tgt_chain
@@ -360,9 +358,9 @@ def chain_homotopy_compose(f, g):
     This is the independent oracle for `compose`.
     """
     alg = f.alg
-    ch_src = to_chain(alg, f.src)
-    ch_mid = to_chain(alg, f.tgt)
-    ch_tgt = to_chain(alg, g.tgt)
+    ch_src = to_chain(f.src)
+    ch_mid = to_chain(f.tgt)
+    ch_tgt = to_chain(g.tgt)
     lf = lift_chain(f, ch_src, ch_mid)
     lg = lift_chain(g, ch_mid, ch_tgt)
     comp = {k: compose_entries(lf[k], lg.get(k, {})) for k in lf}

@@ -218,7 +218,7 @@ def test_criterion_7_oracle_equivalence(capsys):
                 x = DerivedObject(alg, [(x_iv, 0)])
                 y = DerivedObject(alg, [(y_iv, d1)])
                 z = DerivedObject(alg, [(z_iv, d1 + d2)])
-                if not graded_hom(alg, x, y) or not graded_hom(alg, y, z):
+                if not graded_hom(x, y) or not graded_hom(y, z):
                     continue
                 f = DerivedMorphism(x, y, {(0, 0): 1})
                 g = DerivedMorphism(y, z, {(0, 0): 1})

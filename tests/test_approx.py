@@ -5,7 +5,7 @@ import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedObject
-from ddcp.endalg import SCModule, end_of, module_generators
+from ddcp.endalg import SCModule, module_generators
 from ddcp.exactmat import Mat, nullspace, rref, solve
 from ddcp.approx import (
     hom_module,
@@ -42,7 +42,7 @@ def make_V_object(alg, m):
 def test_hom_module_regular():
     alg = Algebra(3)
     a = regular(alg)
-    m, gens = hom_module(a, a, end_of(a))
+    m, gens = hom_module(a, a)
     assert m.dim == 6
     assert len(gens) == 6
 
@@ -51,7 +51,7 @@ def test_hom_module_projective_to_family():
     alg = Algebra(3)
     p1 = obj(alg, (1, 3, 0))
     v2 = make_V_object(alg, 2)
-    m, _ = hom_module(p1, v2, end_of(v2))
+    m, _ = hom_module(p1, v2)
     # one endomorphism-like map to P(1) and one onto I(2)
     assert m.dim == 2
 
@@ -60,7 +60,7 @@ def test_hom_module_zero():
     alg = Algebra(3)
     y = obj(alg, (1, 1, 0))
     t = obj(alg, (3, 3, 5))
-    m, _ = hom_module(y, t, end_of(t))
+    m, _ = hom_module(y, t)
     assert m.dim == 0
 
 
@@ -158,6 +158,19 @@ def test_non_basic_target_rejected():
         min_left_approx_sequence(regular(alg), dup)
 
 
+@pytest.mark.parametrize("ny,nt", [(5, 3), (3, 5)])
+def test_objects_over_different_algebras_rejected(ny, nt):
+    """graded_hom, where two objects meet, rejects a pair over different
+    algebras in either order, and so does a sequence built on it."""
+    from ddcp.derived import graded_hom
+
+    y, t = regular(Algebra(ny)), regular(Algebra(nt))
+    with pytest.raises(InputError, match="objects over"):
+        graded_hom(y, t)
+    with pytest.raises(InputError, match="objects over"):
+        min_left_approx_sequence(y, t)
+
+
 def test_determinism_of_sequences():
     alg = Algebra(4)
     y = regular(alg)
@@ -190,7 +203,7 @@ def test_hom_functor_exactness_of_sequences():
         y = obj(alg, (e, 3, 0))
         seq = min_left_approx_sequence(y, t)
         mf = approximation_matrix(seq.f, t)
-        assert rank(mf) == len(graded_hom(alg, y, t))
+        assert rank(mf) == len(graded_hom(y, t))
 
 
 def dense_actions(module):
@@ -227,8 +240,8 @@ def kernel_module_reference(y, t):
     of the sorted t.summands, and dense_generators groups its lifts by
     ascending idempotent, so the tops list T0's and T1's summands in
     sorted order: position pos of a top is summand pos."""
-    algebra = end_of(t)
-    m, _ = hom_module(y, t, algebra)
+    m, _ = hom_module(y, t)
+    algebra = m.algebra
     m_actions = dense_actions(m)
     top0 = dense_generators(algebra, m.dim, m_actions)
     q0_basis = [
@@ -385,4 +398,4 @@ def test_one_module_per_sequence(monkeypatch):
     seq = min_left_approx_sequence(y, t)
     assert not seq.t1.is_zero()
     hom, = built
-    assert hom.images == hom_module(y, t, end_of(t))[0].images
+    assert hom.images == hom_module(y, t)[0].images

@@ -117,7 +117,7 @@ def test_wider_windows_add_no_normalised_clique():
         def normalised(window):
             atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
             cliques = [
-                [atoms[i] for i in c] for c in _clique_candidates(alg, atoms, n)
+                [atoms[i] for i in c] for c in _clique_candidates(atoms, n)
             ]
             return {
                 frozenset(c) for c in cliques if min(s for _, s in c) == 0
@@ -155,7 +155,7 @@ def test_clique_funnel_closed_forms():
     for n in range(3, 9):
         alg = Algebra(n)
         atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        cliques = _clique_candidates(alg, atoms, n)
+        cliques = _clique_candidates(atoms, n)
         normalised = [c for c in cliques if min(atoms[i][1] for i in c) == 0]
         assert len(cliques) == (n + 3) * 2 ** (n - 2)
         assert len(normalised) == (n + 1) * 2 ** (n - 2)
@@ -169,7 +169,7 @@ def test_end_is_linear_on_every_normalised_clique():
     for n in range(1, 9):
         alg = Algebra(n)
         atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        for c in _clique_candidates(alg, atoms, n):
+        for c in _clique_candidates(atoms, n):
             pairs = [atoms[i] for i in c]
             if min(s for _, s in pairs) == 0:
                 assert is_linear_A(end_of(DerivedObject(alg, pairs))) == n
@@ -181,22 +181,26 @@ def test_classification_builds_one_endomorphism_algebra_per_candidate(
     end_of_calls,
 ):
     """End(x) is built once per shift-normalised candidate, (n+1) 2^(n-2),
-    for is_linear_A.  check_ddcp, which only the 2n - 1 survivors reach,
-    builds End(x) again and the End of each slice: V_m's one slice is V_m
-    itself, and T_i has two."""
+    for is_linear_A, and check_ddcp, which only the 2n - 1 survivors reach,
+    reads it from end_of's cache.  The module route adds the End of each
+    slice not yet built: none for V_m, whose one slice is V_m itself, and
+    two for T_i."""
     n = 5
     result = enumerate_and_classify(Algebra(n))
     assert result.lambda_count == 2 * n - 1
-    decided = Counter(result.survivors)
-    for x in result.survivors:
-        decided.update(
-            DerivedObject(x.alg, [(iv, 0) for iv, s in x.summands if s == i])
-            for i in x.shifts()
-        )
-    candidates = Counter(end_of_calls) - decided
-    assert len(candidates) == sum(candidates.values())
+    slices = {
+        DerivedObject(x.alg, [(iv, 0) for iv, s in x.summands if s == i])
+        for x in result.survivors
+        for i in x.shifts()
+        if len(x.shifts()) == 2
+    }
+    builds = set(end_of_calls)
+    assert len(builds) == len(end_of_calls)
+    assert slices <= builds
+    candidates = builds - slices
+    assert set(result.survivors) <= candidates
     assert len(candidates) == (n + 1) * 2 ** (n - 2) == 48
-    assert len(end_of_calls) == 48 + 9 + 5 + 2 * 4
+    assert len(end_of_calls) == 48 + 2 * 4
 
 
 def set_based_cliques(alg, atoms, size):
@@ -206,7 +210,7 @@ def set_based_cliques(alg, atoms, size):
     m = len(atoms)
     adj = [set() for _ in range(m)]
     for i, j in combinations(range(m), 2):
-        if _comparable(alg, atoms[i], atoms[j]):
+        if _comparable(atoms[i], atoms[j]):
             adj[i].add(j)
             adj[j].add(i)
     out = []
@@ -234,7 +238,7 @@ def test_bitset_cliques_match_set_based_search(window, top):
     for n in range(1, top + 1):
         alg = Algebra(n)
         atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
-        assert _clique_candidates(alg, atoms, n) == set_based_cliques(
+        assert _clique_candidates(atoms, n) == set_based_cliques(
             alg, atoms, n
         )
 

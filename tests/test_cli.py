@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from ddcp.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PRECONDITION,
+    main,
     object_from_json,
     object_to_json,
     run,
@@ -147,6 +149,19 @@ def test_classify_text_and_json_agree(capsys):
 def test_audit_command(capsys):
     assert run(["audit", "--n", "3", "--length", "3"]) == EXIT_OK
     assert run(["audit", "--n", "3", "--length", "2"]) == EXIT_FALSE
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["audit", "--n", "3", "--length", "3"], EXIT_OK),
+    (["audit", "--n", "3", "--length", "2"], EXIT_FALSE),
+    (["hom", "--n", "3", "--from", "1,4", "--to", "2,3"], EXIT_INPUT),
+])
+def test_main_exits_with_the_code_of_run(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ddcp"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code == run(argv)
     capsys.readouterr()
 
 

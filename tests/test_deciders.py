@@ -542,17 +542,21 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
     sequences = []
     build = deciders.min_left_approx_sequence
 
-    def recording(y, t, algebra):
+    def recording(y, t):
         sequences.append((y, t))
-        return build(y, t, algebra)
+        return build(y, t)
+
+    def forget():
+        end_of.cache_clear()
+        deciders._memo.cache_clear()
 
     monkeypatch.setattr(deciders, "min_left_approx_sequence", recording)
     for calls in deciders_per_object():
         fresh = []
         for decide in calls:
-            deciders._memo.cache_clear()
+            forget()
             fresh.append(decide().as_dict())
-        deciders._memo.cache_clear()
+        forget()
         end_of_calls.clear()
         sequences.clear()
         for decide, expected in zip(calls + calls, fresh + fresh):
@@ -570,7 +574,7 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
         else:
             assert slices == []
             assert len(sequences) == 1
-        deciders._memo.cache_clear()
+        forget()
         assert [decide().as_dict() for decide in calls[::-1]] == fresh[::-1]
     # the memo never holds more than the last object's work
     assert deciders._memo.cache_info().currsize == 1

@@ -54,11 +54,11 @@ def test_object_rejects_non_integer_shifts():
 def test_graded_hom_counts():
     alg = Algebra(3)
     a = obj(alg, (1, 3, 0), (2, 3, 0), (3, 3, 0))
-    assert len(graded_hom(alg, a, a)) == 6
+    assert len(graded_hom(a, a)) == 6
     t1 = obj(alg, (1, 1, 0), (2, 2, 1), (2, 3, 1))
-    assert len(graded_hom(alg, t1, t1)) == 6
+    assert len(graded_hom(t1, t1)) == 6
     gap = obj(alg, (1, 1, 0), (1, 1, 2))
-    gens = graded_hom(alg, gap, gap)
+    gens = graded_hom(gap, gap)
     assert gens == [(0, 0, 0), (1, 1, 0)]
 
 
@@ -81,9 +81,9 @@ def test_to_chain_and_lift_are_chain_maps():
     for _ in range(25):
         x = DerivedObject(alg, rng.sample(atoms, 3))
         y = DerivedObject(alg, rng.sample(atoms, 3))
-        cx = to_chain(alg, x)
-        cy = to_chain(alg, y)
-        for k, l, _deg in graded_hom(alg, x, y):
+        cx = to_chain(x)
+        cy = to_chain(y)
+        for k, l, _deg in graded_hom(x, y):
             f = DerivedMorphism(x, y, {(k, l): 1})
             maps = lift_chain(f, cx, cy)
             assert maps
@@ -106,8 +106,8 @@ def test_compose_matches_chain_homotopy_oracle(n):
     alg = Algebra(n)
     objs = exhaustive_objects(alg, 4, seed=n)
     for x, y, z in product(objs, repeat=3):
-        for k, l, _d in graded_hom(alg, x, y):
-            for l2, m, _d2 in graded_hom(alg, y, z):
+        for k, l, _d in graded_hom(x, y):
+            for l2, m, _d2 in graded_hom(y, z):
                 f = DerivedMorphism(x, y, {(k, l): 1})
                 g = DerivedMorphism(y, z, {(l2, m): 1})
                 assert (
@@ -120,7 +120,7 @@ def test_compose_identity_laws():
     alg = Algebra(3)
     x = obj(alg, (1, 3, 0), (2, 3, 0), (3, 3, 0))
     y = obj(alg, (1, 1, 0), (2, 2, 1), (2, 3, 1))
-    for k, l, _deg in graded_hom(alg, x, y):
+    for k, l, _deg in graded_hom(x, y):
         f = DerivedMorphism(x, y, {(k, l): 1})
         assert compose(derived_identity(x), f).entries == f.entries
         assert compose(f, derived_identity(y)).entries == f.entries
@@ -219,7 +219,7 @@ def random_morphisms():
             x = DerivedObject(alg, rng.choices(atoms, k=rng.randint(1, 4)))
             y = DerivedObject(alg, rng.choices(atoms, k=rng.randint(1, 4)))
             entries = {
-                (k, l): rng.randint(-2, 2) for k, l, _d in graded_hom(alg, x, y)
+                (k, l): rng.randint(-2, 2) for k, l, _d in graded_hom(x, y)
             }
             out.append(DerivedMorphism(x, y, entries))
     return out
@@ -232,12 +232,12 @@ def test_cone_matches_representation_reference(monkeypatch):
     need columns added more than once."""
     chains = []
 
-    def recording(alg, chain):
+    def recording(chain):
         assert all(
             type(c) is Fraction for d in chain.diffs.values() for c in d.values()
         )
         chains.append(chain)
-        return chain_homology_object(alg, chain)
+        return chain_homology_object(chain)
 
     route = derived_route_cones(monkeypatch)
     morphisms = route + random_morphisms()

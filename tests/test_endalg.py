@@ -230,7 +230,7 @@ def test_hom_module_action_matches_compose():
         mors = [basis_morphism(t, label) for label in algebra.basis]
         for atom in atoms:
             y = DerivedObject(t.alg, [atom])
-            m, gens = hom_module(y, t, algebra)
+            m, gens = hom_module(y, t)
             for ai, a in enumerate(mors):
                 for gi, (k, l, _) in enumerate(gens):
                     image = compose(DerivedMorphism(y, t, {(k, l): 1}), a)

@@ -68,16 +68,16 @@ def test_ext_formula_against_brute_force(n):
 def test_space_dim_degrees():
     alg = Algebra(3)
     a, b = Interval(1, 2), Interval(2, 3)
-    assert space_dim(alg, a, b, HOM) == hom_dim(alg, a, b)
-    assert space_dim(alg, a, b, EXT) == ext_dim(alg, a, b)
-    assert space_dim(alg, a, b, 2) == 0
+    assert space_dim(a, b, HOM) == hom_dim(alg, a, b)
+    assert space_dim(a, b, EXT) == ext_dim(alg, a, b)
+    assert space_dim(a, b, 2) == 0
 
 
 def compose_in_end(alg, summands, a, b):
     """a after b among the generators of End(x), x the (a, b, shift)
     summands, by derived.composites: a generator triple, or None."""
     x = DerivedObject(alg, [(Interval(p, q), s) for p, q, s in summands])
-    gens = graded_hom(alg, x, x)
+    gens = graded_hom(x, x)
     assert a in gens and b in gens
     k = composites([a], gens).get((0, gens.index(b)))
     return None if k is None else gens[k]
