@@ -29,17 +29,14 @@ def hom_module(y, t):
     """Hom(y, t) as a left module over end_of(t), acting by
     post-composition.
 
-    The underlying space has one coordinate per canonical generator y -> t;
-    returns (SCModule, generator list)."""
+    The underlying space has one coordinate per canonical generator y -> t,
+    acted on by composites' table; returns (SCModule, generator list)."""
     gens = graded_hom(y, t)
     algebra = end_of(t)
     # the idempotent ("e", s) is the degree-0 generator s -> s
     acting = [(lab[1], lab[1], 0) if lab[0] == "e" else lab[1:]
               for lab in algebra.basis]
-    images = [[None] * len(gens) for _ in acting]
-    for (a, j), k in composites(acting, gens).items():
-        images[a][j] = k
-    return SCModule(algebra, len(gens), images), gens
+    return SCModule(algebra, len(gens), composites(acting, gens)), gens
 
 
 @dataclass
@@ -73,18 +70,13 @@ def min_left_approx_sequence(y, t):
     # The top of Hom(y, t), grouped by summand l of t: the cover is by the
     # projectives E e_l, dual to the summands t_l themselves.  Hom(y, t) is
     # spanned by its basis, so rad Hom(y, t) is spanned by the basis vectors
-    # a radical element hits, and the top by the heads: the basis vectors
-    # that their idempotent fixes and no radical element hits.
-    # Idempotent l is summand l of the sorted t.summands (end_of), so top0,
-    # and top1 below, list heads by idempotent in DerivedObject's order:
-    # position pos of a top is summand pos of T0 or T1.
-    hit = {j for r in algebra.radical_indices() for j in m.images[r]}
-    top0 = [
-        (l, i)
-        for l in algebra.idempotents
-        for i in range(m.dim)
-        if m.images[l][i] == i and i not in hit
-    ]
+    # a radical element hits, and the top by the others, the heads.
+    # Idempotent l is summand l of the sorted t.summands (end_of) and fixes
+    # b_i when gens[i] targets t_l, so top0, and top1 below, list heads by
+    # idempotent in DerivedObject's order: position pos is summand pos.
+    idem = set(algebra.idempotents)
+    hit = {j for (a, _), j in m.table.items() if a not in idem}
+    top0 = sorted((gens[i][1], i) for i in range(m.dim) if i not in hit)
     t0 = DerivedObject(alg, [t.summands[l] for l, _ in top0])
     f = DerivedMorphism(
         y, t0, {(gens[i][0], pos): 1 for pos, (_, i) in enumerate(top0)}
@@ -100,7 +92,7 @@ def min_left_approx_sequence(y, t):
     first = {}
     for pos, (l, i) in enumerate(top0):
         for beta in algebra.projective_basis(l):
-            image = m.images[beta][i]
+            image = m.table.get((beta, i))
             if image is None:
                 kernel.append({(pos, beta): 1})
             elif image in first:

@@ -141,9 +141,12 @@ def compose_entries(f, g):
 
 class DerivedMorphism:
     """A scalar per (source summand, target summand) pair.  The constructor
-    keeps the nonzero entries as Fractions; validate() checks them."""
+    keeps the nonzero entries as Fractions, and raises InputError for ends
+    over different algebras; validate() checks the entries."""
 
     def __init__(self, src, tgt, entries):
+        if src.alg != tgt.alg:
+            raise InputError("objects over %r and %r" % (src.alg, tgt.alg))
         self.alg = src.alg
         self.src = src
         self.tgt = tgt

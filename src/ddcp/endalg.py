@@ -169,11 +169,10 @@ def is_linear_A(c):
         out_of[s] = a
         into[t] = a
     starts = [e for e in c.idempotents if e not in into]
-    if m == 1:
-        return 1 if not arrows else None
     if len(starts) != 1:
         return None
-    # Walk the chain; every consecutive composite must be nonzero.
+    # Walk the chain; every consecutive composite must be nonzero.  No vertex
+    # has two in-arrows and the start has none, so no vertex comes twice.
     vertex = starts[0]
     visited = {vertex}
     composite = None
@@ -183,8 +182,6 @@ def is_linear_A(c):
         if composite is None:
             return None
         vertex = c.ends[a][1]
-        if vertex in visited:
-            return None
         visited.add(vertex)
     if len(visited) != m:
         return None
@@ -194,37 +191,35 @@ def is_linear_A(c):
 class SCModule:
     """Finite-dimensional left module over an SCAlgebra on which each algebra
     basis element sends each module basis vector to a basis vector or to
-    zero: images[a][i] is the index of a . b_i, or None when that product
-    is zero.  The constructor only stores its arguments; validate() checks
-    them."""
+    zero: table maps (a, i) to the index of a . b_i, absent keys meaning
+    the product is zero, as in SCAlgebra.table.  The constructor only
+    stores its arguments; validate() checks them."""
 
-    def __init__(self, algebra, dim, images):
+    def __init__(self, algebra, dim, table):
         self.algebra = algebra
         self.dim = dim
-        self.images = list(images)
+        self.table = dict(table)
 
     def validate(self):
-        """Raise InputError unless the images make a unital module."""
-        if len(self.images) != self.algebra.dim:
-            raise InputError("one image map per basis element required")
-        for row in self.images:
-            if len(row) != self.dim:
-                raise InputError("image map length mismatch")
-            if any(j is not None and j not in range(self.dim) for j in row):
-                raise InputError("image index out of range")
+        """Raise InputError unless the table makes a unital module."""
+        for (a, i), j in self.table.items():
+            if not (a in range(self.algebra.dim) and i in range(self.dim)
+                    and j in range(self.dim)):
+                raise InputError("action index out of range")
+        act = self.table.get
         for i in range(self.dim):
             # the unit, the sum of the idempotents, fixes b_i: one
             # idempotent fixes it and the others kill it
-            hit = [self.images[e][i] for e in self.algebra.idempotents]
+            hit = [act((e, i)) for e in self.algebra.idempotents]
             if [j for j in hit if j is not None] != [i]:
                 raise InputError("unit does not act as the identity")
         for a in range(self.algebra.dim):
             for b in range(self.algebra.dim):
                 ab = self.algebra.mul(a, b)
                 for i in range(self.dim):
-                    j = self.images[b][i]
-                    lhs = self.images[a][j] if j is not None else None
-                    rhs = self.images[ab][i] if ab is not None else None
+                    j = act((b, i))
+                    lhs = act((a, j)) if j is not None else None
+                    rhs = act((ab, i)) if ab is not None else None
                     if lhs != rhs:
                         raise InputError(
                             "action does not respect the multiplication table"
@@ -271,19 +266,19 @@ def module_generators(algebra, vectors):
     """Minimal generating set of the submodule N spanned by vectors of a
     free left module (free_act), grouped by top idempotent.
 
-    rad N is spanned by the r . v for radical basis elements r.  Returns a
-    list of (idempotent index, sparse vector) lifting a basis of N / rad N,
-    each vector lying in the corresponding idempotent component.  Every
-    vector given, and every a . v, must suit forest_join.
+    Each vector v must be nonzero and lie in one idempotent component e:
+    the beta of its coordinates (copy, beta) share the target e.  Then rad N
+    is spanned by the r . v for radical r with source e, and as components
+    are direct summands, visiting them in any order keeps the same vectors.
+    Returns a list of (idempotent index, vector) lifting a basis of
+    N / rad N, stably sorted by idempotent.  Every vector given, and every
+    r . v, must suit forest_join.
     """
+    tops = [algebra.ends[next(iter(v))[1]][1] for v in vectors]
     join = forest_join()
-    for r in algebra.radical_indices():
-        for v in vectors:
-            join(free_act(algebra, r, v))
-    gens = []
-    for e in algebra.idempotents:
-        for v in vectors:
-            w = free_act(algebra, e, v)
-            if join(w):
-                gens.append((e, w))
-    return gens
+    for e, v in zip(tops, vectors):
+        for r in algebra.projective_basis(e):
+            if r != e:  # the radical elements with source e
+                join(free_act(algebra, r, v))
+    gens = [(e, v) for e, v in zip(tops, vectors) if join(v)]
+    return sorted(gens, key=lambda g: g[0])

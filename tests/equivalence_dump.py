@@ -122,7 +122,11 @@ def end_items():
 def hom_items():
     for y, t in approx_pairs():
         m, gens = hom_module(y, t)
-        yield [obj_json(y), obj_json(t), gens, m.images]
+        # the action as one dense row per algebra basis element, None for
+        # a zero product
+        images = [[m.table.get((a, i)) for i in range(m.dim)]
+                  for a in range(m.algebra.dim)]
+        yield [obj_json(y), obj_json(t), gens, images]
 
 
 def approx_items():

@@ -31,14 +31,14 @@ def compose(f, g):
 
 def regular_module(c):
     """The algebra as a left module over itself, in its own basis."""
-    images = [[c.mul(a, j) for j in range(c.dim)] for a in range(c.dim)]
-    return SCModule(c, c.dim, images)
+    return SCModule(c, c.dim, c.table)
 
 
 def module_act(module, a, v):
     """The vector a . v, for v a dense list of module.dim coordinates."""
     w = [0] * module.dim
-    for c, j in zip(v, module.images[a]):
+    for i, c in enumerate(v):
+        j = module.table.get((a, i))
         if c and j is not None:
             w[j] += c
     return w
@@ -73,17 +73,20 @@ def dense_cover_reference(y, t):
 
     Q0 is the direct sum of the projectives E e_l, one per head of
     Hom(y, t), with basis (cover position, algebra basis element beta with
-    source l) and a full images table: a sends (pos, beta) to (pos, a beta).
-    The kernel vectors are dense, e_j or e_j - e_first, and the kernel top
-    is found by dense_module_generators.  Returns (q0, t1, g entries)."""
+    source l) and its own action table: a sends (pos, beta) to
+    (pos, a beta).  The heads are found by applying every idempotent to
+    every basis vector of Hom(y, t), the kernel vectors are dense, e_j or
+    e_j - e_first, and the kernel top is found by dense_module_generators.
+    Returns (q0, t1, g entries)."""
     m, _ = hom_module(y, t)
     algebra = m.algebra
-    hit = {j for r in algebra.radical_indices() for j in m.images[r]}
+    act = m.table.get
+    hit = {act((r, i)) for r in algebra.radical_indices() for i in range(m.dim)}
     top0 = [
         (l, i)
         for l in algebra.idempotents
         for i in range(m.dim)
-        if m.images[l][i] == i and i not in hit
+        if act((l, i)) == i and i not in hit
     ]
     q0_basis = [
         (pos, bi)
@@ -91,15 +94,16 @@ def dense_cover_reference(y, t):
         for bi in algebra.projective_basis(l)
     ]
     q0_index = {pb: i for i, pb in enumerate(q0_basis)}
-    # (pos, None) is not in the index: a beta = 0
-    q0 = SCModule(algebra, len(q0_basis), [
-        [q0_index.get((pos, algebra.mul(a, bi))) for pos, bi in q0_basis]
+    q0 = SCModule(algebra, len(q0_basis), {
+        (a, j): q0_index[pos, ab]
+        for j, (pos, bi) in enumerate(q0_basis)
         for a in range(algebra.dim)
-    ])
+        if (ab := algebra.mul(a, bi)) is not None
+    })
     kernel = []
     first = {}
     for j, (pos, bi) in enumerate(q0_basis):
-        image = m.images[bi][top0[pos][1]]
+        image = act((bi, top0[pos][1]))
         kappa = [0] * q0.dim
         kappa[j] = 1
         if image is None:

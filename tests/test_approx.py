@@ -160,13 +160,16 @@ def test_non_basic_target_rejected():
 
 @pytest.mark.parametrize("ny,nt", [(5, 3), (3, 5)])
 def test_objects_over_different_algebras_rejected(ny, nt):
-    """graded_hom, where two objects meet, rejects a pair over different
-    algebras in either order, and so does a sequence built on it."""
-    from ddcp.derived import graded_hom
+    """graded_hom and DerivedMorphism, where two objects meet, reject a pair
+    over different algebras in either order, and so does a sequence built
+    on graded_hom."""
+    from ddcp.derived import DerivedMorphism, graded_hom
 
     y, t = regular(Algebra(ny)), regular(Algebra(nt))
     with pytest.raises(InputError, match="objects over"):
         graded_hom(y, t)
+    with pytest.raises(InputError, match="objects over"):
+        DerivedMorphism(y, t, {(0, 0): 1})
     with pytest.raises(InputError, match="objects over"):
         min_left_approx_sequence(y, t)
 
@@ -208,14 +211,10 @@ def test_hom_functor_exactness_of_sequences():
 
 def dense_actions(module):
     """One dense action matrix per algebra basis element, read off the
-    module's images."""
-    mats = []
-    for row in module.images:
-        mat = Mat(module.dim, module.dim)
-        for i, j in enumerate(row):
-            if j is not None:
-                mat[j, i] = 1
-        mats.append(mat)
+    module's table."""
+    mats = [Mat(module.dim, module.dim) for _ in range(module.algebra.dim)]
+    for (a, i), j in module.table.items():
+        mats[a][j, i] = 1
     return mats
 
 
@@ -313,8 +312,8 @@ def test_kernel_top_matches_kernel_module_reference():
 def test_sparse_cover_matches_dense_reference():
     """The cover's kernel and kernel top, read as sparse vectors acted on
     through End(t)'s table, give the T1 and g of the dense construction:
-    Q0 as an SCModule with a full images table, which validates, dense
-    kernel vectors and dense actions.  Its images are the regular action on
+    Q0 as an SCModule with its own action table, which validates, dense
+    kernel vectors and dense actions.  Its table is the regular action on
     each block E e_l, one per summand of T0 in idempotent order."""
     count = 0
     for y, t in approximation_pairs():
@@ -329,17 +328,14 @@ def test_sparse_cover_matches_dense_reference():
             algebra.projective_basis(l)
             for l in sorted(t.summands.index(p) for p in seq.t0.summands)
         ]
-        expect = [[] for _ in range(algebra.dim)]
+        expect = {}
         offset = 0
         for pb in blocks:
-            for a in range(algebra.dim):
-                expect[a] += [
-                    None if reg.images[a][bi] is None
-                    else offset + pb.index(reg.images[a][bi])
-                    for bi in pb
-                ]
+            for (a, bi), ab in reg.table.items():
+                if bi in pb:
+                    expect[a, offset + pb.index(bi)] = offset + pb.index(ab)
             offset += len(pb)
-        assert (q0.dim, q0.images) == (offset, expect)
+        assert (q0.dim, q0.table) == (offset, expect)
         count += 1
     assert count == 3 * 4 + 5 * 42 + 7 * 299
 
@@ -347,10 +343,14 @@ def test_sparse_cover_matches_dense_reference():
 def test_sequences_are_unit_and_edge_combinatorics(monkeypatch):
     """The shape the counting relies on: every f entry is 1, every g entry
     is +-1, and every sparse vector module_generators is handed or builds
-    by free_act is zero, +-b_j or +-(b_j - b_k)."""
+    by free_act is zero, +-b_j or +-(b_j - b_k).  Every vector it is
+    handed lies in one idempotent component, as module_generators needs:
+    the basis elements of its coordinates share a target."""
     seen = []
 
     def recording_generators(algebra, vectors):
+        for v in vectors:
+            assert len({algebra.ends[beta][1] for _, beta in v}) == 1
         seen.extend(vectors)
         return module_generators(algebra, vectors)
 
@@ -398,4 +398,4 @@ def test_one_module_per_sequence(monkeypatch):
     seq = min_left_approx_sequence(y, t)
     assert not seq.t1.is_zero()
     hom, = built
-    assert hom.images == hom_module(y, t)[0].images
+    assert hom.table == hom_module(y, t)[0].table

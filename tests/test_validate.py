@@ -132,32 +132,34 @@ def path_module():
 
 def test_module_validate_rejects_missing_action():
     c, m = path_module()
-    with pytest.raises(InputError, match="one image map"):
-        SCModule(c, m.dim, m.images[:-1]).validate()
+    table = {(a, i): j for (a, i), j in m.table.items() if a != 1}
+    # e1 acts as zero: the unit kills e1 and a
+    with pytest.raises(InputError, match="identity"):
+        SCModule(c, m.dim, table).validate()
 
 
 def test_module_validate_rejects_action_breaking_the_table():
     c, m = path_module()
-    images = list(m.images)
-    images[2] = images[0]  # a acts as e0, so a * a acts nonzero
+    table = dict(m.table)
+    table[2, 0] = 0  # a . e0 = e0, so a . (a . e0) = e0 but (a * a) . e0 = 0
     with pytest.raises(InputError, match="multiplication table"):
-        SCModule(c, m.dim, images).validate()
+        SCModule(c, m.dim, table).validate()
 
 
 def test_module_validate_rejects_image_out_of_range():
     c, m = path_module()
-    images = [list(row) for row in m.images]
-    images[2][0] = m.dim  # a . e0 names a basis vector that does not exist
+    table = dict(m.table)
+    table[2, 0] = m.dim  # a . e0 names a basis vector that does not exist
     with pytest.raises(InputError, match="out of range"):
-        SCModule(c, m.dim, images).validate()
+        SCModule(c, m.dim, table).validate()
 
 
 def test_module_validate_rejects_unit_not_acting_as_identity():
     c, m = path_module()
-    images = [list(row) for row in m.images]
-    images[1][2] = None  # e1 . a = 0: the unit kills a
+    table = dict(m.table)
+    del table[1, 2]  # e1 . a = 0: the unit kills a
     with pytest.raises(InputError, match="identity"):
-        SCModule(c, m.dim, images).validate()
+        SCModule(c, m.dim, table).validate()
 
 
 def test_rep_morphism_validate_rejects_non_commuting_square():
