@@ -14,13 +14,14 @@ hereditary) are reported as "not applicable" -- false for classification
 purposes but distinguished from a genuine condition failure.
 
 The deciders share the work that depends only on the object they are asked
-about: whether End(x) is hereditary, each in-slice sequence of P(e), each
-derived-route (T0, cone(g)), and the module deciders' regular sequence.
-Asking several deciders about one object in a row, as the route-agreement
-checks do, builds each piece once.  The memo is keyed by the object's value,
-not its identity, so every report is what a fresh computation gives; it
-holds the last object only, so it never grows with the number of objects
-decided.  End(x), and the End of each slice, come from end_of's own cache.
+about: each in-slice sequence of P(e), each derived-route (T0, cone(g)),
+and the module deciders' regular sequence.  Asking several deciders about
+one object in a row, as the route-agreement checks do, builds each piece
+once.  The memo is keyed by the object's value, not its identity, so every
+report is what a fresh computation gives; it holds the last object only, so
+it never grows with the number of objects decided.  End(x), and the End of
+each slice, come from end_of's own caches, and whether End(x) is hereditary
+is answered once per algebra (endalg).
 """
 
 from dataclasses import dataclass, field
@@ -123,10 +124,6 @@ def _once(x, key, build):
     return memo[key]
 
 
-def _hereditary(x):
-    return _once(x, "hereditary", lambda: is_hereditary(end_of(x)))
-
-
 def _regular_sequence(t):
     """The minimal add-t approximation sequence A -> M0 -> M1 of the
     regular module."""
@@ -155,7 +152,7 @@ def check_tilting_module(alg, multiset):
     the minimal sequence 0 -> A -> M0 -> M1 -> 0 must be exact throughout."""
     report = DeciderReport("tilting-module", False)
     t = _module_object(alg, _basic_support(multiset))
-    if not _hereditary(t):
+    if not is_hereditary(end_of(t)):
         return _not_applicable(report, "endomorphism algebra is not hereditary")
     seq = _regular_sequence(t)
     return _judge(report, [
@@ -213,7 +210,7 @@ def _decide(x, name, step):
     report = DeciderReport(name, False)
     if not x.is_basic():
         return _not_applicable(report, "object is not basic")
-    if not _hereditary(x):
+    if not is_hereditary(end_of(x)):
         return _not_applicable(report, "endomorphism algebra is not hereditary")
     checks = []
     for e in range(1, x.alg.n + 1):

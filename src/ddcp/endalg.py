@@ -6,13 +6,30 @@ basis (one idempotent per summand, one element per nonzero cross space) whose
 products are again basis elements or zero.  Structural questions -- radical,
 Gabriel quiver, hereditariness, isomorphism with a linear-chain path algebra
 -- then reduce to set combinatorics on the multiplication table.
+
+End(x) is a function of x's Hom pattern, the generator list of Hom(x, x):
+every object with the same pattern shares one algebra, and each structure
+query is answered once per algebra and kept on it.
 """
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .quiver import InputError
 from .derived import composites, graded_hom
+
+
+def _kept(query):
+    """query(c), computed on c's first call and kept on c: the structure
+    queries depend on the table alone, like SCAlgebra.ends.  A call that
+    raises keeps nothing, so it raises again on the next call."""
+    @wraps(query)
+    def kept(c):
+        if query not in c._answers:
+            c._answers[query] = query(c)
+        return c._answers[query]
+
+    return kept
 
 
 class SCAlgebra:
@@ -22,13 +39,15 @@ class SCAlgebra:
     idempotents summing to the unit.  table maps (i, j) to the index of
     basis_i * basis_j, absent keys meaning the product is zero.  The product
     convention is composition: a * b applies b first, then a.  The
-    constructor only stores its arguments; validate() checks them.
+    constructor only stores its arguments, with no structure answer kept
+    yet; validate() checks them.
     """
 
     def __init__(self, basis, idempotents, table):
         self.basis = tuple(basis)
         self.idempotents = tuple(idempotents)
         self.table = dict(table)
+        self._answers = {}  # by query, see _kept
 
     @property
     def dim(self):
@@ -76,6 +95,7 @@ class SCAlgebra:
                     if lhs != rhs:
                         raise InputError("multiplication table not associative")
 
+    @_kept
     def is_basic(self):
         """No non-idempotent basis element is invertible between idempotents."""
         idem = set(self.idempotents)
@@ -124,14 +144,29 @@ def end_of(x):
     from a summand to itself has degree 0, so it is that summand's
     identity, the idempotent ("e", i) at index i.
 
-    The one cache of End: keyed by the object's value, it keeps the last
-    four, which covers a decision's traffic (the object, its two slices
-    and one module).  Callers share the algebra and must not change it."""
-    gens = sorted(graded_hom(x, x), key=lambda g: g[0] != g[1])
+    Two bounded caches.  The algebra depends only on x's Hom pattern, the
+    sorted generator list, and _end_of_pattern keeps one per pattern,
+    shared by every object with that pattern, so callers must never change
+    it; 64 patterns hold classification's 2n - 1 and keep a sweep's peak
+    memory within a few percent.  In front, this cache keeps the last four
+    objects by value, a decision's traffic (the object, its two slices and
+    one module), so a repeated ask skips recomputing graded_hom(x, x)."""
+    return _end_of_pattern(
+        tuple(sorted(graded_hom(x, x), key=lambda g: g[0] != g[1]))
+    )
+
+
+@lru_cache(maxsize=64)
+def _end_of_pattern(gens):
+    """The End of every object whose sorted Hom(x, x) generators are gens:
+    its basis labels, idempotents (the (i, i, 0) generators) and table are
+    functions of gens alone."""
     basis = [("e", i) if i == j else ("g", i, j, deg) for i, j, deg in gens]
-    return SCAlgebra(basis, range(len(x)), composites(gens, gens))
+    idempotents = [k for k, (i, j, _) in enumerate(gens) if i == j]
+    return SCAlgebra(basis, idempotents, composites(gens, gens))
 
 
+@_kept
 def is_hereditary(c):
     """True iff every simple module has projective dimension at most one.
 
@@ -150,6 +185,7 @@ def is_hereditary(c):
     return all(cover[e] == pdim[e] - 1 for e in c.idempotents)
 
 
+@_kept
 def is_linear_A(c):
     """Return m when the algebra is isomorphic to the path algebra of the
     linear quiver with m vertices, else None."""

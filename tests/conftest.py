@@ -7,17 +7,20 @@ from ddcp import deciders, endalg
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts with no End cached and none of the deciders' shared
-    work, so a test that counts builds or monkeypatches a layer sees every
-    build."""
+    """Each test starts with no End cached, by object or by Hom pattern,
+    and none of the deciders' shared work, so a test that counts builds or
+    monkeypatches a layer sees every build."""
     endalg.end_of.cache_clear()
+    endalg._end_of_pattern.cache_clear()
     deciders._memo.cache_clear()
 
 
 @pytest.fixture
 def end_of_calls(monkeypatch):
-    """The objects whose End is built (end_of's cache misses), in build
-    order, through every module of the package that imported end_of."""
+    """The objects End was first asked about (misses of end_of's cache by
+    value), in order, through every module of the package that imported
+    end_of.  A miss need not construct an SCAlgebra: objects with the same
+    Hom pattern share one."""
     builds = []
     end_of = endalg.end_of
 

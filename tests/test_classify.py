@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from ddcp import classify
+from ddcp import classify, deciders, endalg
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.classify import (
     _clique_candidates,
@@ -180,11 +180,11 @@ def test_end_is_linear_on_every_normalised_clique():
 def test_classification_builds_one_endomorphism_algebra_per_candidate(
     end_of_calls,
 ):
-    """End(x) is built once per shift-normalised candidate, (n+1) 2^(n-2),
-    for is_linear_A, and check_ddcp, which only the 2n - 1 survivors reach,
-    reads it from end_of's cache.  The module route adds the End of each
-    slice not yet built: none for V_m, whose one slice is V_m itself, and
-    two for T_i."""
+    """End(x) is asked for once per shift-normalised candidate,
+    (n+1) 2^(n-2), for is_linear_A, and check_ddcp, which only the 2n - 1
+    survivors reach, reads it from end_of's cache.  The module route adds
+    the End of each slice not yet asked for: none for V_m, whose one slice
+    is V_m itself, and two for T_i."""
     n = 5
     result = enumerate_and_classify(Algebra(n))
     assert result.lambda_count == 2 * n - 1
@@ -201,6 +201,28 @@ def test_classification_builds_one_endomorphism_algebra_per_candidate(
     assert set(result.survivors) <= candidates
     assert len(candidates) == (n + 1) * 2 ** (n - 2) == 48
     assert len(end_of_calls) == 48 + 2 * 4
+
+
+def test_classification_builds_one_algebra_per_hom_pattern(monkeypatch):
+    """With fresh caches, classification at n constructs 2n - 1 SCAlgebras,
+    one per Hom pattern, however many candidates ask for End."""
+    built = []
+    init = endalg.SCAlgebra.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(endalg.SCAlgebra, "__init__", counted)
+    counts = {}
+    for n in range(2, 9):
+        endalg.end_of.cache_clear()
+        endalg._end_of_pattern.cache_clear()
+        deciders._memo.cache_clear()
+        built.clear()
+        enumerate_and_classify(Algebra(n), bound=n)
+        counts[n] = len(built)
+    assert counts == {n: 2 * n - 1 for n in range(2, 9)}
 
 
 def set_based_cliques(alg, atoms, size):

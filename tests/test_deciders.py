@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from ddcp import approx, deciders, exactmat, reps
+from ddcp import approx, deciders, endalg, exactmat, reps
 from ddcp.quiver import Algebra, Interval
 from ddcp.derived import DerivedObject
 from ddcp.deciders import (
@@ -548,6 +548,7 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
 
     def forget():
         end_of.cache_clear()
+        endalg._end_of_pattern.cache_clear()
         deciders._memo.cache_clear()
 
     monkeypatch.setattr(deciders, "min_left_approx_sequence", recording)

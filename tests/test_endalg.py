@@ -4,10 +4,11 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
-from ddcp.derived import DerivedMorphism, DerivedObject
+from ddcp.derived import DerivedMorphism, DerivedObject, graded_hom
 from ddcp.approx import hom_module
 from ddcp.classify import make_T, make_V
 from ddcp.deciders import verify_homology_corners
+from ddcp import endalg
 from ddcp.endalg import (
     SCAlgebra,
     end_of,
@@ -245,7 +246,8 @@ def test_structure_queries_match_mul_scanning_references():
     """The structure queries that read the table once agree with the
     references that scan every product through mul: on the End algebras of
     small_objects and repeated_objects, on their opposites, and on the
-    non-basic ones among both, where is_hereditary raises."""
+    non-basic ones among both, where is_hereditary raises.  Each query is
+    asked twice, so the second call reads the answer kept by the first."""
     algebras = [end_of(x) for _, x in small_objects()]
     algebras += [end_of(x) for x in repeated_objects()]
     outcomes = Counter()
@@ -257,13 +259,16 @@ def test_structure_queries_match_mul_scanning_references():
             assert c.projective_basis(e) == projective_basis_reference(c, e)
         assert c.radical_square() == radical_square_reference(c)
         basic = c.is_basic()
-        assert basic == is_basic_reference(c)
+        assert basic == is_basic_reference(c) == c.is_basic()
         if basic:
             hereditary = is_hereditary(c)
-            assert hereditary == is_hereditary_reference(c)
+            assert hereditary == is_hereditary_reference(c) == is_hereditary(c)
+            assert is_linear_A(c) == is_linear_A(c)
         else:
             hereditary = None
-            for query in (is_hereditary, is_hereditary_reference):
+            # a call that raises keeps nothing, so the second raises too
+            for query in (is_hereditary, is_hereditary, is_linear_A,
+                          is_linear_A, is_hereditary_reference):
                 with pytest.raises(InputError):
                     query(c)
         outcomes[basic, hereditary] += 1
@@ -272,3 +277,35 @@ def test_structure_queries_match_mul_scanning_references():
         (True, False): 202,
         (False, None): 888,
     }
+
+
+def hom_pattern(x):
+    """The key End(x) is shared by: Hom(x, x)'s generators, identities
+    first."""
+    return tuple(sorted(graded_hom(x, x), key=lambda g: g[0] != g[1]))
+
+
+def test_end_is_shared_exactly_by_objects_with_one_hom_pattern():
+    """end_of(x) is end_of(y) exactly when x and y have the same Hom
+    pattern, and the shared algebra has the basis, idempotents and table
+    that an uncached build for each of its objects gives."""
+    groups = {}
+    for x in [x for _, x in small_objects()] + list(repeated_objects()):
+        groups.setdefault(hom_pattern(x), []).append(x)
+    assert len(groups) < sum(map(len, groups.values()))
+    shared = []
+    for objects in groups.values():
+        algebras = [end_of(x) for x in objects]
+        assert all(c is algebras[0] for c in algebras), objects
+        shared.append(algebras[0])
+    # held at once, distinct patterns' algebras are distinct instances
+    assert len({id(c) for c in shared}) == len(groups)
+    for c, objects in zip(shared, groups.values()):
+        for x in objects:
+            end_of.cache_clear()
+            endalg._end_of_pattern.cache_clear()
+            fresh = end_of(x)
+            assert fresh is not c
+            assert (fresh.basis, fresh.idempotents, fresh.table) == (
+                c.basis, c.idempotents, c.table
+            ), x
