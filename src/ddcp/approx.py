@@ -30,12 +30,14 @@ def hom_module(y, t):
     post-composition.
 
     The underlying space has one coordinate per canonical generator y -> t,
-    acted on by composites' table; returns (SCModule, generator list)."""
+    acted on by composites' table.  Idempotent i of end_of(t) is summand
+    i's identity, so each basis element, read off ends, is the generator
+    between two summands of t, of degree their shift gap; returns
+    (SCModule, generator list)."""
     gens = graded_hom(y, t)
     algebra = end_of(t)
-    # the idempotent ("e", s) is the degree-0 generator s -> s
-    acting = [(lab[1], lab[1], 0) if lab[0] == "e" else lab[1:]
-              for lab in algebra.basis]
+    shift = [s for _, s in t.summands]
+    acting = [(s, u, shift[u] - shift[s]) for s, u in algebra.ends]
     return SCModule(algebra, len(gens), composites(acting, gens)), gens
 
 

@@ -54,10 +54,6 @@ def object_from_json(data, n=None):
             a, b, shift = entry["a"], entry["b"], entry["shift"]
         except (KeyError, TypeError) as exc:
             raise InputError("malformed summand %r: %s" % (entry, exc))
-        if not all(map(is_int, (a, b))):
-            raise InputError(
-                "malformed summand %r: a and b must be integers" % (entry,)
-            )
         pairs.append((alg.interval(a, b), shift))
     return DerivedObject(alg, pairs)
 

@@ -188,40 +188,26 @@ def is_hereditary(c):
 @_kept
 def is_linear_A(c):
     """Return m when the algebra is isomorphic to the path algebra of the
-    linear quiver with m vertices, else None."""
+    linear quiver with m > 0 vertices, else None.
+
+    That path algebra is the incidence algebra of the chain 0 < ... < m-1:
+    one basis element from i to j for each i <= j, where vertex i is the
+    source of m - i of them, and every composable pair has a nonzero
+    product, which in a valid table is the element between its outer ends.
+    So the idempotents, ranked by how many basis elements they are the
+    source of, largest first, must be that chain."""
     c._require_basic()
-    m = len(c.idempotents)
-    if c.dim != m * (m + 1) // 2:
-        return None
-    arrows = c.arrows()
-    if len(arrows) != m - 1:
-        return None
-    out_of = {}
-    into = {}
-    for a in arrows:
-        s, t = c.ends[a]
-        if s in out_of or t in into or s == t:
-            return None
-        out_of[s] = a
-        into[t] = a
-    starts = [e for e in c.idempotents if e not in into]
-    if len(starts) != 1:
-        return None
-    # Walk the chain; every consecutive composite must be nonzero.  No vertex
-    # has two in-arrows and the start has none, so no vertex comes twice.
-    vertex = starts[0]
-    visited = {vertex}
-    composite = None
-    while vertex in out_of:
-        a = out_of[vertex]
-        composite = a if composite is None else c.mul(a, composite)
-        if composite is None:
-            return None
-        vertex = c.ends[a][1]
-        visited.add(vertex)
-    if len(visited) != m:
-        return None
-    return m
+    starts = Counter(s for s, _ in c.ends)
+    rank = {e: r for r, e in enumerate(
+        sorted(c.idempotents, key=lambda e: -starts[e]))}
+    m = len(rank)
+    pairs = {(rank.get(s), rank.get(t)) for s, t in c.ends}
+    if (m and c.dim == len(pairs) == m * (m + 1) // 2
+            and pairs == {(i, j) for j in range(m) for i in range(j + 1)}
+            and all((a, b) in c.table for a, (s, _) in enumerate(c.ends)
+                    for b, (_, t) in enumerate(c.ends) if t == s)):
+        return m
+    return None
 
 
 class SCModule:

@@ -21,12 +21,15 @@ the host.  Standard library only, and not collected by pytest:
         | diff tests/golden/classify_scaling.txt -
 
 --deterministic prints one line per n, the record without its times.
+The full record's "command" is the command line it was run with.
 """
 
 import argparse
 import json
 import os
 import platform
+import shlex
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -135,6 +138,14 @@ def record(n):
     }
 
 
+def command():
+    """The command line this run was started with, its PYTHONPATH
+    included."""
+    path = os.environ.get("PYTHONPATH")
+    prefix = ["PYTHONPATH=" + path] if path else []
+    return shlex.join(prefix + ["python"] + sys.argv)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--max-n", type=int, default=12)
@@ -147,7 +158,7 @@ def main():
             print(json.dumps(r, sort_keys=True))
         return
     print(json.dumps({
-        "command": "PYTHONPATH=src python tests/classify_scaling.py",
+        "command": command(),
         "host": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "note": "every field but times is independent of the host",
         "records": records,

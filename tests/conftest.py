@@ -4,15 +4,24 @@ import pytest
 
 from ddcp import deciders, endalg
 
+# the cached functions themselves, which a test may monkeypatch away
+CACHES = (endalg.end_of, endalg._end_of_pattern, deciders._memo)
+
+
+def reset_caches():
+    """Forget every End cached, by object or by Hom pattern, and the
+    deciders' shared work."""
+    for cached in CACHES:
+        cached.cache_clear()
+
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts with no End cached, by object or by Hom pattern,
-    and none of the deciders' shared work, so a test that counts builds or
-    monkeypatches a layer sees every build."""
-    endalg.end_of.cache_clear()
-    endalg._end_of_pattern.cache_clear()
-    deciders._memo.cache_clear()
+    """Each test starts with reset caches, so a test that counts builds or
+    monkeypatches a layer sees every build.  Returns reset_caches, for a
+    test that needs fresh caches again."""
+    reset_caches()
+    return reset_caches
 
 
 @pytest.fixture

@@ -429,3 +429,43 @@ def is_hereditary_reference(c):
         if cover_dim != len(rad_pe):
             return False
     return True
+
+
+def is_linear_A_reference(c):
+    """m when the Gabriel quiver is the linear quiver on all m vertices and
+    every path along it is nonzero, else None: the walk along the arrows
+    that is_linear_A's chain rule replaced."""
+    if not is_basic_reference(c):
+        raise InputError("structure query requires a basic algebra")
+    m = len(c.idempotents)
+    if c.dim != m * (m + 1) // 2:
+        return None
+    arrows = c.arrows()
+    if len(arrows) != m - 1:
+        return None
+    out_of = {}
+    into = {}
+    for a in arrows:
+        s, t = c.ends[a]
+        if s in out_of or t in into or s == t:
+            return None
+        out_of[s] = a
+        into[t] = a
+    starts = [e for e in c.idempotents if e not in into]
+    if len(starts) != 1:
+        return None
+    # Walk the chain; every consecutive composite must be nonzero.  No vertex
+    # has two in-arrows and the start has none, so no vertex comes twice.
+    vertex = starts[0]
+    visited = {vertex}
+    composite = None
+    while vertex in out_of:
+        a = out_of[vertex]
+        composite = a if composite is None else c.mul(a, composite)
+        if composite is None:
+            return None
+        vertex = c.ends[a][1]
+        visited.add(vertex)
+    if len(visited) != m:
+        return None
+    return m

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from ddcp import classify, deciders, endalg
+from ddcp import classify, endalg
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.classify import (
     _clique_candidates,
@@ -203,7 +203,9 @@ def test_classification_builds_one_endomorphism_algebra_per_candidate(
     assert len(end_of_calls) == 48 + 2 * 4
 
 
-def test_classification_builds_one_algebra_per_hom_pattern(monkeypatch):
+def test_classification_builds_one_algebra_per_hom_pattern(
+    monkeypatch, fresh_caches
+):
     """With fresh caches, classification at n constructs 2n - 1 SCAlgebras,
     one per Hom pattern, however many candidates ask for End."""
     built = []
@@ -216,9 +218,7 @@ def test_classification_builds_one_algebra_per_hom_pattern(monkeypatch):
     monkeypatch.setattr(endalg.SCAlgebra, "__init__", counted)
     counts = {}
     for n in range(2, 9):
-        endalg.end_of.cache_clear()
-        endalg._end_of_pattern.cache_clear()
-        deciders._memo.cache_clear()
+        fresh_caches()
         built.clear()
         enumerate_and_classify(Algebra(n), bound=n)
         counts[n] = len(built)

@@ -62,6 +62,18 @@ def test_end_command(capsys):
     assert out["linear_chain"] == 3
 
 
+def test_end_command_on_a_non_basic_object(capsys):
+    """A repeated summand makes End non-basic: end prints the algebra,
+    says it is not basic instead of answering the structure queries, and
+    exits 0."""
+    twice = obj_json((1, 2, 0), (1, 2, 0))
+    assert run(["end", "--n", "2", "--object", twice]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["dimension"] == 4
+    assert out["basic"] is False
+    assert not {"quiver_arrows", "hereditary", "linear_chain"} & set(out)
+
+
 def test_approximate_command(capsys):
     regular = obj_json((1, 3, 0), (2, 3, 0), (3, 3, 0))
     assert (
@@ -119,6 +131,8 @@ def test_malformed_json(capsys):
         == EXIT_INPUT
     )
     capsys.readouterr()
+    assert run(["end", "--n", "3", "--object", "[1, 2]"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: object JSON must be a mapping\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from ddcp import approx, deciders, endalg, exactmat, reps
+from ddcp import approx, deciders, exactmat, reps
 from ddcp.quiver import Algebra, Interval
 from ddcp.derived import DerivedObject
 from ddcp.deciders import (
@@ -529,7 +529,7 @@ def deciders_per_object():
 
 
 def test_shared_work_is_built_once_and_leaves_reports_unchanged(
-    monkeypatch, end_of_calls
+    monkeypatch, end_of_calls, fresh_caches
 ):
     """Each report is the one a fresh computation gives, whichever deciders
     were asked about the object before it: in order, in reverse order, and
@@ -546,18 +546,13 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
         sequences.append((y, t))
         return build(y, t)
 
-    def forget():
-        end_of.cache_clear()
-        endalg._end_of_pattern.cache_clear()
-        deciders._memo.cache_clear()
-
     monkeypatch.setattr(deciders, "min_left_approx_sequence", recording)
     for calls in deciders_per_object():
         fresh = []
         for decide in calls:
-            forget()
+            fresh_caches()
             fresh.append(decide().as_dict())
-        forget()
+        fresh_caches()
         end_of_calls.clear()
         sequences.clear()
         for decide, expected in zip(calls + calls, fresh + fresh):
@@ -575,7 +570,7 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
         else:
             assert slices == []
             assert len(sequences) == 1
-        forget()
+        fresh_caches()
         assert [decide().as_dict() for decide in calls[::-1]] == fresh[::-1]
     # the memo never holds more than the last object's work
     assert deciders._memo.cache_info().currsize == 1

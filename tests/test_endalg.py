@@ -8,7 +8,6 @@ from ddcp.derived import DerivedMorphism, DerivedObject, graded_hom
 from ddcp.approx import hom_module
 from ddcp.classify import make_T, make_V
 from ddcp.deciders import verify_homology_corners
-from ddcp import endalg
 from ddcp.endalg import (
     SCAlgebra,
     end_of,
@@ -20,6 +19,7 @@ from oracles import (
     compose,
     is_basic_reference,
     is_hereditary_reference,
+    is_linear_A_reference,
     module_act,
     projective_basis_reference,
     radical_square_reference,
@@ -85,6 +85,72 @@ def test_non_basic_rejected_by_structure_queries():
         is_hereditary(dup)
     with pytest.raises(InputError):
         is_linear_A(dup)
+
+
+def path_algebra(m, arrows, zero=(), longest=None):
+    """The path algebra of the quiver on vertices range(m) with arrows
+    [(source, target)], modulo the paths that contain one of zero (tuples
+    of arrow indices in walking order) or are longer than longest.  Its
+    basis is the remaining paths (start, arrows), the trivial paths, its
+    idempotents, first; the table is unvalidated."""
+    paths = [(v, ()) for v in range(m)]
+
+    def end(p):
+        return arrows[p[1][-1]][1] if p[1] else p[0]
+
+    for start, walk in paths:  # grows as it is read
+        if len(walk) == longest:
+            continue
+        for k, (s, _) in enumerate(arrows):
+            step = walk + (k,)
+            # the prefix walk was kept, so only a relation ending here kills
+            if s == end((start, walk)) and not any(
+                step[-len(z):] == z for z in zero
+            ):
+                paths.append((start, step))
+    index = {p: i for i, p in enumerate(paths)}
+    table = {}
+    for i, p in enumerate(paths):
+        for j, q in enumerate(paths):
+            # p * q walks q, then p
+            k = index.get((q[0], q[1] + p[1])) if end(q) == p[0] else None
+            if k is not None:
+                table[i, j] = k
+    return SCAlgebra(paths, range(m), table)
+
+
+def test_chain_rule_matches_the_quiver_walk_on_every_outcome():
+    """is_linear_A agrees with is_linear_A_reference on algebras that,
+    between them, reach each of the walk's seven returns, in its order."""
+    chain = path_algebra(3, [(0, 1), (1, 2)])
+    algebras = [
+        # dimension is not m (m + 1) / 2: three vertices, no arrows
+        path_algebra(3, []),
+        # no m - 1 arrows: the zero object's End, m = 0, and an extra
+        # arrow 0 -> 2 beside a zero path 0 -> 1 -> 2
+        end_of(DerivedObject(Algebra(2), [])),
+        path_algebra(3, [(0, 1), (1, 2), (0, 2)], zero=[(0, 1)]),
+        # a loop with square zero
+        path_algebra(2, [(0, 0)], zero=[(0, 0)]),
+        # two starts: an unvalidated table in which the arrow has a source
+        # but no target; a valid table has exactly one start here
+        SCAlgebra(range(3), [0, 1], {(0, 0): 0, (1, 1): 1, (2, 0): 2}),
+        # the walk 0 -> 1 -> 2 meets a zero path; the cycle 3 -> 4 -> 3,
+        # cut at length 4, makes up the dimension
+        path_algebra(5, [(0, 1), (1, 2), (3, 4), (4, 3)], zero=[(0, 1)],
+                     longest=4),
+        # the walk from 2 stops at once: 0 -> 1 -> 0 is a cycle
+        path_algebra(3, [(0, 1), (1, 0)], zero=[(1, 0)]),
+        chain,
+        opposite(chain),
+        # the chain 2 -> 1 -> 0, against the idempotents' index order
+        path_algebra(3, [(2, 1), (1, 0)]),
+    ]
+    for c in algebras[:4] + algebras[5:]:
+        c.validate()
+    assert [is_linear_A(c) for c in algebras] == [
+        is_linear_A_reference(c) for c in algebras
+    ] == [None] * 7 + [3, 3, 3]
 
 
 def test_non_hereditary_example():
@@ -244,7 +310,8 @@ def test_hom_module_action_matches_compose():
 
 def test_structure_queries_match_mul_scanning_references():
     """The structure queries that read the table once agree with the
-    references that scan every product through mul: on the End algebras of
+    references that scan every product through mul, and is_linear_A's
+    chain rule with the walk along the Gabriel quiver: on the End algebras of
     small_objects and repeated_objects, on their opposites, and on the
     non-basic ones among both, where is_hereditary raises.  Each query is
     asked twice, so the second call reads the answer kept by the first."""
@@ -263,12 +330,13 @@ def test_structure_queries_match_mul_scanning_references():
         if basic:
             hereditary = is_hereditary(c)
             assert hereditary == is_hereditary_reference(c) == is_hereditary(c)
-            assert is_linear_A(c) == is_linear_A(c)
+            assert is_linear_A(c) == is_linear_A_reference(c) == is_linear_A(c)
         else:
             hereditary = None
             # a call that raises keeps nothing, so the second raises too
             for query in (is_hereditary, is_hereditary, is_linear_A,
-                          is_linear_A, is_hereditary_reference):
+                          is_linear_A, is_hereditary_reference,
+                          is_linear_A_reference):
                 with pytest.raises(InputError):
                     query(c)
         outcomes[basic, hereditary] += 1
@@ -285,7 +353,7 @@ def hom_pattern(x):
     return tuple(sorted(graded_hom(x, x), key=lambda g: g[0] != g[1]))
 
 
-def test_end_is_shared_exactly_by_objects_with_one_hom_pattern():
+def test_end_is_shared_exactly_by_objects_with_one_hom_pattern(fresh_caches):
     """end_of(x) is end_of(y) exactly when x and y have the same Hom
     pattern, and the shared algebra has the basis, idempotents and table
     that an uncached build for each of its objects gives."""
@@ -302,8 +370,7 @@ def test_end_is_shared_exactly_by_objects_with_one_hom_pattern():
     assert len({id(c) for c in shared}) == len(groups)
     for c, objects in zip(shared, groups.values()):
         for x in objects:
-            end_of.cache_clear()
-            endalg._end_of_pattern.cache_clear()
+            fresh_caches()
             fresh = end_of(x)
             assert fresh is not c
             assert (fresh.basis, fresh.idempotents, fresh.table) == (

@@ -115,6 +115,18 @@ def test_algebra_validate_rejects_non_associative_table():
         c.validate()
 
 
+@pytest.mark.parametrize("product,message", [
+    ((1, 1), "fails to square"),  # e1 * e1 = 0
+    ((2, 0), r"identity \(right\)"),  # a * e0 = 0: the unit kills a
+])
+def test_algebra_validate_rejects_a_broken_idempotent(product, message):
+    table = two_vertex_table()
+    del table[product]
+    c = SCAlgebra("e0 e1 a".split(), [0, 1], table)
+    with pytest.raises(InputError, match=message):
+        c.validate()
+
+
 def test_algebra_validate_rejects_unit_not_acting_as_identity():
     table = two_vertex_table()
     del table[(1, 2)]  # e1 * a = 0: the unit kills a from the left
