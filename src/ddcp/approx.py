@@ -14,14 +14,10 @@ and kernel membership transfer.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .quiver import InputError
-from .derived import (
-    DerivedMorphism,
-    DerivedObject,
-    composites,
-    graded_hom,
-)
+from .derived import DerivedMorphism, DerivedObject, composites, graded_hom
 from .endalg import SCModule, end_of, forest_join, module_generators
 
 
@@ -44,8 +40,8 @@ def hom_module(y, t):
 @dataclass
 class ApproxSequence:
     """Minimal left add-t-approximation sequence y -> T0 -> T1.  f_ranks
-    and g_ranks, rank f_v and rank g_v at every vertex v, are counted on
-    first use and kept."""
+    and g_ranks, rank f_v and rank g_v at every vertex v, and dims, the
+    dimension vectors of y, T0 and T1, are counted on first use and kept."""
 
     t0: DerivedObject
     f: DerivedMorphism
@@ -60,10 +56,13 @@ class ApproxSequence:
     def g_ranks(self):
         return _ranks(self.g)
 
+    @cached_property
+    def dims(self):
+        return _dims(self.f.src), _dims(self.t0), _dims(self.t1)
+
 
 def min_left_approx_sequence(y, t):
     """Construct the minimal sequence by projective presentation transport."""
-    alg = y.alg
     if not t.is_basic():
         raise InputError("approximation target must be basic")
     m, gens = hom_module(y, t)
@@ -79,7 +78,7 @@ def min_left_approx_sequence(y, t):
     idem = set(algebra.idempotents)
     hit = {j for (a, _), j in m.table.items() if a not in idem}
     top0 = sorted((gens[i][1], i) for i in range(m.dim) if i not in hit)
-    t0 = DerivedObject(alg, [t.summands[l] for l, _ in top0])
+    t0 = t._select(l for l, _ in top0)
     f = DerivedMorphism(
         y, t0, {(gens[i][0], pos): 1 for pos, (_, i) in enumerate(top0)}
     )
@@ -104,7 +103,7 @@ def min_left_approx_sequence(y, t):
 
     # The top of the kernel K, read in Q0 coordinates, gives T1 and g.
     top1 = module_generators(algebra, kernel)
-    t1 = DerivedObject(alg, [t.summands[l] for l, _ in top1])
+    t1 = t._select(l for l, _ in top1)
 
     g_entries = {}
     for pos1, (_, kappa) in enumerate(top1):
@@ -114,36 +113,30 @@ def min_left_approx_sequence(y, t):
     return ApproxSequence(t0, f, t1, g)
 
 
-def _alive(iv, v):
-    return iv.a <= v <= iv.b
-
-
 def _dims(x):
-    return [sum(_alive(iv, v) for iv, _ in x.summands)
-            for v in range(1, x.alg.n + 1)]
+    """dim X_v at every vertex v: a difference sweep over summand ends."""
+    steps = [0] * (x.alg.n + 1)
+    for iv, _ in x.summands:
+        steps[iv.a - 1] += 1
+        steps[iv.b] -= 1
+    return list(accumulate(steps[:-1]))
 
 
 def _ranks(f):
     """rank f_v at every vertex v, for f or g of an approximation sequence
     in one shift.  A canonical map s -> t is nonzero exactly where both
-    supports meet, so f_v is f's entry matrix restricted to the summands
-    alive at v, and dim X_v is the number of summands alive at v.  Each row
-    of f_v, one per target summand, is zero, b_k or b_j - b_k: f has one
-    head entry per T0 summand, and each g row comes from a kernel top
-    vector, which is e_j or e_j - e_first.  So forest_join counts rank f_v.
-    The entries are grouped by target row once, for every vertex."""
+    supports meet, so f_v is f's entry matrix restricted to the entries
+    alive at v, filed by target row.  Each row is zero, b_k or b_j - b_k: f
+    has one head entry per T0 summand, and each g row comes from a kernel
+    top vector, which is e_j or e_j - e_first.  So forest_join, one per
+    vertex, counts rank f_v."""
     src, tgt = f.src.summands, f.tgt.summands
-    rows = {}
+    live = [{} for _ in range(f.alg.n)]  # per vertex: row -> alive entries
     for k, l in f.entries:
-        rows.setdefault(l, []).append((k, src[k][0]))
-    ranks = []
-    for v in range(1, f.alg.n + 1):
-        join = forest_join()
-        ranks.append(sum(
-            join([k for k, iv in row if _alive(iv, v)])
-            for l, row in rows.items() if _alive(tgt[l][0], v)
-        ))
-    return ranks
+        s, t = src[k][0], tgt[l][0]
+        for rows in live[max(s.a, t.a) - 1:min(s.b, t.b)]:
+            rows.setdefault(l, []).append(k)
+    return [sum(map(forest_join(), rows.values())) for rows in live]
 
 
 def is_exact_at_middle(seq):
@@ -153,14 +146,14 @@ def is_exact_at_middle(seq):
     is composition with f, so Hom(g f, t) = 0, and g f = 0 because T1 lies
     in add t.  So the rank count alone decides exactness."""
     ranks = [a + b for a, b in zip(seq.f_ranks, seq.g_ranks)]
-    return ranks == _dims(seq.t0)
+    return ranks == seq.dims[1]
 
 
 def is_exact_sequence_with_zero(seq):
     """Exact at the middle with g surjective: rank g_v = dim T1_v."""
-    return is_exact_at_middle(seq) and seq.g_ranks == _dims(seq.t1)
+    return is_exact_at_middle(seq) and seq.g_ranks == seq.dims[2]
 
 
 def is_injective(seq):
     """rank f_v = dim y_v at every vertex v."""
-    return seq.f_ranks == _dims(seq.f.src)
+    return seq.f_ranks == seq.dims[0]

@@ -86,7 +86,7 @@ class ClassificationResult:
 
 
 def _comparable(p, q):
-    return pair_space_dim(p, q)[0] or pair_space_dim(q, p)[0]
+    return pair_space_dim(p, q) or pair_space_dim(q, p)
 
 
 def _clique_candidates(atoms, size):

@@ -35,7 +35,7 @@ from .approx import (
     is_injective,
     min_left_approx_sequence,
 )
-from .quiver import Algebra, Interval
+from .quiver import Algebra, InputError, Interval, is_int
 
 
 @dataclass
@@ -86,8 +86,12 @@ class DeciderReport:
 
 
 def _basic_support(multiset):
-    """The distinct intervals of a multiset (add-closure representative)."""
-    return sorted(iv for iv, m in multiset.items() if m > 0)
+    """The distinct intervals of a multiset (add-closure representative).
+    A multiplicity is a non-negative int, zero meaning absent."""
+    for m in multiset.values():
+        if not (is_int(m) and m >= 0):
+            raise InputError("multiplicity %r is not a non-negative int" % (m,))
+    return [iv for iv, m in multiset.items() if m]
 
 
 def _module_object(alg, intervals):
@@ -126,10 +130,10 @@ def _once(x, key, build):
 
 def _regular_sequence(t):
     """The minimal add-t approximation sequence A -> M0 -> M1 of the
-    regular module."""
+    regular module A, the sum of the projectives: the intervals ending at n."""
     def build():
         alg = t.alg
-        y = _module_object(alg, [alg.projective(i) for i in range(1, alg.n + 1)])
+        y = _module_object(alg, [iv for iv in alg.intervals() if iv.b == alg.n])
         return min_left_approx_sequence(y, t)
 
     return _once(t, "regular", build)

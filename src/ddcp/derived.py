@@ -30,6 +30,12 @@ class DerivedObject:
                 raise InputError("shift of %r must be an integer: %r" % (iv, s))
         self.summands = tuple(sorted(pairs, key=lambda p: (p[1], p[0].a, p[0].b)))
 
+    def _select(self, indices):
+        """The summands at non-decreasing indices, taken as checked."""
+        x = object.__new__(DerivedObject)
+        x.alg, x.summands = self.alg, tuple(self.summands[i] for i in indices)
+        return x
+
     def __eq__(self, other):
         return (
             isinstance(other, DerivedObject)
@@ -79,14 +85,13 @@ class DerivedObject:
         )
 
 
+DEGREES = (HOM, EXT)  # a generator's degree is its shift gap, one of these
+
+
 def pair_space_dim(src_pair, tgt_pair):
-    """(dim, degree) of the space between two summands: the generator's
-    degree is the shift gap, Hom (0) or Ext^1 (1); any other gap admits no
-    morphism, (0, None)."""
+    """dim of the space between two (interval, shift) summands."""
     deg = tgt_pair[1] - src_pair[1]
-    if deg not in (HOM, EXT):
-        return 0, None
-    return space_dim(src_pair[0], tgt_pair[0], deg), deg
+    return space_dim(src_pair[0], tgt_pair[0], deg) if deg in DEGREES else 0
 
 
 def graded_hom(y, x):
@@ -94,13 +99,12 @@ def graded_hom(y, x):
     Objects over different algebras raise InputError."""
     if y.alg != x.alg:
         raise InputError("objects over %r and %r" % (y.alg, x.alg))
-    gens = []
-    for k, sp in enumerate(y.summands):
-        for l, tp in enumerate(x.summands):
-            d, deg = pair_space_dim(sp, tp)
-            if d:
-                gens.append((k, l, deg))
-    return gens
+    return [
+        (k, l, deg)
+        for k, (s, i) in enumerate(y.summands)
+        for l, (t, j) in enumerate(x.summands)
+        if (deg := j - i) in DEGREES and space_dim(s, t, deg)
+    ]
 
 
 def composites(acting, gens):
@@ -158,7 +162,7 @@ class DerivedMorphism:
         src, tgt = self.src.summands, self.tgt.summands
         for k, l in self.entries:
             if not (0 <= k < len(src) and 0 <= l < len(tgt)
-                    and pair_space_dim(src[k], tgt[l])[0]):
+                    and pair_space_dim(src[k], tgt[l])):
                 raise InputError("entry (%d, %d) has no morphism space" % (k, l))
 
     def __repr__(self):

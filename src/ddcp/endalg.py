@@ -257,14 +257,13 @@ def forest_join():
     Coordinates are any hashable labels other than None."""
     parent = {}  # a tree's nodes lead to its root, which has no entry
 
-    def root(j):
-        while j in parent:
-            j = parent[j]
-        return j
-
     def join(support):
         ends = iter(support)
-        a, b = root(next(ends, None)), root(next(ends, None))
+        a, b = next(ends, None), next(ends, None)
+        while a in parent:
+            a = parent[a]
+        while b in parent:
+            b = parent[b]
         if a != b:
             parent[a] = b
         return a != b

@@ -18,6 +18,9 @@ Populations:
 - hom and approx: y the regular object or P(e)[s], s in {0, 1}, against
   every shift-normalised object of at most n summands over shifts {0, 1},
   n <= 4;
+- ranks: the vertex counts the module predicates read, rank f_v and
+  rank g_v and the dims of y, T0 and T1, for every sequence of the approx
+  population whose terms lie in one shift;
 - deciders: the four complex deciders on every shift-normalised n-summand
   object over shifts {0, 1}, n <= 4; verify_homology_corners on those with
   n <= 3; both module deciders on every basic module of at most 5
@@ -32,7 +35,7 @@ import json
 from itertools import combinations, combinations_with_replacement
 
 from ddcp import cli
-from ddcp.approx import hom_module, min_left_approx_sequence
+from ddcp.approx import _dims, hom_module, min_left_approx_sequence
 from ddcp.deciders import (
     check_ddcp,
     check_ddcp_derived,
@@ -142,6 +145,20 @@ def approx_items():
         ]
 
 
+def rank_items():
+    for y, t in approx_pairs():
+        seq = min_left_approx_sequence(y, t)
+        terms = (y, seq.t0, seq.t1)
+        if len({s for x in terms for _, s in x.summands}) == 1:
+            yield [
+                obj_json(y),
+                obj_json(t),
+                seq.f_ranks,
+                seq.g_ranks,
+                [_dims(x) for x in terms],
+            ]
+
+
 def decider_items():
     for n in (1, 2, 3, 4):
         for x in normalised_objects(n, [n]):
@@ -179,6 +196,7 @@ SECTIONS = [
     ("approx", approx_items),
     ("deciders", decider_items),
     ("cli_end", cli_end_items),
+    ("ranks", rank_items),
 ]
 
 

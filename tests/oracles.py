@@ -25,7 +25,7 @@ def compose(f, g):
     return DerivedMorphism(f.src, g.tgt, {
         (k, m): c
         for (k, m), c in compose_entries(f.entries, g.entries).items()
-        if pair_space_dim(src[k], tgt[m])[0]
+        if pair_space_dim(src[k], tgt[m])
     })
 
 

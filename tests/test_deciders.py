@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from ddcp import approx, deciders, exactmat, reps
-from ddcp.quiver import Algebra, Interval
+from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedObject
 from ddcp.deciders import (
     check_ddcp,
@@ -59,11 +59,21 @@ def test_module_dcp_failures():
 
 
 def test_module_dcp_duplicates_use_add_closure():
+    """A multiplicity counts only as present (positive) or absent (zero);
+    anything but a non-negative int is rejected, not coerced."""
     alg = Algebra(3)
     doubled = {iv: 2 for iv in V_multiset(3, 2)}
     assert bool(check_module_dcp(alg, doubled)) == bool(
         check_module_dcp(alg, V_multiset(3, 2))
     )
+    with_zero = {**V_multiset(3, 2), Interval(2, 2): 0}
+    for decide in check_module_dcp, check_tilting_module:
+        assert decide(alg, with_zero).as_dict() == decide(
+            alg, V_multiset(3, 2)
+        ).as_dict()
+        for bad in (-1, 1.5, True, "2", None):
+            with pytest.raises(InputError, match="multiplicity"):
+                decide(alg, {**V_multiset(3, 2), Interval(2, 2): bad})
 
 
 def test_tilting_module_examples():
@@ -377,7 +387,9 @@ def test_rank_counts_match_subrepresentation_reference(monkeypatch):
     give the answers of the kernel, image and cokernel sub-representations
     of the same maps as representation morphisms, on the hereditary-End
     objects of criterion 3 and on basic modules of at most five summands,
-    n <= 4."""
+    n <= 4.  So do the counts the tests read, vertex by vertex: rank f_v
+    and rank g_v are the dimensions of the image sub-representations, and
+    the dims of y, T0 and T1 those of the realised terms."""
     verdicts = {}
     kernels = []
     references = {}  # many objects share a sequence: build each reference once
@@ -390,9 +402,12 @@ def test_rank_counts_match_subrepresentation_reference(monkeypatch):
                 references[key] = (
                     kernel_intervals_reference(f),
                     reference(f, g),
+                    [list(reps.image(h)[0].dims) for h in (f, g)]
+                    + [list(rep.dims) for rep in (f.src, f.tgt, g.tgt)],
                 )
-            kernel, verdict = references[key]
+            kernel, verdict, counts = references[key]
             kernels.append(kernel)
+            assert [seq.f_ranks, seq.g_ranks, *seq.dims] == counts
             assert rank_test(seq) == verdict
             verdicts.setdefault(rank_test.__name__, set()).add(verdict)
             return verdict
@@ -430,31 +445,44 @@ def test_each_sequence_counts_its_ranks_once(monkeypatch):
     """Asked about one object, the four complex deciders count rank f_v and
     rank g_v of each in-slice sequence at most once each, and both module
     deciders those of the one regular sequence: the predicates read the
-    counts the sequence keeps.  Checked on the criterion-3 objects and on
-    basic modules of at most five summands, n <= 4."""
-    built, ranked = [], []
-    build, ranks = approx.min_left_approx_sequence, approx._ranks
+    counts the sequence keeps.  The same holds for the dims of each
+    sequence's terms y, T0 and T1, and the module deciders count the dims
+    of the regular sequence's three terms exactly once.  Checked on the
+    criterion-3 objects and on basic modules of at most five summands,
+    n <= 4."""
+    built, ranked, dimmed = [], [], []
+    build, ranks, dims = (
+        approx.min_left_approx_sequence, approx._ranks, approx._dims
+    )
 
     def recording_build(*args):
         built.append(build(*args))
         return built[-1]
 
-    def recording_ranks(h):
-        ranked.append(h)
-        return ranks(h)
+    def recording(calls, count):
+        def record(h):
+            calls.append(h)
+            return count(h)
+
+        return record
 
     monkeypatch.setattr(deciders, "min_left_approx_sequence", recording_build)
-    monkeypatch.setattr(approx, "_ranks", recording_ranks)
+    monkeypatch.setattr(approx, "_ranks", recording(ranked, ranks))
+    monkeypatch.setattr(approx, "_dims", recording(dimmed, dims))
 
     def counted(decide):
         built.clear()
         ranked.clear()
+        dimmed.clear()
         decide()
         maps = {id(h) for seq in built for h in (seq.f, seq.g)}
-        # ranked keeps every map alive, so equal ids mean the same map
-        assert len({id(h) for h in ranked}) == len(ranked)
-        assert {id(h) for h in ranked} <= maps
-        return len(ranked)
+        terms = {id(x) for seq in built for x in (seq.f.src, seq.t0, seq.t1)}
+        # the lists keep every map and term alive, so equal ids mean the
+        # same one
+        for calls, kept in (ranked, maps), (dimmed, terms):
+            assert len({id(h) for h in calls}) == len(calls)
+            assert {id(h) for h in calls} <= kept
+        return len(ranked), len(dimmed), len(built)
 
     total = 0
     for x in criterion_3_objects():
@@ -463,12 +491,14 @@ def test_each_sequence_counts_its_ranks_once(monkeypatch):
             check_ddcp_derived(x),
             check_tilting_complex(x, "module"),
             check_tilting_complex(x, "derived"),
-        ])
+        ])[0]
     for alg, multiset in small_basic_modules():
-        total += counted(lambda: [
+        rank_count, dim_count, sequences = counted(lambda: [
             check_module_dcp(alg, multiset),
             check_tilting_module(alg, multiset),
         ])
+        assert sequences == 1 and dim_count == 3
+        total += rank_count
     assert total > 0
 
 
