@@ -14,14 +14,14 @@ hereditary) are reported as "not applicable" -- false for classification
 purposes but distinguished from a genuine condition failure.
 
 The deciders share the work that depends only on the object they are asked
-about: each in-slice sequence of P(e), each derived-route (T0, cone(g)),
-and the module deciders' regular sequence.  Asking several deciders about
-one object in a row, as the route-agreement checks do, builds each piece
-once.  The memo is keyed by the object's value, not its identity, so every
-report is what a fresh computation gives; it holds the last object only, so
-it never grows with the number of objects decided.  End(x), and the End of
-each slice, come from end_of's own caches, and whether End(x) is hereditary
-is answered once per algebra (endalg).
+about: its frame (not applicable, or else every vertex's supporting shifts),
+each in-slice sequence of P(e), each derived-route (T0, cone(g)), and the
+module deciders' regular sequence.  Asking several deciders about one object
+in a row, as the route-agreement checks do, builds each piece once, and each
+report is built afresh on them.  The memo is keyed by the object's value
+(hashed once per object), so every report is what a fresh computation gives;
+it holds the last object only.  The slices, P(e), P(e)[i] and cones built
+from a checked object are taken as checked, not validated again.
 """
 
 from dataclasses import dataclass, field
@@ -85,34 +85,25 @@ class DeciderReport:
         }
 
 
-def _basic_support(multiset):
-    """The distinct intervals of a multiset (add-closure representative).
-    A multiplicity is a non-negative int, zero meaning absent."""
+def _basic_module(alg, multiset):
+    """The module of a multiset's distinct intervals (add-closure
+    representative).  A multiplicity is a non-negative int, zero meaning
+    absent."""
     for m in multiset.values():
         if not (is_int(m) and m >= 0):
             raise InputError("multiplicity %r is not a non-negative int" % (m,))
-    return [iv for iv, m in multiset.items() if m]
+    return DerivedObject(alg, [(iv, 0) for iv, m in multiset.items() if m])
 
 
-def _module_object(alg, intervals):
-    return DerivedObject(alg, [(iv, 0) for iv in intervals])
-
-
-def _not_applicable(report, reason):
-    report.applicable = False
-    report.reasons.append(reason)
-    return report
-
-
-def _judge(report, checks):
-    """Record the reason of every failed (passed, reason) check; the verdict
-    holds when none failed."""
-    report.reasons += [reason for passed, reason in checks if not passed]
-    report.verdict = not report.reasons
-    return report
+def _judge(name, checks):
+    """The report of the (passed, reason) checks: the reason of every failed
+    one, and a verdict that holds when none failed."""
+    reasons = [reason for passed, reason in checks if not passed]
+    return DeciderReport(name, not reasons, reasons=reasons)
 
 
 _NOT_INJECTIVE = "approximation of the regular module not injective"
+_NOT_HEREDITARY = "endomorphism algebra is not hereditary"
 
 
 @lru_cache(maxsize=1)
@@ -133,7 +124,8 @@ def _regular_sequence(t):
     regular module A, the sum of the projectives: the intervals ending at n."""
     def build():
         alg = t.alg
-        y = _module_object(alg, [iv for iv in alg.intervals() if iv.b == alg.n])
+        y = DerivedObject._checked(
+            alg, [(iv, 0) for iv in alg.intervals() if iv.b == alg.n])
         return min_left_approx_sequence(y, t)
 
     return _once(t, "regular", build)
@@ -143,9 +135,8 @@ def check_module_dcp(alg, multiset):
     """A module has the double centraliser property iff the minimal left
     approximation f of the regular module is injective and the induced
     sequence is exact at the middle term."""
-    report = DeciderReport("dcp", False)
-    seq = _regular_sequence(_module_object(alg, _basic_support(multiset)))
-    return _judge(report, [
+    seq = _regular_sequence(_basic_module(alg, multiset))
+    return _judge("dcp", [
         (is_injective(seq), _NOT_INJECTIVE),
         (is_exact_at_middle(seq), "sequence not exact at the middle term"),
     ])
@@ -154,12 +145,11 @@ def check_module_dcp(alg, multiset):
 def check_tilting_module(alg, multiset):
     """Tilting test for a module whose endomorphism algebra is hereditary:
     the minimal sequence 0 -> A -> M0 -> M1 -> 0 must be exact throughout."""
-    report = DeciderReport("tilting-module", False)
-    t = _module_object(alg, _basic_support(multiset))
+    t = _basic_module(alg, multiset)
     if not is_hereditary(end_of(t)):
-        return _not_applicable(report, "endomorphism algebra is not hereditary")
+        return DeciderReport("tilting-module", False, False, [_NOT_HEREDITARY])
     seq = _regular_sequence(t)
-    return _judge(report, [
+    return _judge("tilting-module", [
         (is_injective(seq), _NOT_INJECTIVE),
         (is_exact_sequence_with_zero(seq),
          "sequence not exact (middle or surjectivity)"),
@@ -188,13 +178,21 @@ def _kernel_failures(x, kernel, i):
             % (kernel, i + 1)]
 
 
+def _vertex_shifts(x):
+    """The sorted shifts supporting each vertex 1..n, in one pass."""
+    shifts = [set() for _ in range(x.alg.n)]
+    for iv, s in x.summands:
+        for at in shifts[iv.a - 1:iv.b]:
+            at.add(s)
+    return [sorted(at) for at in shifts]
+
+
 def ddcp_precheck(x):
     """The first failure, "vertex e: reason", that check_ddcp(x) reports by
     a rule needing no approximation sequence (no unique supporting shift, or
     the kernel interval outside the next slice), or None.  A reason means
     check_ddcp(x) fails, so a caller may reject by it first."""
-    for e in range(1, x.alg.n + 1):
-        shifts = x.shifts_at(e)
+    for e, shifts in enumerate(_vertex_shifts(x), 1):
         failures = (
             _kernel_failures(x, kernel_interval(x, e, shifts[0]), shifts[0])
             if len(shifts) == 1 else [_shift_failure(shifts)]
@@ -205,33 +203,36 @@ def ddcp_precheck(x):
 
 
 def _decide(x, name, step):
-    """The frame shared by the complex deciders.
+    """The report of one complex decider on x's frame, shared by all four:
+    the reason x is not applicable (not basic, End(x) not hereditary), or
+    else every vertex's supporting shifts.  Every indecomposable projective
+    P(e) needs a unique supporting shift i, and then step(x, report of P(e),
+    i) must return no failures; each failing one adds a reason naming e."""
+    def build():
+        if not x.is_basic():
+            return "object is not basic"
+        return _vertex_shifts(x) if is_hereditary(end_of(x)) else _NOT_HEREDITARY
 
-    After the preconditions (basic, hereditary endomorphism algebra),
-    every indecomposable projective P(e) needs a unique supporting
-    shift i, and then step(x, report of P(e), i) must return no
-    failures.  Each failing projective adds one reason naming its vertex."""
+    frame = _once(x, "frame", build)
+    if isinstance(frame, str):
+        return DeciderReport(name, False, False, [frame])
     report = DeciderReport(name, False)
-    if not x.is_basic():
-        return _not_applicable(report, "object is not basic")
-    if not is_hereditary(end_of(x)):
-        return _not_applicable(report, "endomorphism algebra is not hereditary")
-    checks = []
-    for e in range(1, x.alg.n + 1):
-        pr = ProjectiveReport(e, x.shifts_at(e))
+    for e, shifts in enumerate(frame, 1):
+        pr = ProjectiveReport(e, list(shifts))
         report.projectives.append(pr)
-        if len(pr.degrees_found) == 1:
-            failures = step(x, pr, pr.degrees_found[0])
-        else:
-            failures = [_shift_failure(pr.degrees_found)]
+        failures = (step(x, pr, shifts[0]) if len(shifts) == 1
+                    else [_shift_failure(shifts)])
         pr.verdict = not failures
-        checks.append((pr.verdict, "vertex %d: %s" % (e, "; ".join(failures))))
-    return _judge(report, checks)
+        if failures:
+            report.reasons.append("vertex %d: %s" % (e, "; ".join(failures)))
+    report.verdict = not report.reasons
+    return report
 
 
 def _slice(x, i):
-    """x's shift-i slice as a module."""
-    return _module_object(x.alg, _basic_support(x.slice(i)))
+    """The shift-i slice of a basic x as a module, taken as checked."""
+    return DerivedObject._checked(
+        x.alg, [(iv, 0) for iv, s in x.summands if s == i])
 
 
 def _module_route(exact_test):
@@ -241,7 +242,7 @@ def _module_route(exact_test):
 
     def step(x, pr, i):
         def build():
-            y = _module_object(x.alg, [x.alg.projective(pr.vertex)])
+            y = DerivedObject._checked(x.alg, [(x.alg.projective(pr.vertex), 0)])
             return min_left_approx_sequence(y, _slice(x, i))
 
         seq = _once(x, ("in-slice", pr.vertex), build)
@@ -263,7 +264,7 @@ def _derived_route(cone_test):
         p = x.alg.projective(pr.vertex)
 
         def build():
-            y = DerivedObject(x.alg, [(p, i)])
+            y = DerivedObject._checked(x.alg, [(p, i)])
             seq = min_left_approx_sequence(y, x)
             return seq.t0.summands, cone(seq.g)
 
@@ -287,7 +288,7 @@ def _next_slice_is(c, pr, p, i):
 
 def _cone_is(c, pr, p, i):
     """The cone is exactly P(e)[i+1]."""
-    if c == DerivedObject(c.alg, [(p, i + 1)]):
+    if c.summands == ((p, i + 1),):
         return []
     return ["cone is %r, not %r[%d]" % (c, p, i + 1)]
 
@@ -343,12 +344,11 @@ def verify_homology_corners(x):
     Once check_ddcp(x) holds, each vertex's report records its one
     supporting shift, and each slice lies inside the corner of the vertices
     with its shift."""
-    report = DeciderReport("corners", False)
     ddcp = check_ddcp(x)
     if not ddcp:
-        report.applicable = False
-        report.reasons.append("object does not have the derived property")
-        return report
+        return DeciderReport("corners", False, False,
+                             ["object does not have the derived property"])
+    report = DeciderReport("corners", False)
     tilting = bool(check_tilting_complex(x, "derived"))
     corners = {}
     for pr in ddcp.projectives:

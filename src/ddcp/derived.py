@@ -12,14 +12,24 @@ or lift, is sparse: {(source index, target index): nonzero Fraction}.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
-from .quiver import EXT, HOM, InputError, Interval, is_int, space_dim
+from .quiver import EXT, HOM, Algebra, InputError, Interval, is_int, space_dim
+
+
+def summand_order(pair):
+    """A DerivedObject's summands sort by shift, then interval."""
+    return pair[1], pair[0].a, pair[0].b
 
 
 class DerivedObject:
-    """A finite multiset of shifted interval modules."""
+    """A finite multiset of shifted interval modules.  The constructor checks
+    its input; _checked takes an object derived from a checked one as it is.
+    An object never changes, so it keeps its hash once read."""
 
     def __init__(self, alg, pairs):
+        if not isinstance(alg, Algebra):
+            raise InputError("%r is not an Algebra" % (alg,))
         self.alg = alg
         pairs = list(pairs)
         for iv, s in pairs:
@@ -28,13 +38,18 @@ class DerivedObject:
             alg.check_interval(iv)
             if not is_int(s):
                 raise InputError("shift of %r must be an integer: %r" % (iv, s))
-        self.summands = tuple(sorted(pairs, key=lambda p: (p[1], p[0].a, p[0].b)))
+        self.summands = tuple(sorted(pairs, key=summand_order))
+
+    @classmethod
+    def _checked(cls, alg, summands):
+        """The object of checked summands, in summand_order."""
+        x = object.__new__(cls)
+        x.alg, x.summands = alg, tuple(summands)
+        return x
 
     def _select(self, indices):
         """The summands at non-decreasing indices, taken as checked."""
-        x = object.__new__(DerivedObject)
-        x.alg, x.summands = self.alg, tuple(self.summands[i] for i in indices)
-        return x
+        return self._checked(self.alg, (self.summands[i] for i in indices))
 
     def __eq__(self, other):
         return (
@@ -44,6 +59,10 @@ class DerivedObject:
         )
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
         return hash((self.alg, self.summands))
 
     def __len__(self):
@@ -57,10 +76,6 @@ class DerivedObject:
 
     def shifts(self):
         return sorted({s for _, s in self.summands})
-
-    def shifts_at(self, vertex):
-        """The shifts of the summands supported at a vertex."""
-        return sorted({s for iv, s in self.summands if iv.a <= vertex <= iv.b})
 
     def slice(self, s):
         """Interval multiset of the summands at a given shift."""
@@ -302,7 +317,7 @@ def chain_homology_object(chain):
     for k, j in cycles:
         if (k, j) not in killed:
             pairs.append((Interval(chain.comps[k][j], chain.alg.n), -k))
-    return DerivedObject(chain.alg, pairs)
+    return DerivedObject._checked(chain.alg, sorted(pairs, key=summand_order))
 
 
 def cone(g):

@@ -358,8 +358,7 @@ def test_kernel_interval_matches_approximation():
     checks = 0
     for x in criterion_3_objects():
         alg = x.alg
-        for e in range(1, alg.n + 1):
-            shifts = x.shifts_at(e)
+        for e, shifts in enumerate(deciders._vertex_shifts(x), 1):
             if len(shifts) != 1:
                 continue
             i = shifts[0]
@@ -563,12 +562,14 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
 ):
     """Each report is the one a fresh computation gives, whichever deciders
     were asked about the object before it: in order, in reverse order, and
-    asked again.  A caller editing a report's approx_summands or
-    kernel_intervals leaves every later report as it was.  Asking every
-    decider about one object builds End(x) once, and one approximation
-    sequence per route and unique-shift vertex (for a module, the regular
-    module's once), and the End of each slice the module route asks for at
-    most once."""
+    asked again.  A caller editing a report's reasons, degrees_found,
+    approx_summands or kernel_intervals leaves every later report as it
+    was.  Asking every decider about one object builds End(x) once, and one
+    approximation sequence per route and unique-shift vertex (for a module,
+    the regular module's once), and the End of each slice the module route
+    asks for at most once.  The four complex deciders share one frame: x is
+    asked is_basic once (each sequence asks it of its own target) and End(x)
+    is asked is_hereditary once."""
     sequences = []
     build = deciders.min_left_approx_sequence
 
@@ -576,7 +577,23 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
         sequences.append((y, t))
         return build(y, t)
 
+    basic_asked = []
+    is_basic = DerivedObject.is_basic
+
+    def recording_basic(x):
+        basic_asked.append(x)
+        return is_basic(x)
+
+    hereditary_asked = []
+    hereditary = deciders.is_hereditary
+
+    def recording_hereditary(c):
+        hereditary_asked.append(c)
+        return hereditary(c)
+
     monkeypatch.setattr(deciders, "min_left_approx_sequence", recording)
+    monkeypatch.setattr(DerivedObject, "is_basic", recording_basic)
+    monkeypatch.setattr(deciders, "is_hereditary", recording_hereditary)
     for calls in deciders_per_object():
         fresh = []
         for decide in calls:
@@ -585,18 +602,24 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
         fresh_caches()
         end_of_calls.clear()
         sequences.clear()
+        basic_asked.clear()
+        hereditary_asked.clear()
         for decide, expected in zip(calls + calls, fresh + fresh):
             report = decide()
             assert report.as_dict() == expected
+            report.reasons.append("edited")
             for pr in report.projectives:
+                pr.degrees_found.append(7)
                 pr.approx_summands.append((Interval(1, 1), 7))
                 pr.kernel_intervals[Interval(1, 1)] = 7
         x, *slices = end_of_calls
         assert len(set(slices)) == len(slices)
         if len(calls) == len(COMPLEX_DECIDERS):
             assert set(slices) <= slice_modules(x)
-            unique = [e for e in range(1, x.alg.n + 1) if len(x.shifts_at(e)) == 1]
+            unique = [s for s in deciders._vertex_shifts(x) if len(s) == 1]
             assert len(sequences) == 2 * len(unique)
+            assert Counter(basic_asked) == Counter([x] + [t for _, t in sequences])
+            assert hereditary_asked == [end_of(x)]
         else:
             assert slices == []
             assert len(sequences) == 1
@@ -604,3 +627,60 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
         assert [decide().as_dict() for decide in calls[::-1]] == fresh[::-1]
     # the memo never holds more than the last object's work
     assert deciders._memo.cache_info().currsize == 1
+
+
+def test_objects_taken_as_checked_equal_checked_ones(monkeypatch):
+    """Every object the deciders build from a checked one without checking
+    it -- each slice, P(e), P(e)[i], cone, T0 and T1 of the four complex
+    deciders on every shift-normalised object at n <= 4, and the regular
+    module of the module deciders -- equals the object the public
+    constructor builds from its summands, and hashes as it does, also when
+    its own hash was read and kept first."""
+    built = []
+    build = deciders.min_left_approx_sequence
+    make_cone = deciders.cone
+
+    def recording(y, t):
+        seq = build(y, t)
+        built.extend([y, t, seq.t0, seq.t1])
+        return seq
+
+    def recording_cone(g):
+        built.append(make_cone(g))
+        return built[-1]
+
+    monkeypatch.setattr(deciders, "min_left_approx_sequence", recording)
+    monkeypatch.setattr(deciders, "cone", recording_cone)
+
+    def check_built():
+        for c in built:
+            kept = hash(c)
+            checked = DerivedObject(c.alg, c.summands)
+            assert checked == c and c == checked, c
+            assert hash(checked) == kept == hash(c), c
+        built.clear()
+
+    checks = Counter()
+    for n in (1, 2, 3, 4):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        for combo in combinations(atoms, n):
+            if min(s for _, s in combo) == 0:
+                x = DerivedObject(alg, combo)
+                for decide in COMPLEX_DECIDERS:
+                    decide(x)
+                checks[n] += len(built)
+                check_built()
+    for alg, multiset in small_basic_modules():
+        check_module_dcp(alg, multiset)
+        checks["modules"] += len(built)
+        check_built()
+    assert all(checks.values()) and checks[4] > 10000, checks
+    # a kept hash is the hash of the value, whichever object kept it
+    alg = Algebra(3)
+    x = obj(alg, (2, 3, 1), (1, 1, 0), (2, 2, 0))
+    kept = hash(x)
+    y = obj(alg, (1, 1, 0), (2, 2, 0), (2, 3, 1))
+    assert x == y and hash(y) == kept == hash(x)
+    assert x._select([0, 2]) == obj(alg, (1, 1, 0), (2, 3, 1))
+    assert hash(x._select([0, 2])) == hash(obj(alg, (2, 3, 1), (1, 1, 0)))

@@ -13,6 +13,7 @@ from ddcp.quiver import (
     space_dim,
 )
 from ddcp import reps
+from ddcp.deciders import check_module_dcp, check_tilting_module
 from ddcp.derived import DerivedObject, composites, graded_hom
 from oracles import brute_ext_dim
 
@@ -35,6 +36,15 @@ def test_interval_validation():
     for summand in ((1, 2), "X(1,2)", None):
         with pytest.raises(InputError):
             DerivedObject(Algebra(3), [(summand, 0)])
+    # an object's algebra is checked, so no decider meets a non-Algebra
+    for alg in (None, 3, "A3", Interval(1, 3)):
+        for pairs in ([], [(Interval(1, 1), 0)]):
+            with pytest.raises(InputError):
+                DerivedObject(alg, pairs)
+        for decide in (check_module_dcp, check_tilting_module):
+            for multiset in ({}, {Interval(1, 1): 1}):
+                with pytest.raises(InputError):
+                    decide(alg, multiset)
 
 
 def test_algebra_families():
