@@ -62,11 +62,14 @@ class ApproxSequence:
 
 
 def min_left_approx_sequence(y, t):
-    """Construct the minimal sequence by projective presentation transport."""
-    if not t.is_basic():
-        raise InputError("approximation target must be basic")
+    """Construct the minimal sequence by projective presentation transport.
+    t must be basic, which End(t) answers once per Hom pattern: over A_n, two
+    distinct summands of a split object never have mutually inverse degree-0
+    maps, so End(t) is basic exactly when t is."""
     m, gens = hom_module(y, t)
     algebra = m.algebra
+    if not algebra.is_basic():
+        raise InputError("approximation target must be basic")
 
     # The top of Hom(y, t), grouped by summand l of t: the cover is by the
     # projectives E e_l, dual to the summands t_l themselves.  Hom(y, t) is
@@ -92,7 +95,7 @@ def min_left_approx_sequence(y, t):
     kernel = []
     first = {}
     for pos, (l, i) in enumerate(top0):
-        for beta in algebra.projective_basis(l):
+        for beta in algebra.projectives[l]:
             image = m.table.get((beta, i))
             if image is None:
                 kernel.append({(pos, beta): 1})

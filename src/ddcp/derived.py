@@ -145,40 +145,22 @@ def composites(acting, gens):
     return out
 
 
-def compose_entries(f, g):
-    """g after f for sparse maps {(source, target): scalar}, zero sums left
-    out."""
-    by_source = {}
-    for (j, i), c in g.items():
-        by_source.setdefault(j, []).append((i, c))
-    out = {}
-    for (k, j), c in f.items():
-        for i, d in by_source.get(j, ()):
-            out[k, i] = out.get((k, i), 0) + c * d
-    return {key: c for key, c in out.items() if c}
-
-
 class DerivedMorphism:
     """A scalar per (source summand, target summand) pair.  The constructor
     keeps the nonzero entries as Fractions, and raises InputError for ends
-    over different algebras; validate() checks the entries."""
+    over different algebras and for an entry that is neither an int nor a
+    Fraction; it does not check which pairs have a morphism space."""
 
     def __init__(self, src, tgt, entries):
         if src.alg != tgt.alg:
             raise InputError("objects over %r and %r" % (src.alg, tgt.alg))
+        for c in entries.values():
+            if not (is_int(c) or isinstance(c, Fraction)):
+                raise InputError("entry %r is not an int or a Fraction" % (c,))
         self.alg = src.alg
         self.src = src
         self.tgt = tgt
-        self.entries = {kl: q for kl, c in entries.items() if (q := Fraction(c))}
-
-    def validate(self):
-        """Raise InputError unless every entry joins a source and a target
-        summand whose morphism space is nonzero."""
-        src, tgt = self.src.summands, self.tgt.summands
-        for k, l in self.entries:
-            if not (0 <= k < len(src) and 0 <= l < len(tgt)
-                    and pair_space_dim(src[k], tgt[l])):
-                raise InputError("entry (%d, %d) has no morphism space" % (k, l))
+        self.entries = {kl: Fraction(c) for kl, c in entries.items() if c}
 
     def __repr__(self):
         return "DMor(%r -> %r, %r)" % (self.src, self.tgt, self.entries)
@@ -191,31 +173,13 @@ class ChainComplex:
     with top at vertex e); diffs maps degree k to the differential into
     degree k+1, sparse against canonical generators: {(j, i): c} sends
     generator j of degree k to c times generator i of degree k+1.  The
-    constructor only stores its arguments; validate() checks them.
+    constructor only stores its arguments.
     """
 
     def __init__(self, alg, comps, diffs):
         self.alg = alg
         self.comps = {k: list(v) for k, v in comps.items() if v}
         self.diffs = {k: d for k, d in diffs.items() if d}
-
-    def validate(self):
-        """Raise InputError unless every entry joins generators of its
-        degrees k and k+1, maps P(c) only to a projective P(r) with r <= c
-        (the only nonzero Hom spaces), and the differentials square to
-        zero."""
-        for k, d in self.diffs.items():
-            cols = self.comps.get(k, [])
-            rows = self.comps.get(k + 1, [])
-            for j, i in d:
-                if not (0 <= j < len(cols) and 0 <= i < len(rows)):
-                    raise InputError("differential shape mismatch at %d" % k)
-                if rows[i] > cols[j]:
-                    raise InputError(
-                        "no morphism P(%d) -> P(%d) at %d" % (cols[j], rows[i], k)
-                    )
-            if compose_entries(d, self.diffs.get(k + 1, {})):
-                raise InputError("chain differential does not square to zero")
 
 
 def to_chain(x):

@@ -44,27 +44,12 @@ class QuiverRep:
 
 class RepMorphism:
     """One block per vertex, blocks[v]: src V_{v+1} -> tgt V_{v+1}.  The
-    constructor only stores its arguments; validate() checks them."""
+    constructor only stores its arguments."""
 
     def __init__(self, src, tgt, blocks):
         self.src = src
         self.tgt = tgt
         self.blocks = list(blocks)
-
-    def validate(self):
-        """Raise InputError unless the blocks commute with the arrows."""
-        n = self.src.alg.n
-        if len(self.blocks) != n:
-            raise InputError("block count mismatch")
-        for v in range(n):
-            b = self.blocks[v]
-            if (b.nrows, b.ncols) != (self.tgt.dims[v], self.src.dims[v]):
-                raise InputError("block shape mismatch at vertex %d" % (v + 1))
-        for v in range(n - 1):
-            lhs = self.tgt.maps[v] @ self.blocks[v]
-            rhs = self.blocks[v + 1] @ self.src.maps[v]
-            if lhs != rhs:
-                raise InputError("non-commuting square at vertex %d" % (v + 1))
 
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks)

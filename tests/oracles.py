@@ -1,11 +1,12 @@
 """Brute-force references that the closed-form rules are checked against."""
 
+from itertools import product
+
 from ddcp import reps
 from ddcp.approx import hom_module
 from ddcp.derived import (
     DerivedMorphism,
     DerivedObject,
-    compose_entries,
     graded_hom,
     lift_chain,
     pair_space_dim,
@@ -14,6 +15,19 @@ from ddcp.derived import (
 from ddcp.endalg import SCModule, forest_join
 from ddcp.exactmat import Mat, rank, solve
 from ddcp.quiver import InputError, Interval
+
+
+def compose_entries(f, g):
+    """g after f for sparse maps {(source, target): scalar}, zero sums left
+    out."""
+    by_source = {}
+    for (j, i), c in g.items():
+        by_source.setdefault(j, []).append((i, c))
+    out = {}
+    for (k, j), c in f.items():
+        for i, d in by_source.get(j, ()):
+            out[k, i] = out.get((k, i), 0) + c * d
+    return {key: c for key, c in out.items() if c}
 
 
 def compose(f, g):
@@ -32,6 +46,80 @@ def compose(f, g):
 def regular_module(c):
     """The algebra as a left module over itself, in its own basis."""
     return SCModule(c, c.dim, c.table)
+
+
+# The checks of the structures whose constructors only store their
+# arguments: each raises InputError on a broken instance.
+
+
+def validate_module(m):
+    """m's table makes a unital left module: its indices are in range, the
+    unit fixes every basis vector (one idempotent fixes it, the others kill
+    it), and a . (b . v) = (a * b) . v.  An absent product reads None, and
+    so does the action on it."""
+    c, act = m.algebra, m.table.get
+    for (a, i), j in m.table.items():
+        if not (a in range(c.dim) and i in range(m.dim) and j in range(m.dim)):
+            raise InputError("action index out of range")
+    for i in range(m.dim):
+        if [j for e in c.idempotents if (j := act((e, i))) is not None] != [i]:
+            raise InputError("unit does not act as the identity")
+    for a, b, i in product(range(c.dim), range(c.dim), range(m.dim)):
+        if act((a, act((b, i)))) != act((c.mul(a, b), i)):
+            raise InputError("action does not respect the multiplication table")
+
+
+def validate_algebra(c):
+    """c's table is unital and associative: its idempotents square to
+    themselves, the unit acts as the identity from the right, and the
+    regular module checks the left unit and associativity."""
+    for e in c.idempotents:
+        if c.mul(e, e) != e:
+            raise InputError("idempotent fails to square to itself")
+    for i in range(c.dim):
+        if [k for e in c.idempotents if (k := c.mul(i, e)) is not None] != [i]:
+            raise InputError("unit does not act as identity (right)")
+    validate_module(regular_module(c))
+
+
+def validate_morphism(f):
+    """Every entry of a DerivedMorphism joins a source and a target summand
+    whose morphism space is nonzero."""
+    src, tgt = f.src.summands, f.tgt.summands
+    for k, l in f.entries:
+        if not (0 <= k < len(src) and 0 <= l < len(tgt)
+                and pair_space_dim(src[k], tgt[l])):
+            raise InputError("entry (%d, %d) has no morphism space" % (k, l))
+
+
+def validate_chain(chain):
+    """Every differential entry of a ChainComplex joins generators of its
+    degrees k and k+1 and maps P(c) only to a projective P(r) with r <= c
+    (the only nonzero Hom spaces), and the differentials square to zero."""
+    for k, d in chain.diffs.items():
+        cols, rows = chain.comps.get(k, []), chain.comps.get(k + 1, [])
+        for j, i in d:
+            if not (0 <= j < len(cols) and 0 <= i < len(rows)):
+                raise InputError("differential shape mismatch at %d" % k)
+            if rows[i] > cols[j]:
+                raise InputError(
+                    "no morphism P(%d) -> P(%d) at %d" % (cols[j], rows[i], k))
+        if compose_entries(d, chain.diffs.get(k + 1, {})):
+            raise InputError("chain differential does not square to zero")
+
+
+def validate_rep_morphism(f):
+    """A RepMorphism has one block per vertex, of the right shape, and its
+    blocks commute with the arrows."""
+    src, tgt, n = f.src, f.tgt, f.src.alg.n
+    if len(f.blocks) != n:
+        raise InputError("block count mismatch")
+    for v, b in enumerate(f.blocks):
+        if (b.nrows, b.ncols) != (tgt.dims[v], src.dims[v]):
+            raise InputError("block shape mismatch at vertex %d" % (v + 1))
+    for v in range(n - 1):
+        if tgt.maps[v] @ f.blocks[v] != f.blocks[v + 1] @ src.maps[v]:
+            raise InputError("non-commuting square at vertex %d" % (v + 1))
 
 
 def module_act(module, a, v):
@@ -91,7 +179,7 @@ def dense_cover_reference(y, t):
     q0_basis = [
         (pos, bi)
         for pos, (l, _) in enumerate(top0)
-        for bi in algebra.projective_basis(l)
+        for bi in algebra.projectives[l]
     ]
     q0_index = {pb: i for i, pb in enumerate(q0_basis)}
     q0 = SCModule(algebra, len(q0_basis), {

@@ -22,6 +22,7 @@ from oracles import (
     minimality_check,
     regular_module,
     to_rep_morphism,
+    validate_module,
 )
 
 
@@ -154,7 +155,7 @@ def test_padded_approximation_fails_minimality():
 def test_non_basic_target_rejected():
     alg = Algebra(2)
     dup = obj(alg, (1, 2, 0), (1, 2, 0))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="must be basic"):
         min_left_approx_sequence(regular(alg), dup)
 
 
@@ -246,7 +247,7 @@ def kernel_module_reference(y, t):
     q0_basis = [
         (pos, bi)
         for pos, (l, _) in enumerate(top0)
-        for bi in algebra.projective_basis(l)
+        for bi in algebra.projectives[l]
     ]
     cover = Mat.from_cols(
         [
@@ -319,13 +320,13 @@ def test_sparse_cover_matches_dense_reference():
     for y, t in approximation_pairs():
         seq = min_left_approx_sequence(y, t)
         q0, t1, g_entries = dense_cover_reference(y, t)
-        q0.validate()
+        validate_module(q0)
         assert seq.t1 == t1
         assert seq.g.entries == g_entries
         algebra = q0.algebra
         reg = regular_module(algebra)
         blocks = [
-            algebra.projective_basis(l)
+            algebra.projectives[l]
             for l in sorted(t.summands.index(p) for p in seq.t0.summands)
         ]
         expect = {}

@@ -11,7 +11,6 @@ from ddcp.derived import (
     DerivedMorphism,
     DerivedObject,
     chain_homology_object,
-    compose_entries,
     cone,
     graded_hom,
     lift_chain,
@@ -21,7 +20,10 @@ from oracles import (
     chain_homology_reference,
     chain_homotopy_compose,
     compose,
+    compose_entries,
     derived_identity,
+    validate_chain,
+    validate_morphism,
 )
 
 
@@ -66,10 +68,18 @@ def test_morphism_entry_validation():
     alg = Algebra(3)
     x = obj(alg, (3, 3, 0))
     y = obj(alg, (1, 1, 0))
-    DerivedMorphism(y, y, {(0, 0): 1}).validate()
+    validate_morphism(DerivedMorphism(y, y, {(0, 0): 1}))
     for entries in ({(0, 0): 1}, {(1, 0): 1}, {(0, -1): 1}):
         with pytest.raises(InputError, match="no morphism space"):
-            DerivedMorphism(x, y, entries).validate()
+            validate_morphism(DerivedMorphism(x, y, entries))
+    # entries are ints or Fractions, kept as nonzero Fractions; anything
+    # else is rejected, not coerced
+    f = DerivedMorphism(y, y, {(0, 0): 2})
+    assert f.entries == {(0, 0): 2} and type(f.entries[0, 0]) is Fraction
+    assert DerivedMorphism(y, y, {(0, 0): Fraction(0)}).entries == {}
+    for c in ("1/2", True, 0.1, 1.0, "abc", None):
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            DerivedMorphism(y, y, {(0, 0): c})
 
 
 def test_to_chain_and_lift_are_chain_maps():
@@ -157,23 +167,23 @@ def test_chain_complex_rejects_bad_differential():
     comps = {0: [3], 1: [3], 2: [3]}
     d = {(0, 0): Fraction(1)}
     with pytest.raises(InputError):
-        ChainComplex(alg, comps, {0: d, 1: d}).validate()
+        validate_chain(ChainComplex(alg, comps, {0: d, 1: d}))
 
 
 def test_chain_complex_rejects_entry_without_morphism():
     alg = Algebra(3)
     d = {(0, 0): Fraction(1)}
-    ChainComplex(alg, {0: [2], 1: [1]}, {0: d}).validate()
+    validate_chain(ChainComplex(alg, {0: [2], 1: [1]}, {0: d}))
     # Hom(P(1), P(2)) = 0: X(1, 3) does not map into X(2, 3)
     with pytest.raises(InputError, match="no morphism"):
-        ChainComplex(alg, {0: [1], 1: [2]}, {0: d}).validate()
+        validate_chain(ChainComplex(alg, {0: [1], 1: [2]}, {0: d}))
 
 
 def test_chain_complex_rejects_differential_shape():
     """Every entry must join a generator of degree k to one of degree k+1."""
     alg = Algebra(3)
     comps = {0: [3], 1: [1, 2]}
-    ChainComplex(alg, comps, {0: {(0, 1): Fraction(1)}}).validate()
+    validate_chain(ChainComplex(alg, comps, {0: {(0, 1): Fraction(1)}}))
     for diffs in (
         {0: {(1, 0): Fraction(1)}},  # no second generator in degree 0
         {0: {(0, 2): Fraction(1)}},  # no third generator in degree 1
@@ -181,7 +191,7 @@ def test_chain_complex_rejects_differential_shape():
         {1: {(0, 0): Fraction(1)}},  # no degree 2
     ):
         with pytest.raises(InputError, match="shape"):
-            ChainComplex(alg, comps, diffs).validate()
+            validate_chain(ChainComplex(alg, comps, diffs))
 
 
 def derived_route_cones(monkeypatch):

@@ -26,6 +26,8 @@ from oracles import (
     regular_module,
     src_reference,
     tgt_reference,
+    validate_algebra,
+    validate_module,
 )
 
 
@@ -85,6 +87,23 @@ def test_non_basic_rejected_by_structure_queries():
         is_hereditary(dup)
     with pytest.raises(InputError):
         is_linear_A(dup)
+
+
+def test_end_is_basic_exactly_when_the_object_is():
+    """min_left_approx_sequence asks End(t), not t, whether t is basic:
+    over A_n two distinct summands of a split object never have mutually
+    inverse degree-0 maps.  Checked on every object of at most 3 summands
+    drawn with repetition, n <= 4, shifts in {0, 1, 2}."""
+    objects = [
+        DerivedObject(alg, combo)
+        for alg in map(Algebra, range(1, 5))
+        for size in (1, 2, 3)
+        for combo in combinations_with_replacement(
+            [(iv, s) for s in (0, 1, 2) for iv in alg.intervals()], size)
+    ]
+    assert len(objects) == 7022
+    assert all(end_of(x).is_basic() == x.is_basic() for x in objects)
+    assert sum(not x.is_basic() for x in objects) > 0
 
 
 def path_algebra(m, arrows, zero=(), longest=None):
@@ -147,7 +166,7 @@ def test_chain_rule_matches_the_quiver_walk_on_every_outcome():
         path_algebra(3, [(2, 1), (1, 0)]),
     ]
     for c in algebras[:4] + algebras[5:]:
-        c.validate()
+        validate_algebra(c)
     assert [is_linear_A(c) for c in algebras] == [
         is_linear_A_reference(c) for c in algebras
     ] == [None] * 7 + [3, 3, 3]
@@ -212,7 +231,7 @@ def test_regular_module_and_generators():
     alg = Algebra(3)
     e = end_of(full_projectives(alg))
     reg = regular_module(e)
-    reg.validate()
+    validate_module(reg)
     assert reg.dim == e.dim
     # the regular module is the free module of one copy, 0: its basis
     # vector b_i is the sparse unit {(0, i): 1}
@@ -226,7 +245,7 @@ def test_table_is_associative_and_unit_checked():
     alg = Algebra(4)
     x = obj(alg, (1, 4, 0), (2, 2, 0), (2, 3, 1), (1, 1, 1))
     e = end_of(x)
-    e.validate()  # associativity and unit action
+    validate_algebra(e)  # associativity and unit action
     assert e.dim == len(e.basis)
 
 
@@ -323,7 +342,7 @@ def test_structure_queries_match_mul_scanning_references():
             (src_reference(c, i), tgt_reference(c, i)) for i in range(c.dim)
         ]
         for e in c.idempotents:
-            assert c.projective_basis(e) == projective_basis_reference(c, e)
+            assert c.projectives[e] == projective_basis_reference(c, e)
         assert c.radical_square() == radical_square_reference(c)
         basic = c.is_basic()
         assert basic == is_basic_reference(c) == c.is_basic()

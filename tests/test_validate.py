@@ -1,9 +1,10 @@
 """The constructors of SCAlgebra, SCModule, RepMorphism, ChainComplex and
 DerivedMorphism only store their arguments (DerivedMorphism's as nonzero
-Fractions), so each validator is exercised here: over every instance the
+Fractions), so the checks of tests/oracles.py are run here: validate_algebra,
+validate_module, validate_chain and validate_morphism over every instance the
 library builds for a population of objects and modules (the library builds
-no RepMorphism; the test references do), and against a broken instance it
-must reject."""
+no RepMorphism; the test references do), and each validator, with
+validate_rep_morphism, against a broken instance it must reject."""
 
 from collections import Counter
 from itertools import combinations
@@ -25,16 +26,24 @@ from ddcp.endalg import SCAlgebra, SCModule
 from ddcp.exactmat import Mat
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.reps import RepMorphism, realize
-from oracles import identity_morphism, regular_module
+from oracles import (
+    identity_morphism,
+    regular_module,
+    validate_algebra,
+    validate_chain,
+    validate_module,
+    validate_morphism,
+    validate_rep_morphism,
+)
 
 
-def validating(cls, counts):
-    """A subclass of cls that validates every instance it builds."""
+def validating(cls, check, counts):
+    """A subclass of cls that checks every instance it builds."""
 
     class Validating(cls):
         def __init__(self, *args):
             super().__init__(*args)
-            self.validate()
+            check(self)
             counts[cls.__name__] += 1
 
     return Validating
@@ -45,12 +54,14 @@ def validated(monkeypatch):
     """Validate every SCAlgebra, SCModule, ChainComplex and DerivedMorphism
     the library builds; returns the number validated per class."""
     counts = Counter()
-    module = validating(SCModule, counts)
-    morphism = validating(DerivedMorphism, counts)
-    monkeypatch.setattr(endalg, "SCAlgebra", validating(SCAlgebra, counts))
+    module = validating(SCModule, validate_module, counts)
+    morphism = validating(DerivedMorphism, validate_morphism, counts)
+    monkeypatch.setattr(
+        endalg, "SCAlgebra", validating(SCAlgebra, validate_algebra, counts))
     monkeypatch.setattr(endalg, "SCModule", module)
     monkeypatch.setattr(approx, "SCModule", module)
-    monkeypatch.setattr(derived, "ChainComplex", validating(ChainComplex, counts))
+    monkeypatch.setattr(
+        derived, "ChainComplex", validating(ChainComplex, validate_chain, counts))
     monkeypatch.setattr(derived, "DerivedMorphism", morphism)
     monkeypatch.setattr(approx, "DerivedMorphism", morphism)
     return counts
@@ -83,7 +94,7 @@ def test_every_built_instance_validates(validated):
             verify_homology_corners(x)
             # a test reference (oracles.py), like the dense cover Q0 that
             # test_approx.py validates
-            regular_module(endalg.end_of(x)).validate()
+            validate_module(regular_module(endalg.end_of(x)))
     alg5 = Algebra(5)
     modules = [(alg, m) for n in (1, 2, 3) for alg, m in basic_modules(n)]
     modules += [(alg5, make_V(alg5, m).slice(0)) for m in range(1, 6)]
@@ -103,7 +114,7 @@ def two_vertex_table():
 
 
 def test_algebra_validate_accepts_a_path_algebra():
-    SCAlgebra("e0 e1 a".split(), [0, 1], two_vertex_table()).validate()
+    validate_algebra(SCAlgebra("e0 e1 a".split(), [0, 1], two_vertex_table()))
 
 
 def test_algebra_validate_rejects_non_associative_table():
@@ -111,8 +122,8 @@ def test_algebra_validate_rejects_non_associative_table():
     table = two_vertex_table()
     table.update({(3, 1): 3, (0, 3): 3, (2, 3): 1})
     c = SCAlgebra("e0 e1 a b".split(), [0, 1], table)
-    with pytest.raises(InputError, match="not associative"):
-        c.validate()
+    with pytest.raises(InputError, match="multiplication table"):
+        validate_algebra(c)
 
 
 @pytest.mark.parametrize("product,message", [
@@ -124,7 +135,7 @@ def test_algebra_validate_rejects_a_broken_idempotent(product, message):
     del table[product]
     c = SCAlgebra("e0 e1 a".split(), [0, 1], table)
     with pytest.raises(InputError, match=message):
-        c.validate()
+        validate_algebra(c)
 
 
 def test_algebra_validate_rejects_unit_not_acting_as_identity():
@@ -132,13 +143,13 @@ def test_algebra_validate_rejects_unit_not_acting_as_identity():
     del table[(1, 2)]  # e1 * a = 0: the unit kills a from the left
     c = SCAlgebra("e0 e1 a".split(), [0, 1], table)
     with pytest.raises(InputError, match="identity"):
-        c.validate()
+        validate_algebra(c)
 
 
 def path_module():
     c = SCAlgebra("e0 e1 a".split(), [0, 1], two_vertex_table())
     m = regular_module(c)
-    m.validate()
+    validate_module(m)
     return c, m
 
 
@@ -147,7 +158,7 @@ def test_module_validate_rejects_missing_action():
     table = {(a, i): j for (a, i), j in m.table.items() if a != 1}
     # e1 acts as zero: the unit kills e1 and a
     with pytest.raises(InputError, match="identity"):
-        SCModule(c, m.dim, table).validate()
+        validate_module(SCModule(c, m.dim, table))
 
 
 def test_module_validate_rejects_action_breaking_the_table():
@@ -155,7 +166,7 @@ def test_module_validate_rejects_action_breaking_the_table():
     table = dict(m.table)
     table[2, 0] = 0  # a . e0 = e0, so a . (a . e0) = e0 but (a * a) . e0 = 0
     with pytest.raises(InputError, match="multiplication table"):
-        SCModule(c, m.dim, table).validate()
+        validate_module(SCModule(c, m.dim, table))
 
 
 def test_module_validate_rejects_image_out_of_range():
@@ -163,7 +174,7 @@ def test_module_validate_rejects_image_out_of_range():
     table = dict(m.table)
     table[2, 0] = m.dim  # a . e0 names a basis vector that does not exist
     with pytest.raises(InputError, match="out of range"):
-        SCModule(c, m.dim, table).validate()
+        validate_module(SCModule(c, m.dim, table))
 
 
 def test_module_validate_rejects_unit_not_acting_as_identity():
@@ -171,7 +182,7 @@ def test_module_validate_rejects_unit_not_acting_as_identity():
     table = dict(m.table)
     del table[1, 2]  # e1 . a = 0: the unit kills a
     with pytest.raises(InputError, match="identity"):
-        SCModule(c, m.dim, table).validate()
+        validate_module(SCModule(c, m.dim, table))
 
 
 def test_rep_morphism_validate_rejects_non_commuting_square():
@@ -179,8 +190,8 @@ def test_rep_morphism_validate_rejects_non_commuting_square():
     simple, projective = realize(alg, [Interval(1, 1)]), realize(
         alg, [Interval(1, 2)]
     )
-    identity_morphism(projective).validate()
+    validate_rep_morphism(identity_morphism(projective))
     # S(1) -> X(1,2) nonzero at vertex 1: the socle of X(1,2) is S(2)
     f = RepMorphism(simple, projective, [Mat.identity(1), Mat(1, 0)])
     with pytest.raises(InputError, match="non-commuting square at vertex 1"):
-        f.validate()
+        validate_rep_morphism(f)
