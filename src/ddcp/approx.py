@@ -13,6 +13,7 @@ and kernel membership transfer.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
@@ -82,8 +83,12 @@ def min_left_approx_sequence(y, t):
     hit = {j for (a, _), j in m.table.items() if a not in idem}
     top0 = sorted((gens[i][1], i) for i in range(m.dim) if i not in hit)
     t0 = t._select(l for l, _ in top0)
-    f = DerivedMorphism(
-        y, t0, {(gens[i][0], pos): 1 for pos, (_, i) in enumerate(top0)}
+    # Each entry of f is a generator of Hom(y, t), and each entry of g an
+    # End(t) basis element, so both have a nonzero space: f and g are built
+    # as checked, with Fraction entries.
+    one = Fraction(1)
+    f = DerivedMorphism._checked(
+        y, t0, {(gens[i][0], pos): one for pos, (_, i) in enumerate(top0)}
     )
 
     # Q0 = direct sum of projectives E e_l, one copy pos per head, a
@@ -112,7 +117,9 @@ def min_left_approx_sequence(y, t):
     for pos1, (_, kappa) in enumerate(top1):
         for (pos0, _), c in kappa.items():
             g_entries[pos0, pos1] = g_entries.get((pos0, pos1), 0) + c
-    g = DerivedMorphism(t0, t1, g_entries)
+    g = DerivedMorphism._checked(
+        t0, t1, {kl: Fraction(c) for kl, c in g_entries.items() if c}
+    )
     return ApproxSequence(t0, f, t1, g)
 
 

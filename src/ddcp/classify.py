@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .quiver import InputError, hom_dim
+from .quiver import InputError, hom_dim, is_int
 from .derived import DerivedObject, pair_space_dim
 from .endalg import end_of, is_linear_A
 from .deciders import check_ddcp, ddcp_precheck
@@ -128,10 +128,14 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
     Candidates are checked by is_linear_A, then ddcp_precheck, then
     check_ddcp (see the module docstring for why the order is free and
     why degree_window=2 is complete up to shift).  n above bound raises
-    InputError; library callers pass bound=n for a larger n."""
+    InputError; library callers pass bound=n for a larger n.  A window
+    below 1, or a window or bound that is not an int, raises InputError."""
     n = alg.n
-    if degree_window < 1:
-        raise InputError("degree window must be at least 1: %d" % degree_window)
+    if not (is_int(degree_window) and degree_window >= 1):
+        raise InputError(
+            "degree window must be an integer at least 1: %r" % (degree_window,))
+    if not is_int(bound):
+        raise InputError("bound must be an integer: %r" % (bound,))
     if n > bound:
         raise InputError("n=%d exceeds the configured bound %d" % (n, bound))
     atoms = [
@@ -167,8 +171,8 @@ def zero_path_audit(alg, t):
     composite from the first interval stays nonzero exactly when the Hom
     space from the first interval to the current one is nonzero.
     """
-    if t < 1:
-        raise InputError("path length must be positive")
+    if not (is_int(t) and t >= 1):
+        raise InputError("path length must be a positive integer: %r" % (t,))
     intervals = alg.intervals()
     steps = {
         src: [

@@ -20,8 +20,11 @@ module deciders' regular sequence.  Asking several deciders about one object
 in a row, as the route-agreement checks do, builds each piece once, and each
 report is built afresh on them.  The memo is keyed by the object's value
 (hashed once per object), so every report is what a fresh computation gives;
-it holds the last object only.  The slices, P(e), P(e)[i] and cones built
-from a checked object are taken as checked, not validated again.
+it holds the last object only.  Across objects, derived.cone shares each cone
+by the value of g, so objects whose sequences end in the same g share one
+cone, read and never changed.  P(e) is read off the algebra's cached
+intervals, and the slices, P(e), P(e)[i] and cones built from a checked
+object are taken as checked, not validated again.
 """
 
 from dataclasses import dataclass, field
@@ -119,13 +122,18 @@ def _once(x, key, build):
     return memo[key]
 
 
+@lru_cache
+def _projectives(alg):
+    """P(1), ..., P(n), read off the algebra's cached intervals: the
+    intervals ending at n, P(e) at index e - 1."""
+    return tuple(iv for iv in alg.intervals() if iv.b == alg.n)
+
+
 def _regular_sequence(t):
     """The minimal add-t approximation sequence A -> M0 -> M1 of the
-    regular module A, the sum of the projectives: the intervals ending at n."""
+    regular module A, the sum of the projectives."""
     def build():
-        alg = t.alg
-        y = DerivedObject._checked(
-            alg, [(iv, 0) for iv in alg.intervals() if iv.b == alg.n])
+        y = DerivedObject._checked(t.alg, [(p, 0) for p in _projectives(t.alg)])
         return min_left_approx_sequence(y, t)
 
     return _once(t, "regular", build)
@@ -242,7 +250,8 @@ def _module_route(exact_test):
 
     def step(x, pr, i):
         def build():
-            y = DerivedObject._checked(x.alg, [(x.alg.projective(pr.vertex), 0)])
+            y = DerivedObject._checked(
+                x.alg, [(_projectives(x.alg)[pr.vertex - 1], 0)])
             return min_left_approx_sequence(y, _slice(x, i))
 
         seq = _once(x, ("in-slice", pr.vertex), build)
@@ -261,7 +270,7 @@ def _derived_route(cone_test):
     g in the minimal add-x approximation sequence P(e)[i] -> T0 -> T1."""
 
     def step(x, pr, i):
-        p = x.alg.projective(pr.vertex)
+        p = _projectives(x.alg)[pr.vertex - 1]
 
         def build():
             y = DerivedObject._checked(x.alg, [(p, i)])
@@ -320,7 +329,7 @@ def check_tilting_complex(x, route="derived"):
     elif route == "module":
         step = _module_route(is_exact_sequence_with_zero)
     else:
-        raise ValueError("unknown route %r" % route)
+        raise InputError("unknown route %r" % (route,))
     return _decide(x, "tilting-" + route, step)
 
 

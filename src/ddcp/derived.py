@@ -7,12 +7,13 @@ summand pair whose Hom space (equal shifts) or Ext^1 space (target shift one
 higher) is nonzero.  Composition has a closed {0, 1} form; the test suite
 checks it against honest chain-level computation in K^b(proj).  Mapping cones
 are computed at chain level, from two-term projective resolutions and chain
-maps.  Every map here, a morphism's entries as much as a chain differential
-or lift, is sparse: {(source index, target index): nonzero Fraction}.
+maps, once per morphism value (see cone).  Every map here, a morphism's
+entries as much as a chain differential or lift, is sparse:
+{(source index, target index): nonzero Fraction}.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .quiver import EXT, HOM, Algebra, InputError, Interval, is_int, space_dim
 
@@ -149,7 +150,8 @@ class DerivedMorphism:
     """A scalar per (source summand, target summand) pair.  The constructor
     keeps the nonzero entries as Fractions, and raises InputError for ends
     over different algebras and for an entry that is neither an int nor a
-    Fraction; it does not check which pairs have a morphism space."""
+    Fraction; it does not check which pairs have a morphism space.
+    _checked takes a map the library built itself as it is."""
 
     def __init__(self, src, tgt, entries):
         if src.alg != tgt.alg:
@@ -161,6 +163,14 @@ class DerivedMorphism:
         self.src = src
         self.tgt = tgt
         self.entries = {kl: Fraction(c) for kl, c in entries.items() if c}
+
+    @classmethod
+    def _checked(cls, src, tgt, entries):
+        """The morphism of nonzero Fraction entries between objects over one
+        algebra, stored as it is."""
+        f = object.__new__(cls)
+        f.alg, f.src, f.tgt, f.entries = src.alg, src, tgt, entries
+        return f
 
     def __repr__(self):
         return "DMor(%r -> %r, %r)" % (self.src, self.tgt, self.entries)
@@ -285,7 +295,28 @@ def chain_homology_object(chain):
 
 
 def cone(g):
-    """Mapping cone of a derived morphism, returned split."""
+    """Mapping cone of a derived morphism, returned split.
+
+    Cached by g's value (its algebra, source and target summands and
+    entries) in one bounded cache in front of the chain-level body,
+    _chain_cone.  The bound of 1024 holds every distinct cone of the
+    window-2 route-agreement populations: 149 distinct morphisms behind
+    5 248 cone calls at n = 4, and 750 behind 117 422 at n = 5.  A cone is
+    shared by every caller asking about the same value, so callers must
+    never change it."""
+    return _chain_cone(
+        g.alg, g.src.summands, g.tgt.summands, frozenset(g.entries.items())
+    )
+
+
+@lru_cache(maxsize=1024)
+def _chain_cone(alg, src, tgt, entries):
+    """The cone of the morphism of this value, computed at chain level."""
+    g = DerivedMorphism._checked(
+        DerivedObject._checked(alg, src),
+        DerivedObject._checked(alg, tgt),
+        dict(entries),
+    )
     src_chain = to_chain(g.src)
     tgt_chain = to_chain(g.tgt)
     cx, cy = src_chain[0], tgt_chain[0]

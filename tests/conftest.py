@@ -2,15 +2,17 @@ import sys
 
 import pytest
 
-from ddcp import deciders, endalg
+from ddcp import deciders, derived, endalg
 
 # the cached functions themselves, which a test may monkeypatch away
-CACHES = (endalg.end_of, endalg._end_of_pattern, deciders._memo)
+CACHES = (
+    endalg.end_of, endalg._end_of_pattern, deciders._memo, derived._chain_cone
+)
 
 
 def reset_caches():
-    """Forget every End cached, by object or by Hom pattern, and the
-    deciders' shared work."""
+    """Forget every End cached, by object or by Hom pattern, the deciders'
+    shared work and every cone cached by morphism value."""
     for cached in CACHES:
         cached.cache_clear()
 

@@ -1,5 +1,6 @@
 """Brute-force references that the closed-form rules are checked against."""
 
+from fractions import Fraction
 from itertools import product
 
 from ddcp import reps
@@ -83,8 +84,14 @@ def validate_algebra(c):
 
 
 def validate_morphism(f):
-    """Every entry of a DerivedMorphism joins a source and a target summand
+    """Both ends of a DerivedMorphism lie over its algebra, every entry is a
+    nonzero Fraction, and every entry joins a source and a target summand
     whose morphism space is nonzero."""
+    if not f.src.alg == f.tgt.alg == f.alg:
+        raise InputError("ends over %r and %r" % (f.src.alg, f.tgt.alg))
+    for c in f.entries.values():
+        if not (type(c) is Fraction and c):
+            raise InputError("entry %r is not a nonzero Fraction" % (c,))
     src, tgt = f.src.summands, f.tgt.summands
     for k, l in f.entries:
         if not (0 <= k < len(src) and 0 <= l < len(tgt)

@@ -23,6 +23,8 @@ not collected by pytest:
     PYTHONPATH=src python tests/route_agreement.py > route_agreement.json
     PYTHONPATH=src python tests/route_agreement.py --n 4 --deterministic \\
         | diff tests/golden/route_agreement_n4.txt -
+    PYTHONPATH=src python tests/route_agreement.py --n 5 --deterministic \\
+        | diff tests/golden/route_agreement_n5.txt -
 
 --deterministic prints one line per n, the record without its times.
 The full record's "command" is the command line it was run with.  The exit

@@ -22,6 +22,13 @@ def test_degree_window_below_one_rejected():
     for window in (0, -1):
         with pytest.raises(InputError):
             enumerate_and_classify(Algebra(3), degree_window=window)
+    # a window or bound that is not an int is rejected, not coerced
+    for window in (True, 2.0, "2", None):
+        with pytest.raises(InputError, match="degree window"):
+            enumerate_and_classify(Algebra(3), degree_window=window)
+    for bound in (5.5, 5.0, True, "5", None):
+        with pytest.raises(InputError, match="bound"):
+            enumerate_and_classify(Algebra(3), bound=bound)
 
 
 def test_make_V_contents():
@@ -134,8 +141,9 @@ def test_zero_path_audit():
         assert zero_path_audit(Algebra(n), n)
     assert not zero_path_audit(Algebra(3), 2)
     assert zero_path_audit(Algebra(1), 1)
-    with pytest.raises(InputError):
-        zero_path_audit(Algebra(2), 0)
+    for t in (0, -1, True, 2.0, "2", None):
+        with pytest.raises(InputError, match="path length"):
+            zero_path_audit(Algebra(2), t)
 
 
 def test_families_pass_deciders():

@@ -7,7 +7,7 @@ import pytest
 
 from ddcp import approx, deciders, exactmat, reps
 from ddcp.quiver import Algebra, InputError, Interval
-from ddcp.derived import DerivedObject
+from ddcp.derived import DerivedMorphism, DerivedObject
 from ddcp.deciders import (
     check_ddcp,
     check_ddcp_derived,
@@ -25,6 +25,7 @@ from oracles import (
     injective_reference,
     kernel_intervals_reference,
     to_rep_morphism,
+    validate_morphism,
 )
 
 
@@ -280,8 +281,9 @@ def test_tilting_complex_rejects_unknown_route():
         obj(alg, (3, 3, 0), (1, 3, 0), (1, 1, 0)),  # End not hereditary
         make_T(alg, 1),
     ]:
-        with pytest.raises(ValueError):
-            check_tilting_complex(x, "bogus")
+        for route in ("bogus", None, ("derived",)):
+            with pytest.raises(InputError, match="unknown route"):
+                check_tilting_complex(x, route)
 
 
 def test_false_verdicts_name_each_failing_projective():
@@ -636,14 +638,19 @@ def test_objects_taken_as_checked_equal_checked_ones(monkeypatch):
     deciders on every shift-normalised object at n <= 4, and the regular
     module of the module deciders -- equals the object the public
     constructor builds from its summands, and hashes as it does, also when
-    its own hash was read and kept first."""
+    its own hash was read and kept first.  Each sequence's f and g, built
+    as checked too, equal the morphisms the public constructor builds from
+    their entries, keep nonzero Fraction entries and join summands with a
+    morphism space."""
     built = []
+    maps = []
     build = deciders.min_left_approx_sequence
     make_cone = deciders.cone
 
     def recording(y, t):
         seq = build(y, t)
         built.extend([y, t, seq.t0, seq.t1])
+        maps.extend([seq.f, seq.g])
         return seq
 
     def recording_cone(g):
@@ -660,6 +667,11 @@ def test_objects_taken_as_checked_equal_checked_ones(monkeypatch):
             assert checked == c and c == checked, c
             assert hash(checked) == kept == hash(c), c
         built.clear()
+        for f in maps:
+            checked = DerivedMorphism(f.src, f.tgt, f.entries)
+            assert checked.entries == f.entries and f.alg == checked.alg, f
+            validate_morphism(f)
+        maps.clear()
 
     checks = Counter()
     for n in (1, 2, 3, 4):

@@ -80,6 +80,15 @@ def test_morphism_entry_validation():
     for c in ("1/2", True, 0.1, 1.0, "abc", None):
         with pytest.raises(InputError, match="not an int or a Fraction"):
             DerivedMorphism(y, y, {(0, 0): c})
+    # _checked stores its entries as they are; the validator rejects what
+    # the constructor would have refused or normalised
+    validate_morphism(DerivedMorphism._checked(y, y, {(0, 0): Fraction(1)}))
+    for c in (1, True, 1.0, Fraction(0)):
+        with pytest.raises(InputError, match="not a nonzero Fraction"):
+            validate_morphism(DerivedMorphism._checked(y, y, {(0, 0): c}))
+    other = obj(Algebra(4), (1, 1, 0))
+    with pytest.raises(InputError, match="ends over"):
+        validate_morphism(DerivedMorphism._checked(y, other, {}))
 
 
 def test_to_chain_and_lift_are_chain_maps():
@@ -253,6 +262,38 @@ def test_cone_matches_representation_reference(monkeypatch):
     morphisms = route + random_morphisms()
     monkeypatch.setattr(derived, "chain_homology_object", recording)
     for g in morphisms:
+        derived._chain_cone.cache_clear()  # each cone at chain level
         assert cone(g) == chain_homology_reference(g.alg, chains[-1])
     assert len(chains) == len(morphisms)
     assert len(route) == 272
+
+
+def morphism_value(g):
+    return g.alg, g.src.summands, g.tgt.summands, frozenset(g.entries.items())
+
+
+def test_cone_runs_once_per_morphism_value(monkeypatch):
+    """Over the derived route's cones at n <= 3, the chain-level body runs
+    once per distinct morphism value, equal values share one cone, and
+    each cached cone equals a freshly computed one."""
+    lifted = []
+    lift = derived.lift_chain
+
+    def recording(f, src_chain, tgt_chain):
+        lifted.append(morphism_value(f))
+        return lift(f, src_chain, tgt_chain)
+
+    monkeypatch.setattr(derived, "lift_chain", recording)
+    route = derived_route_cones(monkeypatch)
+    values = {morphism_value(g) for g in route}
+    assert sorted(lifted, key=repr) == sorted(values, key=repr)
+    assert len(values) < len(route)
+    cached = [cone(g) for g in route]
+    assert len(lifted) == len(values)
+    shared = {}
+    for g, c in zip(route, cached):
+        assert shared.setdefault(morphism_value(g), c) is c
+    for g, c in zip(route, cached):
+        derived._chain_cone.cache_clear()
+        assert cone(g) == c
+    assert len(lifted) == len(values) + len(route)

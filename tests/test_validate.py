@@ -1,6 +1,7 @@
-"""The constructors of SCAlgebra, SCModule, RepMorphism, ChainComplex and
-DerivedMorphism only store their arguments (DerivedMorphism's as nonzero
-Fractions), so the checks of tests/oracles.py are run here: validate_algebra,
+"""The constructors of SCAlgebra, SCModule, RepMorphism and ChainComplex,
+and DerivedMorphism._checked, only store their arguments (the public
+DerivedMorphism constructor keeps its entries as nonzero Fractions), so the
+checks of tests/oracles.py are run here: validate_algebra,
 validate_module, validate_chain and validate_morphism over every instance the
 library builds for a population of objects and modules (the library builds
 no RepMorphism; the test references do), and each validator, with
@@ -38,13 +39,21 @@ from oracles import (
 
 
 def validating(cls, check, counts):
-    """A subclass of cls that checks every instance it builds."""
+    """A subclass of cls that checks every instance it builds, through the
+    constructor or, for DerivedMorphism, through _checked."""
 
     class Validating(cls):
         def __init__(self, *args):
             super().__init__(*args)
             check(self)
             counts[cls.__name__] += 1
+
+        @classmethod
+        def _checked(klass, *args):
+            built = super()._checked(*args)
+            check(built)
+            counts[cls.__name__ + "._checked"] += 1
+            return built
 
     return Validating
 
@@ -103,7 +112,7 @@ def test_every_built_instance_validates(validated):
         check_tilting_module(alg, multiset)
     enumerate_and_classify(Algebra(4))
     assert set(validated) == {
-        "SCAlgebra", "SCModule", "ChainComplex", "DerivedMorphism"
+        "SCAlgebra", "SCModule", "ChainComplex", "DerivedMorphism._checked"
     }
     assert min(validated.values()) > 0
 
