@@ -32,17 +32,22 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .quiver import InputError, hom_dim, is_int
+from .quiver import InputError, check_algebra, hom_dim, is_int
 from .derived import DerivedObject, pair_space_dim
 from .endalg import end_of, is_linear_A
 from .deciders import check_ddcp, ddcp_precheck
 
 
+def _check_family_index(k, top):
+    """A family index is an int (not a bool) in 1..top."""
+    if not (is_int(k) and 1 <= k <= top):
+        raise InputError("family index %r is not an int in 1..%d" % (k, top))
+
+
 def make_V(alg, m):
     """The one-shift family: projectives down to P(1), then injectives up
     from I(m); n summands at shift 0."""
-    if not (1 <= m <= alg.n):
-        raise InputError("family index out of range: %d" % m)
+    _check_family_index(m, check_algebra(alg).n)
     pairs = [(alg.projective(k), 0) for k in range(1, m + 1)]
     pairs += [(alg.injective(k), 0) for k in range(m, alg.n)]
     return DerivedObject(alg, pairs)
@@ -51,8 +56,7 @@ def make_V(alg, m):
 def make_T(alg, i):
     """The two-shift family: intervals ending at i at shift 0, intervals
     starting at i+1 at shift 1."""
-    if not (1 <= i <= alg.n - 1):
-        raise InputError("family index out of range: %d" % i)
+    _check_family_index(i, check_algebra(alg).n - 1)
     pairs = [(alg.interval(k, i), 0) for k in range(1, i + 1)]
     pairs += [(alg.interval(i + 1, k), 1) for k in range(i + 1, alg.n + 1)]
     return DerivedObject(alg, pairs)

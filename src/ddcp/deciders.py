@@ -15,16 +15,25 @@ purposes but distinguished from a genuine condition failure.
 
 The deciders share the work that depends only on the object they are asked
 about: its frame (not applicable, or else every vertex's supporting shifts),
-each in-slice sequence of P(e), each derived-route (T0, cone(g)), and the
-module deciders' regular sequence.  Asking several deciders about one object
-in a row, as the route-agreement checks do, builds each piece once, and each
-report is built afresh on them.  The memo is keyed by the object's value
-(hashed once per object), so every report is what a fresh computation gives;
-it holds the last object only.  Across objects, derived.cone shares each cone
-by the value of g, so objects whose sequences end in the same g share one
-cone, read and never changed.  P(e) is read off the algebra's cached
-intervals, and the slices, P(e), P(e)[i] and cones built from a checked
-object are taken as checked, not validated again.
+each derived-route (T0, cone(g)), and the module deciders' regular
+sequence.  Asking several deciders about one object in a row, as the
+route-agreement checks do, builds each piece once, and each report is built
+afresh on them.  The memo is keyed by the object's value (hashed once per
+object), so every report is what a fresh computation gives; it holds the
+last object only.
+
+Two caches share work across objects, by value.  The module route's
+outcome at P(e) depends only on the algebra, the intervals of the shift-i
+slice and e, so _in_slice keeps it under that key: T0's intervals, the two
+exactness flags and the kernel interval, never the sequence, a morphism or
+an End.  Its 8192 entries hold every distinct key of a seed-1 route_sweep
+unit of the benchmark (1 234) and of the whole window-2 route-agreement
+population at n = 5 (7 022), at about 250 bytes each.  derived.cone shares
+each cone by the value of g, so objects whose sequences end in the same g
+share one cone, read and never changed.  The two routes share neither
+cache.  P(e) is read off the algebra's cached intervals, and the slices,
+P(e), P(e)[i] and cones built from a checked object are taken as checked,
+not validated again.
 """
 
 from dataclasses import dataclass, field
@@ -174,9 +183,10 @@ def kernel_interval(x, e, i):
     end of a shift-i summand containing e, or None when b = n.  Some X0
     summand ends at that b, since P(e) -> X(a, b) factors only through
     summands ending at b or later, and f hits each, so f maps P(e) = X(e, n)
-    onto X(e, b)."""
+    onto X(e, b).  X(b + 1, n) is P(b + 1), read off the algebra's cached
+    intervals."""
     b = max(iv.b for iv, s in x.summands if s == i and iv.a <= e <= iv.b)
-    return Interval(b + 1, x.alg.n) if b < x.alg.n else None
+    return _projectives(x.alg)[b] if b < x.alg.n else None
 
 
 def _kernel_failures(x, kernel, i):
@@ -237,27 +247,36 @@ def _decide(x, name, step):
     return report
 
 
-def _slice(x, i):
-    """The shift-i slice of a basic x as a module, taken as checked."""
-    return DerivedObject._checked(
-        x.alg, [(iv, 0) for iv, s in x.summands if s == i])
+@lru_cache(maxsize=8192)
+def _in_slice(alg, intervals, e):
+    """What the module route reads of the minimal approximation
+    P(e) -> X0 -> X1 by the module of a basic slice's intervals (in
+    summand order), as the tuple (X0's intervals, is_exact_at_middle,
+    is_exact_sequence_with_zero, the kernel interval of P(e) -> X0).  The
+    sequence itself is dropped."""
+    t = DerivedObject._checked(alg, [(iv, 0) for iv in intervals])
+    y = DerivedObject._checked(alg, [(_projectives(alg)[e - 1], 0)])
+    seq = min_left_approx_sequence(y, t)
+    return (
+        tuple(iv for iv, _ in seq.t0.summands),
+        is_exact_at_middle(seq),
+        is_exact_sequence_with_zero(seq),
+        kernel_interval(t, e, 0),
+    )
 
 
-def _module_route(exact_test):
+def _module_route(onto):
     """In-slice step: the minimal approximation P(e) -> X0 -> X1 by the
-    shift-i slice passes exact_test, and the kernel of P(e) -> X0 lies in
-    the additive closure of the shift-(i+1) slice."""
+    shift-i slice is exact at X0, with g onto X1 too when onto is set, and
+    the kernel of P(e) -> X0 lies in the additive closure of the shift-(i+1)
+    slice."""
 
     def step(x, pr, i):
-        def build():
-            y = DerivedObject._checked(
-                x.alg, [(_projectives(x.alg)[pr.vertex - 1], 0)])
-            return min_left_approx_sequence(y, _slice(x, i))
-
-        seq = _once(x, ("in-slice", pr.vertex), build)
-        pr.approx_summands = list(seq.t0.summands)
-        pr.exact = exact_test(seq)
-        kernel = kernel_interval(x, pr.vertex, i)
+        t0, at_middle, with_zero, kernel = _in_slice(
+            x.alg, tuple(iv for iv, s in x.summands if s == i), pr.vertex
+        )
+        pr.approx_summands = [(iv, 0) for iv in t0]
+        pr.exact = with_zero if onto else at_middle
         pr.kernel_intervals = {} if kernel is None else {kernel: 1}
         failures = [] if pr.exact else ["sequence not exact"]
         return failures + _kernel_failures(x, kernel, i)
@@ -307,7 +326,7 @@ def check_ddcp(x):
     a unique supporting shift i; the minimal left approximation of P(e) by
     the shift-i slice is exact at the middle, with kernel inside the additive
     closure of the shift-(i+1) slice."""
-    return _decide(x, "ddcp", _module_route(is_exact_at_middle))
+    return _decide(x, "ddcp", _module_route(onto=False))
 
 
 def check_ddcp_derived(x):
@@ -327,7 +346,7 @@ def check_tilting_complex(x, route="derived"):
     if route == "derived":
         step = _derived_route(_cone_is)
     elif route == "module":
-        step = _module_route(is_exact_sequence_with_zero)
+        step = _module_route(onto=True)
     else:
         raise InputError("unknown route %r" % (route,))
     return _decide(x, "tilting-" + route, step)

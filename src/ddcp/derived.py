@@ -13,9 +13,11 @@ entries as much as a chain differential or lift, is sparse:
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .quiver import EXT, HOM, Algebra, InputError, Interval, is_int, space_dim
+from .quiver import (
+    EXT, HOM, InputError, Interval, check_algebra, is_int, space_dim
+)
 
 
 def summand_order(pair):
@@ -26,16 +28,15 @@ def summand_order(pair):
 class DerivedObject:
     """A finite multiset of shifted interval modules.  The constructor checks
     its input; _checked takes an object derived from a checked one as it is.
-    An object never changes, so it keeps its hash once read."""
+    An object never changes, so the first read of its hash keeps it in a
+    slot.  Slots in place of an instance dict keep each object small."""
+
+    __slots__ = ("alg", "summands", "_hash")
 
     def __init__(self, alg, pairs):
-        if not isinstance(alg, Algebra):
-            raise InputError("%r is not an Algebra" % (alg,))
-        self.alg = alg
+        self.alg = check_algebra(alg)
         pairs = list(pairs)
         for iv, s in pairs:
-            if not isinstance(iv, Interval):
-                raise InputError("summand %r is not an interval" % (iv,))
             alg.check_interval(iv)
             if not is_int(s):
                 raise InputError("shift of %r must be an integer: %r" % (iv, s))
@@ -60,11 +61,11 @@ class DerivedObject:
         )
 
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):
-        return hash((self.alg, self.summands))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.alg, self.summands))
+            return self._hash
 
     def __len__(self):
         return len(self.summands)
@@ -149,16 +150,20 @@ def composites(acting, gens):
 class DerivedMorphism:
     """A scalar per (source summand, target summand) pair.  The constructor
     keeps the nonzero entries as Fractions, and raises InputError for ends
-    over different algebras and for an entry that is neither an int nor a
-    Fraction; it does not check which pairs have a morphism space.
-    _checked takes a map the library built itself as it is."""
+    over different algebras, for an entry that is neither an int nor a
+    Fraction, and for a key that is not a pair (k, l) of in-range indices
+    whose summands have a nonzero Hom or Ext^1 space.  _checked takes a
+    map the library built itself as it is."""
 
     def __init__(self, src, tgt, entries):
         if src.alg != tgt.alg:
             raise InputError("objects over %r and %r" % (src.alg, tgt.alg))
-        for c in entries.values():
+        for kl, c in entries.items():
             if not (is_int(c) or isinstance(c, Fraction)):
                 raise InputError("entry %r is not an int or a Fraction" % (c,))
+            if not _joins(kl, src.summands, tgt.summands):
+                raise InputError("entry %r joins no summands with a morphism "
+                                 "space" % (kl,))
         self.alg = src.alg
         self.src = src
         self.tgt = tgt
@@ -174,6 +179,16 @@ class DerivedMorphism:
 
     def __repr__(self):
         return "DMor(%r -> %r, %r)" % (self.src, self.tgt, self.entries)
+
+
+def _joins(kl, src, tgt):
+    """kl is a pair of non-bool int indices, in range, of a source and a
+    target summand with a nonzero morphism space."""
+    return (
+        type(kl) is tuple and len(kl) == 2 and is_int(kl[0]) and is_int(kl[1])
+        and 0 <= kl[0] < len(src) and 0 <= kl[1] < len(tgt)
+        and pair_space_dim(src[kl[0]], tgt[kl[1]]) > 0
+    )
 
 
 class ChainComplex:

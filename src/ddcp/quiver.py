@@ -53,6 +53,8 @@ class Algebra:
             )
 
     def check_interval(self, iv):
+        if not isinstance(iv, Interval):
+            raise InputError("%r is not an interval" % (iv,))
         if iv.b > self.n:
             raise InputError("interval %r exceeds n=%d" % (iv, self.n))
         return iv
@@ -86,16 +88,22 @@ HOM = 0
 EXT = 1
 
 
+def check_algebra(alg):
+    if not isinstance(alg, Algebra):
+        raise InputError("%r is not an Algebra" % (alg,))
+    return alg
+
+
 def hom_dim(alg, src, tgt):
     """dim Hom(X(src), X(tgt)); 0 or 1 on intervals."""
-    alg.check_interval(src)
+    check_algebra(alg).check_interval(src)
     alg.check_interval(tgt)
     return space_dim(src, tgt, HOM)
 
 
 def ext_dim(alg, src, tgt):
     """dim Ext^1(X(src), X(tgt)); 0 or 1 on intervals."""
-    alg.check_interval(src)
+    check_algebra(alg).check_interval(src)
     alg.check_interval(tgt)
     return space_dim(src, tgt, EXT)
 

@@ -6,13 +6,18 @@ from ddcp import deciders, derived, endalg
 
 # the cached functions themselves, which a test may monkeypatch away
 CACHES = (
-    endalg.end_of, endalg._end_of_pattern, deciders._memo, derived._chain_cone
+    endalg.end_of,
+    endalg._end_of_pattern,
+    deciders._memo,
+    deciders._in_slice,
+    derived._chain_cone,
 )
 
 
 def reset_caches():
     """Forget every End cached, by object or by Hom pattern, the deciders'
-    shared work and every cone cached by morphism value."""
+    shared work, every in-slice outcome cached by (slice, vertex) and every
+    cone cached by morphism value."""
     for cached in CACHES:
         cached.cache_clear()
 

@@ -46,6 +46,10 @@ def test_make_V_contents():
         make_V(alg, 0)
     with pytest.raises(InputError):
         make_V(alg, 4)
+    # an index that is not an int is rejected, not coerced
+    for m in (True, 2.0, "2", None):
+        with pytest.raises(InputError, match="family index"):
+            make_V(alg, m)
 
 
 def test_make_T_contents():
@@ -60,6 +64,12 @@ def test_make_T_contents():
         make_T(alg, 0)
     with pytest.raises(InputError):
         make_T(alg, 3)
+    for i in (True, 1.0, "1", None):
+        with pytest.raises(InputError, match="family index"):
+            make_T(alg, i)
+    for family in (make_V, make_T):
+        with pytest.raises(InputError, match="not an Algebra"):
+            family(3, 1)
 
 
 def family_labels(n):

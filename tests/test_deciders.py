@@ -113,29 +113,35 @@ def slice_modules(x):
     }
 
 
-def test_complex_deciders_build_one_endomorphism_algebra(end_of_calls):
+def test_complex_deciders_build_one_endomorphism_algebra(
+    end_of_calls, fresh_caches
+):
     """End(x) is built first and once per basic object, however many complex
     deciders ask, and not at all when the object is not basic.  After it
     come the Ends of the slices the module route asks for, each built at
-    most once, by end_of as for any other object.  verify_homology_corners
-    builds End(x) and the Ends of both slices once for both of its complex
-    deciders, plus End of each corner module once for both module
-    deciders."""
+    most once, by end_of as for any other object, and only for an in-slice
+    outcome not cached yet: asked again, the objects build End(x) alone.
+    verify_homology_corners builds End(x) and the Ends of both slices once
+    for both of its complex deciders, plus End of each corner module once
+    for both module deciders."""
     alg = Algebra(3)
     atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
     objects = [DerivedObject(alg, combo) for combo in combinations(atoms, 3)]
     objects.append(obj(alg, (1, 2, 0), (1, 2, 0), (3, 3, 1)))
-    for x in objects:
-        end_of_calls.clear()
-        for decide in COMPLEX_DECIDERS:
-            decide(x)
-        if not x.is_basic():
-            assert end_of_calls == [], x
-            continue
-        first, *slices = end_of_calls
-        assert first == x
-        assert len(set(slices)) == len(slices), x
-        assert set(slices) <= slice_modules(x), x
+    for again in (False, True):
+        for x in objects:
+            end_of_calls.clear()
+            for decide in COMPLEX_DECIDERS:
+                decide(x)
+            if not x.is_basic():
+                assert end_of_calls == [], x
+                continue
+            first, *slices = end_of_calls
+            assert first == x
+            assert len(set(slices)) == len(slices), x
+            assert set(slices) <= slice_modules(x), x
+            assert not (again and slices), x
+    fresh_caches()
     end_of_calls.clear()
     x = make_T(alg, 1)
     assert verify_homology_corners(x)
@@ -351,6 +357,16 @@ def criterion_3_objects():
                 yield x
 
 
+def in_slice_keys(x):
+    """The (algebra, slice intervals, vertex) of every unique-shift vertex
+    of a basic x with hereditary End: one in-slice sequence each."""
+    return {
+        (x.alg, tuple(x.slice(shifts[0])), e)
+        for e, shifts in enumerate(deciders._vertex_shifts(x), 1)
+        if len(shifts) == 1
+    }
+
+
 def test_kernel_interval_matches_approximation():
     """kernel_interval(x, e, i) is X(b + 1, n), b the largest right end of
     a summand of T0 in the minimal approximation of P(e) by the shift-i
@@ -374,6 +390,45 @@ def test_kernel_interval_matches_approximation():
     assert checks == 5520
 
 
+def test_in_slice_outcomes_equal_fresh_sequences():
+    """On every criterion-3 object, each in-slice outcome the module route
+    reads from its cache equals the outcome of a fresh
+    min_left_approx_sequence of P(e) by the slice: T0's intervals, both
+    exactness tests and the kernel interval.  The cache builds one per
+    distinct (slice, vertex): objects sharing a slice, at any shift, share
+    its outcomes."""
+    keys = set()
+    asks = 0
+    for x in criterion_3_objects():
+        check_ddcp(x)
+        check_tilting_complex(x, "module")
+        keys |= in_slice_keys(x)
+        asks += len(in_slice_keys(x))
+    assert deciders._in_slice.cache_info().misses == len(keys) < asks
+    for alg, intervals, e in keys:
+        t = DerivedObject(alg, [(iv, 0) for iv in intervals])
+        seq = approx.min_left_approx_sequence(obj(alg, (e, alg.n, 0)), t)
+        assert deciders._in_slice(alg, intervals, e) == (
+            tuple(iv for iv, _ in seq.t0.summands),
+            approx.is_exact_at_middle(seq),
+            approx.is_exact_sequence_with_zero(seq),
+            kernel_interval(t, e, 0),
+        )
+    assert deciders._in_slice.cache_info().misses == len(keys)
+    # T_1 over A_3 and the object with the shifts of its two slices
+    # swapped share every (slice, vertex): the second builds none, and its
+    # reports are its own
+    deciders._in_slice.cache_clear()
+    alg = Algebra(3)
+    x = make_T(alg, 1)
+    y = obj(alg, (1, 1, 1), (2, 2, 0), (2, 3, 0))
+    check_ddcp(x)
+    built = deciders._in_slice.cache_info().misses
+    check_ddcp(y)
+    assert deciders._in_slice.cache_info().misses == built == 3
+    assert check_ddcp(x).as_dict() != check_ddcp(y).as_dict()
+
+
 def small_basic_modules():
     """Every basic module of at most five summands, n <= 4."""
     for n in (1, 2, 3, 4):
@@ -390,9 +445,10 @@ def test_rank_counts_match_subrepresentation_reference(monkeypatch):
     objects of criterion 3 and on basic modules of at most five summands,
     n <= 4.  So do the counts the tests read, vertex by vertex: rank f_v
     and rank g_v are the dimensions of the image sub-representations, and
-    the dims of y, T0 and T1 those of the realised terms."""
+    the dims of y, T0 and T1 those of the realised terms.  The complex
+    deciders build one in-slice sequence per distinct (slice, vertex), and
+    every report reads the outcome of that one sequence."""
     verdicts = {}
-    kernels = []
     references = {}  # many objects share a sequence: build each reference once
 
     def checked(rank_test, reference):
@@ -401,13 +457,11 @@ def test_rank_counts_match_subrepresentation_reference(monkeypatch):
             if key not in references:
                 f, g = to_rep_morphism(seq.f), to_rep_morphism(seq.g)
                 references[key] = (
-                    kernel_intervals_reference(f),
                     reference(f, g),
                     [list(reps.image(h)[0].dims) for h in (f, g)]
                     + [list(rep.dims) for rep in (f.src, f.tgt, g.tgt)],
                 )
-            kernel, verdict, counts = references[key]
-            kernels.append(kernel)
+            verdict, counts = references[key]
             assert [seq.f_ranks, seq.g_ranks, *seq.dims] == counts
             assert rank_test(seq) == verdict
             verdicts.setdefault(rank_test.__name__, set()).add(verdict)
@@ -423,15 +477,40 @@ def test_rank_counts_match_subrepresentation_reference(monkeypatch):
         monkeypatch.setattr(
             deciders, rank_test.__name__, checked(rank_test, reference)
         )
-    for x in criterion_3_objects():
-        for route in (check_ddcp, check_tilting_module_route):
-            kernels.clear()
-            report = route(x)
-            assert kernels == [
-                pr.kernel_intervals
-                for pr in report.projectives
-                if len(pr.degrees_found) == 1
-            ]
+    # (P(e), slice module) -> what the reports of its one in-slice sequence
+    # must read: T0, the kernel, and each route's exactness
+    in_slice = {}
+    build = deciders.min_left_approx_sequence
+
+    def recording(y, t):
+        assert (y, t) not in in_slice
+        seq = build(y, t)
+        f, g = to_rep_morphism(seq.f), to_rep_morphism(seq.g)
+        in_slice[y, t] = (
+            list(seq.t0.summands),
+            kernel_intervals_reference(f),
+            {
+                check_ddcp: exact_at_middle_reference(f, g),
+                check_tilting_module_route: exact_with_zero_reference(f, g),
+            },
+        )
+        return seq
+
+    with monkeypatch.context() as m:
+        m.setattr(deciders, "min_left_approx_sequence", recording)
+        for x in criterion_3_objects():
+            for route in (check_ddcp, check_tilting_module_route):
+                for pr in route(x).projectives:
+                    if len(pr.degrees_found) != 1:
+                        continue
+                    (i,) = pr.degrees_found
+                    t0, kernel, exact = in_slice[
+                        obj(x.alg, (pr.vertex, x.alg.n, 0)),
+                        DerivedObject(x.alg, [(iv, 0) for iv in x.slice(i)]),
+                    ]
+                    assert pr.approx_summands == t0
+                    assert pr.kernel_intervals == kernel
+                    assert pr.exact == exact[route]
     for alg, multiset in small_basic_modules():
         check_module_dcp(alg, multiset)
         check_tilting_module(alg, multiset)
@@ -448,9 +527,10 @@ def test_each_sequence_counts_its_ranks_once(monkeypatch):
     deciders those of the one regular sequence: the predicates read the
     counts the sequence keeps.  The same holds for the dims of each
     sequence's terms y, T0 and T1, and the module deciders count the dims
-    of the regular sequence's three terms exactly once.  Checked on the
-    criterion-3 objects and on basic modules of at most five summands,
-    n <= 4."""
+    of the regular sequence's three terms exactly once.  Across objects,
+    the complex deciders build one in-slice sequence per distinct (slice,
+    vertex).  Checked on the criterion-3 objects and on basic modules of at
+    most five summands, n <= 4."""
     built, ranked, dimmed = [], [], []
     build, ranks, dims = (
         approx.min_left_approx_sequence, approx._ranks, approx._dims
@@ -486,6 +566,7 @@ def test_each_sequence_counts_its_ranks_once(monkeypatch):
         return len(ranked), len(dimmed), len(built)
 
     total = 0
+    keys = set()
     for x in criterion_3_objects():
         total += counted(lambda: [
             check_ddcp(x),
@@ -493,6 +574,10 @@ def test_each_sequence_counts_its_ranks_once(monkeypatch):
             check_tilting_complex(x, "module"),
             check_tilting_complex(x, "derived"),
         ])[0]
+        keys |= in_slice_keys(x)
+    # one in-slice sequence per distinct (slice, vertex), however many
+    # objects share it
+    assert deciders._in_slice.cache_info().misses == len(keys)
     for alg, multiset in small_basic_modules():
         rank_count, dim_count, sequences = counted(lambda: [
             check_module_dcp(alg, multiset),
@@ -568,8 +653,9 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
     approx_summands or kernel_intervals leaves every later report as it
     was.  Asking every decider about one object builds End(x) once, and one
     approximation sequence per route and unique-shift vertex (for a module,
-    the regular module's once), and the End of each slice the module route
-    asks for at most once.  The four complex deciders share one frame: x is
+    the regular module's once): the module route's one per distinct (slice,
+    vertex), cached by value.  It builds the End of each slice the module
+    route asks for at most once.  The four complex deciders share one frame: x is
     asked is_basic once, no sequence asks it of its own target (End(t)
     answers it), and End(x) is asked is_hereditary once."""
     sequences = []
@@ -620,6 +706,9 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
             assert set(slices) <= slice_modules(x)
             unique = [s for s in deciders._vertex_shifts(x) if len(s) == 1]
             assert len(sequences) == 2 * len(unique)
+            # half of them in-slice, one per distinct (slice, vertex)
+            misses = deciders._in_slice.cache_info().misses
+            assert misses == len(in_slice_keys(x)) == len(unique)
             assert basic_asked == [x]
             assert hereditary_asked == [end_of(x)]
         else:

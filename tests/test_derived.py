@@ -69,9 +69,25 @@ def test_morphism_entry_validation():
     x = obj(alg, (3, 3, 0))
     y = obj(alg, (1, 1, 0))
     validate_morphism(DerivedMorphism(y, y, {(0, 0): 1}))
+    # the validator rejects a key without a morphism space in a map built
+    # as checked; the constructor rejects it itself
     for entries in ({(0, 0): 1}, {(1, 0): 1}, {(0, -1): 1}):
         with pytest.raises(InputError, match="no morphism space"):
-            validate_morphism(DerivedMorphism(x, y, entries))
+            validate_morphism(DerivedMorphism._checked(
+                x, y, {kl: Fraction(c) for kl, c in entries.items()}
+            ))
+        with pytest.raises(InputError, match="joins no summands"):
+            DerivedMorphism(x, y, entries)
+    # a key is an in-range pair of non-bool ints joining summands with a
+    # nonzero Hom or Ext^1 space: on z, (-1, 0) and (True, False) would
+    # index the pair (1, 0), which has one, and zero entries are no excuse
+    z = obj(alg, (1, 2, 0), (2, 2, 0))
+    DerivedMorphism(z, z, {(1, 0): 1, (0, 0): 1, (1, 1): 0})
+    for key in ((-1, 0), (True, False), (1, True), (5, 5), (0, 2), 5, "10",
+                (1,), (1, 0, 0), (1.0, 0), (0, 1), None):
+        for c in (1, 0):
+            with pytest.raises(InputError, match="joins no summands"):
+                DerivedMorphism(z, z, {key: c})
     # entries are ints or Fractions, kept as nonzero Fractions; anything
     # else is rejected, not coerced
     f = DerivedMorphism(y, y, {(0, 0): 2})

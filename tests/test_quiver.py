@@ -36,6 +36,14 @@ def test_interval_validation():
     for summand in ((1, 2), "X(1,2)", None):
         with pytest.raises(InputError):
             DerivedObject(Algebra(3), [(summand, 0)])
+        for dim in (hom_dim, ext_dim):
+            with pytest.raises(InputError, match="not an interval"):
+                dim(Algebra(3), summand, Interval(1, 1))
+            with pytest.raises(InputError, match="not an interval"):
+                dim(Algebra(3), Interval(1, 1), summand)
+    for dim in (hom_dim, ext_dim):
+        with pytest.raises(InputError, match="exceeds"):
+            dim(Algebra(3), Interval(1, 1), Interval(1, 4))
     # an object's algebra is checked, so no decider meets a non-Algebra
     for alg in (None, 3, "A3", Interval(1, 3)):
         for pairs in ([], [(Interval(1, 1), 0)]):
@@ -45,6 +53,9 @@ def test_interval_validation():
             for multiset in ({}, {Interval(1, 1): 1}):
                 with pytest.raises(InputError):
                     decide(alg, multiset)
+        for dim in (hom_dim, ext_dim):
+            with pytest.raises(InputError, match="not an Algebra"):
+                dim(alg, Interval(1, 1), Interval(1, 1))
 
 
 def test_algebra_families():
