@@ -7,13 +7,14 @@ side by side:
     python tests/bench_pairs.py --parent ../parent --change . \\
         --claim route_sweep:wall_s > BENCH_name.json
 
-The workloads, the end-to-end metrics with their bounds and the default
-run length are those of the change's BENCHMARK.json.  Pair k (1..--pairs)
-runs every workload at seed k, in BENCHMARK.json's order, each on both
-sides before the next; odd pairs run the parent first, even pairs the
-change first.  Then --held-out pairs of the claimed workload run at seed
-11, alternating the same way, and --traced runs per side and workload
-record the per-layer counts of a traced seed-1 run (--trace 1).
+The workloads, the end-to-end metrics with their bounds and the run
+length are those of the change's BENCHMARK.json.  Pair k (1..10) runs
+every workload at seed k, in BENCHMARK.json's order, each on both sides
+before the next; odd pairs run the parent first, even pairs the change
+first.  Then two held-out pairs of the claimed workload run at seed 11,
+alternating the same way, and --traced runs per side and workload record
+the per-layer counts of a traced seed-1 run (--trace 1); the counts must
+agree across the runs of a side.
 
 For each workload and metric the record gives both medians and quartiles
 (statistics.quantiles, n=4, inclusive); worse_frac, (change - parent) /
@@ -21,9 +22,10 @@ parent median, signed so that positive is worse; change_better_pairs, the
 pairs in which the change read better; parent_iqr, the distance between
 the parent's quartiles; and within_bound, worse_frac against the bound of
 BENCHMARK.json.  A claim is met when the change reads better in at least
-nine tenths of the pairs and on every held-out pair, the median gap
-exceeds the parent's interquartile distance, and the relative gain is at
-least --claim-min.  Standard library only, and not collected by pytest.
+nine tenths of the pairs and on both held-out pairs, the median gap
+exceeds the parent's interquartile distance, the relative gain is at
+least --claim-min, and the change's runs of the claimed workload fail no
+more operations in total than the parent's.  Standard library only, and not collected by pytest.
 """
 
 import argparse
@@ -36,6 +38,8 @@ import sys
 from pathlib import Path
 
 RUN = ["python3", "perfbench/run.py"]
+PAIRS = 10
+HELD_OUT_PAIRS = 2
 HELD_OUT_SEED = 11
 
 
@@ -80,15 +84,20 @@ def compare(parent, change, spec):
 
 
 def traced_counts(roots, workload, runs):
-    """Each side's counts of a traced seed-1 run (identical across runs),
-    its median self times, and the .calls counts that differ."""
+    """Each side's counts of a traced seed-1 run, checked equal across its
+    runs, its median self times, and the .calls counts that differ."""
     out = {}
     for side, root in roots.items():
         results = [run(root, workload, 1, 2, trace=1) for _ in range(runs)]
+        per_run = [{k: v for k, v in values(r).items()
+                    if not k.endswith("_s") and not k.endswith("_frac")}
+                   for r in results]
+        if any(c != per_run[0] for c in per_run):
+            raise SystemExit("%s %s: traced counts differ across runs"
+                             % (side, workload))
         counts = {"correct": all(r["correct"] for r in results),
                   "failed": sum(r["failed"] for r in results)}
-        counts.update({k: v for k, v in values(results[0]).items()
-                       if not k.endswith("_s") and not k.endswith("_frac")})
+        counts.update(per_run[0])
         out[side] = counts
         out[side + "_self_s_median"] = {
             k: round(statistics.median(values(r)[k] for r in results), 5)
@@ -108,12 +117,8 @@ def main():
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--parent-label", default="parent")
     parser.add_argument("--change-label", default="change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--claim", help="WORKLOAD:METRIC claimed better")
     parser.add_argument("--claim-min", type=float, default=0.0)
-    parser.add_argument("--held-out", type=int, default=2)
     parser.add_argument("--traced", type=int, default=1)
     parser.add_argument("--about", default="")
     args = parser.parse_args()
@@ -121,11 +126,11 @@ def main():
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     specs = {m["name"]: m for m in bench["end_to_end"]}
-    args.seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     def pair(workload, seed, k):
         order = ("parent", "change") if k % 2 else ("change", "parent")
-        got = {side: run(roots[side], workload, seed, args.seconds)
+        got = {side: run(roots[side], workload, seed, seconds)
                for side in order}
         print("# pair %d %s %s" % (k, workload, json.dumps(
             {s: round(values(r)["wall_s"], 6) for s, r in got.items()})),
@@ -133,13 +138,13 @@ def main():
         return got
 
     results = {w: {"parent": [], "change": []} for w in workloads}
-    for k in range(1, args.pairs + 1):
+    for k in range(1, PAIRS + 1):
         for w in workloads:
             for side, r in pair(w, k, k).items():
                 results[w][side].append(r)
     claim_w, claim_m = args.claim.split(":") if args.claim else (None, None)
     held_out = [pair(claim_w, HELD_OUT_SEED, k)
-                for k in range(1, args.held_out + 1)] if claim_w else []
+                for k in range(1, HELD_OUT_PAIRS + 1)] if claim_w else []
 
     medians, runs = {}, {}
     for w, sides in results.items():
@@ -160,7 +165,7 @@ def main():
         "parent": args.parent_label,
         "change": args.change_label,
         "command": " ".join(RUN) + " --workload W --seed PAIR --seconds %g "
-                   "--trace 0" % args.seconds,
+                   "--trace 0" % seconds,
         "order": "odd pairs run the parent first, even pairs the change "
                  "first; within a pair, each workload runs on both sides "
                  "before the next, in the order %s; then %d held-out %s "
@@ -180,19 +185,26 @@ def main():
             p, c = (values(got[s])[claim_m] for s in ("parent", "change"))
             outs.append({"parent": p, "change": c,
                          "change_better": c < p if lower else c > p})
+        failed = {
+            side: sum(r["failed"] for r in results[claim_w][side])
+            + sum(got[side]["failed"] for got in held_out)
+            for side in ("parent", "change")
+        }
         gap = abs(m["parent_median"] - m["change_median"])
         record["claim"] = {
             "metric": "%s %s" % (claim_w, claim_m),
             "change_better_pairs": m["change_better_pairs"],
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "median_gap": round(gap, 6),
             "parent_iqr": m["parent_iqr"],
             "relative_change": round(-m["worse_frac"], 4),
             "held_out_seed_%d" % HELD_OUT_SEED: outs,
-            "met": (m["change_better_pairs"] >= 0.9 * args.pairs
+            "failed": failed,
+            "met": (m["change_better_pairs"] >= 0.9 * PAIRS
                     and -m["worse_frac"] >= args.claim_min
                     and gap > m["parent_iqr"]
-                    and all(o["change_better"] for o in outs)),
+                    and all(o["change_better"] for o in outs)
+                    and failed["change"] <= failed["parent"]),
         }
         runs[claim_w]["held_out"] = [
             {side: values(r) for side, r in got.items()} for got in held_out
