@@ -6,20 +6,18 @@ add t is dual to the projective E-modules.  A minimal projective presentation
 of Hom(y, t) therefore transports to a minimal left add-t-approximation
 sequence y -> T0 -> T1, with explicit scalar components.
 
-The deciders evaluate the minimal sequence even where only existence of an
-exact approximation sequence is demanded; this is sound because the minimal
-sequence is a direct summand of every approximation sequence, so exactness
-and kernel membership transfer.
+The minimal sequence is a direct summand of every approximation sequence,
+so exactness and kernel membership transfer to any other.  The deciders'
+derived route takes the cone of its g, and the module route's closed form
+(deciders._in_slice) is derived from it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
 
 from .quiver import InputError
 from .derived import DerivedMorphism, DerivedObject, composites, graded_hom
-from .endalg import SCModule, end_of, forest_join, module_generators
+from .endalg import SCModule, end_of, module_generators
 
 
 def hom_module(y, t):
@@ -40,26 +38,12 @@ def hom_module(y, t):
 
 @dataclass
 class ApproxSequence:
-    """Minimal left add-t-approximation sequence y -> T0 -> T1.  f_ranks
-    and g_ranks, rank f_v and rank g_v at every vertex v, and dims, the
-    dimension vectors of y, T0 and T1, are counted on first use and kept."""
+    """Minimal left add-t-approximation sequence y -> T0 -> T1."""
 
     t0: DerivedObject
     f: DerivedMorphism
     t1: DerivedObject
     g: DerivedMorphism
-
-    @cached_property
-    def f_ranks(self):
-        return _ranks(self.f)
-
-    @cached_property
-    def g_ranks(self):
-        return _ranks(self.g)
-
-    @cached_property
-    def dims(self):
-        return _dims(self.f.src), _dims(self.t0), _dims(self.t1)
 
 
 def min_left_approx_sequence(y, t):
@@ -121,49 +105,3 @@ def min_left_approx_sequence(y, t):
         t0, t1, {kl: Fraction(c) for kl, c in g_entries.items() if c}
     )
     return ApproxSequence(t0, f, t1, g)
-
-
-def _dims(x):
-    """dim X_v at every vertex v: a difference sweep over summand ends."""
-    steps = [0] * (x.alg.n + 1)
-    for iv, _ in x.summands:
-        steps[iv.a - 1] += 1
-        steps[iv.b] -= 1
-    return list(accumulate(steps[:-1]))
-
-
-def _ranks(f):
-    """rank f_v at every vertex v, for f or g of an approximation sequence
-    in one shift.  A canonical map s -> t is nonzero exactly where both
-    supports meet, so f_v is f's entry matrix restricted to the entries
-    alive at v, filed by target row.  Each row is zero, b_k or b_j - b_k: f
-    has one head entry per T0 summand, and each g row comes from a kernel
-    top vector, which is e_j or e_j - e_first.  So forest_join, one per
-    vertex, counts rank f_v."""
-    src, tgt = f.src.summands, f.tgt.summands
-    live = [{} for _ in range(f.alg.n)]  # per vertex: row -> alive entries
-    for k, l in f.entries:
-        s, t = src[k][0], tgt[l][0]
-        for rows in live[max(s.a, t.a) - 1:min(s.b, t.b)]:
-            rows.setdefault(l, []).append(k)
-    return [sum(map(forest_join(), rows.values())) for rows in live]
-
-
-def is_exact_at_middle(seq):
-    """rank f_v + rank g_v = dim T0_v at every vertex v, so that image(f) =
-    kernel(g).  g after f vanishes by construction: each component of g is
-    a vector of the kernel of the cover Q0 = Hom(T0, t) -> Hom(y, t), which
-    is composition with f, so Hom(g f, t) = 0, and g f = 0 because T1 lies
-    in add t.  So the rank count alone decides exactness."""
-    ranks = [a + b for a, b in zip(seq.f_ranks, seq.g_ranks)]
-    return ranks == seq.dims[1]
-
-
-def is_exact_sequence_with_zero(seq):
-    """Exact at the middle with g surjective: rank g_v = dim T1_v."""
-    return is_exact_at_middle(seq) and seq.g_ranks == seq.dims[2]
-
-
-def is_injective(seq):
-    """rank f_v = dim y_v at every vertex v."""
-    return seq.f_ranks == seq.dims[0]

@@ -1,39 +1,27 @@
 """Property deciders for modules and split complexes.
 
-Two independent routes are provided for the derived properties: a
-module-category route (per-projective approximation sequences inside a single
-homology slice, with a kernel-membership test) and a derived route (mapping
-cones of the approximation sequence of the shifted projective).  Their
-agreement is part of the test suite.  Both run in one driver, `_decide`, which
-checks the preconditions and the unique supporting shift i of every
-indecomposable projective P(e), then hands P(e) to a route step; each failing
-projective adds a reason naming its vertex.
+Two independent routes decide the derived properties, sharing no
+approximation code; their agreement is part of the test suite.  The module
+route reads the minimal approximation of each projective P(e) by the one
+homology slice supporting it off a closed form (_in_slice), with a kernel
+membership test, and the module dcp and tilting tests are the same rule
+with the whole module as the slice.  The derived route takes mapping cones
+of the approximation sequence of the shifted projective.  Both run in one
+driver, `_decide`, which checks the preconditions and the unique
+supporting shift i of every P(e), then hands P(e) to a route step; each
+failing projective adds a reason naming its vertex.
 
 Precondition failures (non-basic object, endomorphism algebra not
 hereditary) are reported as "not applicable" -- false for classification
 purposes but distinguished from a genuine condition failure.
 
-The deciders share the work that depends only on the object they are asked
-about: its frame (not applicable, or else every vertex's supporting shifts),
-each derived-route (T0, cone(g)), and the module deciders' regular
-sequence.  Asking several deciders about one object in a row, as the
-route-agreement checks do, builds each piece once, and each report is built
-afresh on them.  The memo is keyed by the object's value (hashed once per
-object), so every report is what a fresh computation gives; it holds the
-last object only.
-
-Two caches share work across objects, by value.  The module route's
-outcome at P(e) depends only on the algebra, the intervals of the shift-i
-slice and e, so _in_slice keeps it under that key: T0's intervals, the two
-exactness flags and the kernel interval, never the sequence, a morphism or
-an End.  Its 8192 entries hold every distinct key of a seed-1 route_sweep
-unit of the benchmark (1 234) and of the whole window-2 route-agreement
-population at n = 5 (7 022), at about 250 bytes each.  derived.cone shares
-each cone by the value of g, so objects whose sequences end in the same g
-share one cone, read and never changed.  The two routes share neither
-cache.  P(e) is read off the algebra's cached intervals, and the slices,
-P(e), P(e)[i] and cones built from a checked object are taken as checked,
-not validated again.
+The complex deciders share the work that depends only on the object: its
+frame (not applicable, or else every vertex's supporting shifts) and each
+derived-route (T0, cone(g)), built once for the deciders asked about it in
+a row and kept, by value, for the last object only, so every report is
+what a fresh computation gives.  derived.cone shares each cone by the
+value of g, read and never changed.  P(e)[i] and the cones built from a
+checked object are taken as checked, not validated again.
 """
 
 from dataclasses import dataclass, field
@@ -41,13 +29,8 @@ from functools import lru_cache
 
 from .derived import DerivedObject, cone
 from .endalg import end_of, is_hereditary
-from .approx import (
-    is_exact_at_middle,
-    is_exact_sequence_with_zero,
-    is_injective,
-    min_left_approx_sequence,
-)
-from .quiver import Algebra, InputError, Interval, is_int
+from .approx import min_left_approx_sequence
+from .quiver import Algebra, InputError, Interval, check_object, is_int
 
 
 @dataclass
@@ -101,7 +84,7 @@ def _basic_module(alg, multiset):
     """The module of a multiset's distinct intervals (add-closure
     representative).  A multiplicity is a non-negative int, zero meaning
     absent."""
-    for m in multiset.values():
+    for m in check_object(multiset, dict).values():
         if not (is_int(m) and m >= 0):
             raise InputError("multiplicity %r is not a non-negative int" % (m,))
     return DerivedObject(alg, [(iv, 0) for iv, m in multiset.items() if m])
@@ -138,24 +121,24 @@ def _projectives(alg):
     return tuple(iv for iv in alg.intervals() if iv.b == alg.n)
 
 
-def _regular_sequence(t):
-    """The minimal add-t approximation sequence A -> M0 -> M1 of the
-    regular module A, the sum of the projectives."""
-    def build():
-        y = DerivedObject._checked(t.alg, [(p, 0) for p in _projectives(t.alg)])
-        return min_left_approx_sequence(y, t)
-
-    return _once(t, "regular", build)
+def _regular_checks(t, onto):
+    """Whether the minimal approximation A -> M0 -> M1 of the regular module
+    by t, the sum of the in-slice sequences of P(1), ..., P(n) by t, has f
+    injective, and is exact at M0 (with g onto too when onto is set)."""
+    intervals = tuple(iv for iv, _ in t.summands)
+    outcomes = [_in_slice(t.alg, intervals, e) for e in range(1, t.alg.n + 1)]
+    return (all(kernel is None for *_, kernel in outcomes),
+            all(outcome[2 if onto else 1] for outcome in outcomes))
 
 
 def check_module_dcp(alg, multiset):
     """A module has the double centraliser property iff the minimal left
     approximation f of the regular module is injective and the induced
     sequence is exact at the middle term."""
-    seq = _regular_sequence(_basic_module(alg, multiset))
+    injective, exact = _regular_checks(_basic_module(alg, multiset), onto=False)
     return _judge("dcp", [
-        (is_injective(seq), _NOT_INJECTIVE),
-        (is_exact_at_middle(seq), "sequence not exact at the middle term"),
+        (injective, _NOT_INJECTIVE),
+        (exact, "sequence not exact at the middle term"),
     ])
 
 
@@ -165,11 +148,10 @@ def check_tilting_module(alg, multiset):
     t = _basic_module(alg, multiset)
     if not is_hereditary(end_of(t)):
         return DeciderReport("tilting-module", False, False, [_NOT_HEREDITARY])
-    seq = _regular_sequence(t)
+    injective, exact = _regular_checks(t, onto=True)
     return _judge("tilting-module", [
-        (is_injective(seq), _NOT_INJECTIVE),
-        (is_exact_sequence_with_zero(seq),
-         "sequence not exact (middle or surjectivity)"),
+        (injective, _NOT_INJECTIVE),
+        (exact, "sequence not exact (middle or surjectivity)"),
     ])
 
 
@@ -177,16 +159,18 @@ def _shift_failure(shifts):
     return "supported in shifts %r, expected exactly one" % shifts
 
 
+def _kernel(alg, b):
+    """The kernel X(b + 1, n) = P(b + 1) of P(e) -> X0 onto X(e, b), read
+    off the algebra's cached intervals, or None when b = n."""
+    return _projectives(alg)[b] if b < alg.n else None
+
+
 def kernel_interval(x, e, i):
     """Kernel of P(e) -> X0, the minimal approximation of P(e) by x's shift-i
-    slice (i the one shift supporting e): X(b + 1, n), b the largest right
-    end of a shift-i summand containing e, or None when b = n.  Some X0
-    summand ends at that b, since P(e) -> X(a, b) factors only through
-    summands ending at b or later, and f hits each, so f maps P(e) = X(e, n)
-    onto X(e, b).  X(b + 1, n) is P(b + 1), read off the algebra's cached
-    intervals."""
+    slice (i the one shift supporting e): _kernel of b, the largest right
+    end of a shift-i summand containing e (_in_slice derives it)."""
     b = max(iv.b for iv, s in x.summands if s == i and iv.a <= e <= iv.b)
-    return _projectives(x.alg)[b] if b < x.alg.n else None
+    return _kernel(x.alg, b)
 
 
 def _kernel_failures(x, kernel, i):
@@ -226,6 +210,8 @@ def _decide(x, name, step):
     else every vertex's supporting shifts.  Every indecomposable projective
     P(e) needs a unique supporting shift i, and then step(x, report of P(e),
     i) must return no failures; each failing one adds a reason naming e."""
+    check_object(x, DerivedObject)
+
     def build():
         if not x.is_basic():
             return "object is not basic"
@@ -247,36 +233,52 @@ def _decide(x, name, step):
     return report
 
 
-@lru_cache(maxsize=8192)
 def _in_slice(alg, intervals, e):
-    """What the module route reads of the minimal approximation
-    P(e) -> X0 -> X1 by the module of a basic slice's intervals (in
-    summand order), as the tuple (X0's intervals, is_exact_at_middle,
-    is_exact_sequence_with_zero, the kernel interval of P(e) -> X0).  The
-    sequence itself is dropped."""
-    t = DerivedObject._checked(alg, [(iv, 0) for iv in intervals])
-    y = DerivedObject._checked(alg, [(_projectives(alg)[e - 1], 0)])
-    seq = min_left_approx_sequence(y, t)
-    return (
-        tuple(iv for iv, _ in seq.t0.summands),
-        is_exact_at_middle(seq),
-        is_exact_sequence_with_zero(seq),
-        kernel_interval(t, e, 0),
-    )
+    """The minimal approximation P(e) -> X0 -> X1 of P(e) = X(e, n) by the
+    module S of a basic slice's intervals (in summand order), in closed
+    form: (X0's intervals, exact at X0, exact with g onto X1 too, the kernel
+    of f: P(e) -> X0).
+
+    P(e) -> X(a, b) is one map onto X(e, b) when a <= e <= b, else zero; it
+    factors through another such X(a', b') iff that one dominates it
+    (a' >= a and b' >= b), as Hom(X(a', b'), X(a, b)) is nonzero iff
+    a <= a' <= b <= b'.  So X0 is the heads, the X(a, b) in S with
+    a <= e <= b that no other dominates: (a_1, b_1), ..., (a_k, b_k) in
+    summand order, a rising and b falling.  f maps P(e) onto X(e, b_1), so
+    its kernel is X(b_1 + 1, n) and its cokernel is C = X(a_1, b_2) + ... +
+    X(a_(k-1), b_k) + X(a_k, e - 1), the last term absent when a_k = e.
+    X1 is the minimal add-S envelope of C, and g is X0 -> C -> X1, so the
+    sequence is exact at X0 iff C embeds in add S: a mono out of X(c, d)
+    keeps its socle d, so S must hold some X(a, d) with a <= c for every
+    summand X(c, d) of C.  g is onto as well iff C is its own envelope,
+    every summand in S.  At a vertex no interval covers, P(e) -> 0 -> 0 is
+    exact, with kernel P(e)."""
+    heads, b = [], e - 1  # b: the largest right end of a head so far
+    for iv in reversed(intervals):  # a head has no later dominating summand
+        if iv.a <= e and iv.b > b:
+            heads.append(iv)
+            b = iv.b
+    heads.reverse()
+    ends = [h.b for h in heads[1:]] + [e - 1]
+    cokernel = [(h.a, d) for h, d in zip(heads, ends) if h.a <= d]
+    exact = all(any(iv.b == d and iv.a <= c for iv in intervals)
+                for c, d in cokernel)
+    onto = exact and all(any(iv.b == d and iv.a == c for iv in intervals)
+                         for c, d in cokernel)
+    return tuple(heads), exact, onto, _kernel(alg, b)
 
 
 def _module_route(onto):
-    """In-slice step: the minimal approximation P(e) -> X0 -> X1 by the
-    shift-i slice is exact at X0, with g onto X1 too when onto is set, and
-    the kernel of P(e) -> X0 lies in the additive closure of the shift-(i+1)
-    slice."""
+    """In-slice step: P(e) -> X0 -> X1 by the shift-i slice is exact at X0,
+    with g onto too when onto is set, and the kernel of P(e) -> X0 lies in
+    the additive closure of the shift-(i+1) slice."""
 
     def step(x, pr, i):
-        t0, at_middle, with_zero, kernel = _in_slice(
+        heads, exact, exact_onto, kernel = _in_slice(
             x.alg, tuple(iv for iv, s in x.summands if s == i), pr.vertex
         )
-        pr.approx_summands = [(iv, 0) for iv in t0]
-        pr.exact = with_zero if onto else at_middle
+        pr.approx_summands = [(iv, 0) for iv in heads]
+        pr.exact = exact_onto if onto else exact
         pr.kernel_intervals = {} if kernel is None else {kernel: 1}
         failures = [] if pr.exact else ["sequence not exact"]
         return failures + _kernel_failures(x, kernel, i)

@@ -14,8 +14,8 @@ query is answered once per algebra and kept on it.
 
 from functools import cached_property, lru_cache, wraps
 
-from .quiver import InputError
-from .derived import composites, graded_hom
+from .quiver import InputError, check_object
+from .derived import DerivedObject, composites, graded_hom
 
 
 def _kept(query):
@@ -117,22 +117,26 @@ class SCAlgebra:
         )
 
 
-@lru_cache(maxsize=4)
 def end_of(x):
     """Endomorphism algebra of a split object: the graded Hom space
     Hom(x, x), identities first, with composition as product.  A generator
     from a summand to itself has degree 0, so it is that summand's
-    identity, the idempotent ("e", i) at index i.
+    identity, the idempotent ("e", i) at index i.  Anything but a
+    DerivedObject raises InputError.
 
     Two bounded caches.  The algebra depends only on x's Hom pattern, the
     sorted generator list, and _end_of_pattern keeps one per pattern,
     shared by every object with that pattern, so callers must never change
-    it.  64 patterns hold classification's 2n - 1; a seed-1 route_sweep
-    unit of the benchmark has 456, and evicts, but holding more costs
-    memory: 256 patterns measured 3% less wall time there for 7% more
-    peak memory.  In front, this cache keeps the last four objects by
-    value, a decision's traffic (the object, its two slices and one
-    module), so a repeated ask skips recomputing graded_hom(x, x)."""
+    it.  64 patterns hold classification's n; a seed-1 route_sweep unit of
+    the benchmark has 436 and builds 1106 SCAlgebras, but 256 patterns
+    measured 3% less wall time there for 7% more peak memory.  In front,
+    _end_of_value keeps the last object by value, a decision's traffic (no
+    End of a slice is asked for), so a repeated ask skips graded_hom(x, x)."""
+    return _end_of_value(check_object(x, DerivedObject))
+
+
+@lru_cache(maxsize=1)
+def _end_of_value(x):
     return _end_of_pattern(
         tuple(sorted(graded_hom(x, x), key=lambda g: g[0] != g[1]))
     )

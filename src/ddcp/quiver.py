@@ -94,6 +94,14 @@ def check_algebra(alg):
     return alg
 
 
+def check_object(value, kind):
+    """value, when it is a kind: the type check of a public entry point,
+    made before any attribute of value is read."""
+    if not isinstance(value, kind):
+        raise InputError("%r is not a %s" % (value, kind.__name__))
+    return value
+
+
 def hom_dim(alg, src, tgt):
     """dim Hom(X(src), X(tgt)); 0 or 1 on intervals."""
     check_algebra(alg).check_interval(src)

@@ -6,18 +6,16 @@ from ddcp import deciders, derived, endalg
 
 # the cached functions themselves, which a test may monkeypatch away
 CACHES = (
-    endalg.end_of,
+    endalg._end_of_value,
     endalg._end_of_pattern,
     deciders._memo,
-    deciders._in_slice,
     derived._chain_cone,
 )
 
 
 def reset_caches():
     """Forget every End cached, by object or by Hom pattern, the deciders'
-    shared work, every in-slice outcome cached by (slice, vertex) and every
-    cone cached by morphism value."""
+    shared work and every cone cached by morphism value."""
     for cached in CACHES:
         cached.cache_clear()
 
@@ -38,12 +36,12 @@ def end_of_calls(monkeypatch):
     end_of.  A miss need not construct an SCAlgebra: objects with the same
     Hom pattern share one."""
     builds = []
-    end_of = endalg.end_of
+    end_of, cached = endalg.end_of, endalg._end_of_value
 
     def counted(x):
-        misses = end_of.cache_info().misses
+        misses = cached.cache_info().misses
         algebra = end_of(x)
-        if end_of.cache_info().misses > misses:
+        if cached.cache_info().misses > misses:
             builds.append(x)
         return algebra
 

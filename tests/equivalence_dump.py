@@ -18,7 +18,8 @@ Populations:
 - hom and approx: y the regular object or P(e)[s], s in {0, 1}, against
   every shift-normalised object of at most n summands over shifts {0, 1},
   n <= 4;
-- ranks: the vertex counts the module predicates read, rank f_v and
+- ranks: the vertex counts of the sequence-based reference for the module
+  route's closed form (oracles.ranks and oracles.dims), rank f_v and
   rank g_v and the dims of y, T0 and T1, for every sequence of the approx
   population whose terms lie in one shift;
 - deciders: the four complex deciders on every shift-normalised n-summand
@@ -35,7 +36,7 @@ import json
 from itertools import combinations, combinations_with_replacement
 
 from ddcp import cli
-from ddcp.approx import _dims, hom_module, min_left_approx_sequence
+from ddcp.approx import hom_module, min_left_approx_sequence
 from ddcp.deciders import (
     check_ddcp,
     check_ddcp_derived,
@@ -47,6 +48,7 @@ from ddcp.deciders import (
 from ddcp.derived import DerivedObject
 from ddcp.endalg import end_of
 from ddcp.quiver import Algebra
+from oracles import dims, ranks
 
 
 def atoms(alg, shifts):
@@ -153,9 +155,9 @@ def rank_items():
             yield [
                 obj_json(y),
                 obj_json(t),
-                seq.f_ranks,
-                seq.g_ranks,
-                [_dims(x) for x in terms],
+                ranks(seq.f),
+                ranks(seq.g),
+                [dims(x) for x in terms],
             ]
 
 

@@ -1,10 +1,10 @@
 """Brute-force references that the closed-form rules are checked against."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from ddcp import reps
-from ddcp.approx import hom_module
+from ddcp.approx import hom_module, min_left_approx_sequence
 from ddcp.derived import (
     DerivedMorphism,
     DerivedObject,
@@ -237,6 +237,76 @@ def brute_ext_dim(alg, src, tgt):
     ]
     ncols = sum(b.nrows * b.ncols for b in maps1[0].blocks)
     return len(maps1) - rank(Mat.from_rows(composites, ncols=ncols))
+
+
+# The rank counts that the module deciders read before their closed form
+# (deciders._in_slice): the sequence-based reference for it, checked in
+# turn against the sub-representations below.
+
+
+def dims(x):
+    """dim X_v at every vertex v: a difference sweep over summand ends."""
+    steps = [0] * (x.alg.n + 1)
+    for iv, _ in x.summands:
+        steps[iv.a - 1] += 1
+        steps[iv.b] -= 1
+    return list(accumulate(steps[:-1]))
+
+
+def ranks(f):
+    """rank f_v at every vertex v, for f or g of an approximation sequence
+    in one shift.  A canonical map s -> t is nonzero exactly where both
+    supports meet, so f_v is f's entry matrix restricted to the entries
+    alive at v, filed by target row.  Each row is zero, b_k or b_j - b_k: f
+    has one head entry per T0 summand, and each g row comes from a kernel
+    top vector, which is e_j or e_j - e_first.  So forest_join, one per
+    vertex, counts rank f_v."""
+    src, tgt = f.src.summands, f.tgt.summands
+    live = [{} for _ in range(f.alg.n)]  # per vertex: row -> alive entries
+    for k, l in f.entries:
+        s, t = src[k][0], tgt[l][0]
+        for rows in live[max(s.a, t.a) - 1:min(s.b, t.b)]:
+            rows.setdefault(l, []).append(k)
+    return [sum(map(forest_join(), rows.values())) for rows in live]
+
+
+def is_exact_at_middle(seq):
+    """rank f_v + rank g_v = dim T0_v at every vertex v, so that image(f) =
+    kernel(g).  g after f vanishes by construction: each component of g is
+    a vector of the kernel of the cover Q0 = Hom(T0, t) -> Hom(y, t), which
+    is composition with f, so Hom(g f, t) = 0, and g f = 0 because T1 lies
+    in add t.  So the rank count alone decides exactness."""
+    counts = [a + b for a, b in zip(ranks(seq.f), ranks(seq.g))]
+    return counts == dims(seq.t0)
+
+
+def is_exact_sequence_with_zero(seq):
+    """Exact at the middle with g surjective: rank g_v = dim T1_v."""
+    return is_exact_at_middle(seq) and ranks(seq.g) == dims(seq.t1)
+
+
+def is_injective(seq):
+    """rank f_v = dim y_v at every vertex v."""
+    return ranks(seq.f) == dims(seq.f.src)
+
+
+def in_slice_reference(alg, intervals, e):
+    """What deciders._in_slice gives for P(e) and the module of a basic
+    slice's intervals, read off a fresh minimal approximation sequence by
+    the rank counts: (T0's intervals, exact at T0, exact with g onto, the
+    kernel of f).  The kernel is a submodule X(c, n) of P(e) = X(e, n), c
+    the first vertex where rank f_v < dim P(e)_v."""
+    t = DerivedObject(alg, [(iv, 0) for iv in intervals])
+    seq = min_left_approx_sequence(
+        DerivedObject(alg, [(alg.projective(e), 0)]), t
+    )
+    lost = [d - r for d, r in zip(dims(seq.f.src), ranks(seq.f))]
+    return (
+        tuple(iv for iv, _ in seq.t0.summands),
+        is_exact_at_middle(seq),
+        is_exact_sequence_with_zero(seq),
+        alg.projective(lost.index(1) + 1) if any(lost) else None,
+    )
 
 
 def injective_reference(f):

@@ -13,12 +13,7 @@ from ddcp.derived import (
     graded_hom,
 )
 from ddcp.endalg import end_of, is_hereditary
-from ddcp.approx import (
-    is_exact_at_middle,
-    is_exact_sequence_with_zero,
-    is_injective,
-    min_left_approx_sequence,
-)
+from ddcp.approx import min_left_approx_sequence
 from ddcp.deciders import (
     check_ddcp,
     check_ddcp_derived,
@@ -33,6 +28,9 @@ from oracles import (
     brute_ext_dim,
     chain_homotopy_compose,
     compose,
+    is_exact_at_middle,
+    is_exact_sequence_with_zero,
+    is_injective,
     to_rep_morphism,
 )
 

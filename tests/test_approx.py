@@ -7,17 +7,14 @@ from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedObject
 from ddcp.endalg import SCModule, module_generators
 from ddcp.exactmat import Mat, nullspace, rref, solve
-from ddcp.approx import (
-    hom_module,
-    is_exact_at_middle,
-    is_exact_sequence_with_zero,
-    is_injective,
-    min_left_approx_sequence,
-)
+from ddcp.approx import hom_module, min_left_approx_sequence
 from ddcp import approx, endalg, reps
 from oracles import (
     approximation_matrix,
     dense_cover_reference,
+    is_exact_at_middle,
+    is_exact_sequence_with_zero,
+    is_injective,
     is_left_approximation,
     minimality_check,
     regular_module,

@@ -14,7 +14,7 @@ from ddcp.classify import (
     zero_path_audit,
 )
 from ddcp.deciders import check_ddcp, check_tilting_complex
-from ddcp.derived import DerivedObject
+from ddcp.derived import DerivedObject, graded_hom
 from ddcp.endalg import end_of, is_linear_A
 
 
@@ -200,32 +200,22 @@ def test_classification_builds_one_endomorphism_algebra_per_candidate(
 ):
     """End(x) is asked for once per shift-normalised candidate,
     (n+1) 2^(n-2), for is_linear_A, and check_ddcp, which only the 2n - 1
-    survivors reach, reads it from end_of's cache.  The module route adds
-    the End of each slice not yet asked for: none for V_m, whose one slice
-    is V_m itself, and two for T_i."""
+    survivors reach, reads it from end_of's cache.  The module route asks
+    for no other End: its closed form needs none of a slice."""
     n = 5
     result = enumerate_and_classify(Algebra(n))
     assert result.lambda_count == 2 * n - 1
-    slices = {
-        DerivedObject(x.alg, [(iv, 0) for iv, s in x.summands if s == i])
-        for x in result.survivors
-        for i in x.shifts()
-        if len(x.shifts()) == 2
-    }
-    builds = set(end_of_calls)
-    assert len(builds) == len(end_of_calls)
-    assert slices <= builds
-    candidates = builds - slices
-    assert set(result.survivors) <= candidates
-    assert len(candidates) == (n + 1) * 2 ** (n - 2) == 48
-    assert len(end_of_calls) == 48 + 2 * 4
+    assert len(set(end_of_calls)) == len(end_of_calls)
+    assert len(end_of_calls) == (n + 1) * 2 ** (n - 2) == 48
+    assert set(result.survivors) <= set(end_of_calls)
 
 
 def test_classification_builds_one_algebra_per_hom_pattern(
-    monkeypatch, fresh_caches
+    monkeypatch, fresh_caches, end_of_calls
 ):
-    """With fresh caches, classification at n constructs 2n - 1 SCAlgebras,
-    one per Hom pattern, however many candidates ask for End."""
+    """With fresh caches, classification at n constructs n SCAlgebras, one
+    per Hom pattern of its candidates, however many candidates ask for
+    End; no slice asks for one."""
     built = []
     init = endalg.SCAlgebra.__init__
 
@@ -238,9 +228,15 @@ def test_classification_builds_one_algebra_per_hom_pattern(
     for n in range(2, 9):
         fresh_caches()
         built.clear()
+        end_of_calls.clear()
         enumerate_and_classify(Algebra(n), bound=n)
+        patterns = {
+            tuple(sorted(graded_hom(x, x), key=lambda g: g[0] != g[1]))
+            for x in end_of_calls
+        }
+        assert len(built) == len(patterns)
         counts[n] = len(built)
-    assert counts == {n: 2 * n - 1 for n in range(2, 9)}
+    assert counts == {n: n for n in range(2, 9)}
 
 
 def set_based_cliques(alg, atoms, size):

@@ -13,8 +13,19 @@ from ddcp.quiver import (
     space_dim,
 )
 from ddcp import reps
-from ddcp.deciders import check_module_dcp, check_tilting_module
-from ddcp.derived import DerivedObject, composites, graded_hom
+from ddcp.approx import hom_module, min_left_approx_sequence
+from ddcp.deciders import (
+    check_ddcp,
+    check_ddcp_derived,
+    check_module_dcp,
+    check_tilting_complex,
+    check_tilting_module,
+    verify_homology_corners,
+)
+from ddcp.derived import (
+    DerivedMorphism, DerivedObject, composites, cone, graded_hom
+)
+from ddcp.endalg import end_of
 from oracles import brute_ext_dim
 
 
@@ -56,6 +67,32 @@ def test_interval_validation():
         for dim in (hom_dim, ext_dim):
             with pytest.raises(InputError, match="not an Algebra"):
                 dim(alg, Interval(1, 1), Interval(1, 1))
+    # every public entry point that takes an object, a morphism or a
+    # multiset checks its type before reading an attribute
+    x = DerivedObject(Algebra(3), [(Interval(1, 3), 0)])
+    for bad in (5, None, [], [(Interval(1, 3), 0)], Interval(1, 3)):
+        for call in (
+            lambda: check_ddcp(bad),
+            lambda: check_ddcp_derived(bad),
+            lambda: check_tilting_complex(bad),
+            lambda: check_tilting_complex(bad, "module"),
+            lambda: verify_homology_corners(bad),
+            lambda: graded_hom(x, bad),
+            lambda: graded_hom(bad, x),
+            lambda: DerivedMorphism(bad, x, {}),
+            lambda: DerivedMorphism(x, bad, {}),
+            lambda: DerivedMorphism(x, x, bad),
+            lambda: hom_module(x, bad),
+            lambda: hom_module(bad, x),
+            lambda: min_left_approx_sequence(x, bad),
+            lambda: min_left_approx_sequence(bad, x),
+            lambda: cone(bad),
+            lambda: end_of(bad),
+            lambda: check_module_dcp(Algebra(3), bad),
+            lambda: check_tilting_module(Algebra(3), bad),
+        ):
+            with pytest.raises(InputError, match="is not a "):
+                call()
 
 
 def test_algebra_families():
