@@ -15,8 +15,8 @@ consecutive shifts, which shift normalisation makes {0, 1}.
 Each shift-normalised candidate then meets three necessary conditions, in
 order of cost: is_linear_A(End(x)), deciders.ddcp_precheck (check_ddcp's
 rules that need no approximation sequence) and check_ddcp itself, which
-reads End(x) from end_of's cache.  The order is free, since a pre-check
-reason is itself a check_ddcp failure.
+reads its hereditary precondition off x's Hom relation, not End(x).  The
+order is free, since a pre-check reason is itself a check_ddcp failure.
 
 End(x) = A_n holds on every candidate, so is_linear_A checks the search
 and rejects nothing.  D^b(kA_n) is directed: its Auslander-Reiten quiver is

@@ -9,13 +9,15 @@ Gabriel quiver, hereditariness, isomorphism with a linear-chain path algebra
 
 End(x) is a function of x's Hom pattern, the generator list of Hom(x, x):
 every object with the same pattern shares one algebra, and each structure
-query is answered once per algebra and kept on it.
+query is answered once per algebra and kept on it.  hereditary_end answers
+the deciders' one question of End(x), whether it is hereditary, from x's
+Hom relation, with no algebra built.
 """
 
 from functools import cached_property, lru_cache, wraps
 
 from .quiver import InputError, check_object
-from .derived import DerivedObject, composites, graded_hom
+from .derived import DerivedObject, composites, graded_hom, pair_space_dim
 
 
 def _kept(query):
@@ -127,11 +129,14 @@ def end_of(x):
     Two bounded caches.  The algebra depends only on x's Hom pattern, the
     sorted generator list, and _end_of_pattern keeps one per pattern,
     shared by every object with that pattern, so callers must never change
-    it.  64 patterns hold classification's n; a seed-1 route_sweep unit of
-    the benchmark has 436 and builds 1106 SCAlgebras, but 256 patterns
-    measured 3% less wall time there for 7% more peak memory.  In front,
-    _end_of_value keeps the last object by value, a decision's traffic (no
-    End of a slice is asked for), so a repeated ask skips graded_hom(x, x)."""
+    it.  64 patterns hold classification's n.  No decider asks for End to
+    test hereditariness (hereditary_end), so of a seed-1 route_sweep unit
+    of the benchmark only the 946 objects that reach the derived route ask,
+    with 142 patterns, for which it builds 215 SCAlgebras; 256 patterns
+    build 142 and measured 2.5% less wall time there for 1.5% more peak
+    memory (four alternating 20-s pairs).  In front, _end_of_value keeps
+    the last object by value, a decision's traffic (no End of a slice is
+    asked for), so a repeated ask skips graded_hom(x, x)."""
     return _end_of_value(check_object(x, DerivedObject))
 
 
@@ -152,22 +157,72 @@ def _end_of_pattern(gens):
     return SCAlgebra(basis, idempotents, composites(gens, gens))
 
 
+def _radicals_projective(size, arrows):
+    """Whether a basic algebra is hereditary, given dim P(e) as size[e] for
+    each vertex e and its Gabriel quiver's arrows as (source, target) pairs.
+
+    The radical of P(e) has its top spanned by the arrows out of e, so the
+    projectives at their targets cover it, by a surjective map; rad P(e) is
+    projective, as every simple's projective dimension at most one asks,
+    iff that cover has its dimension, dim P(e) - 1."""
+    cover = dict.fromkeys(size, 0)
+    for s, t in arrows:
+        cover[s] += size[t]
+    return all(cover[e] == size[e] - 1 for e in size)
+
+
 @_kept
 def is_hereditary(c):
-    """True iff every simple module has projective dimension at most one.
-
-    The radical of the projective at e is spanned by the non-idempotent
-    basis elements with source e, and its top by the arrows with source e;
-    it is projective iff it matches the direct sum of the projectives at
-    the arrows' targets, which a dimension count detects because the
-    comparison map is surjective.
-    """
+    """True iff every simple module has projective dimension at most one,
+    read off the table: the projective at e is spanned by the basis
+    elements with source e, and the arrows are those of rad / rad^2.  A
+    hand-built table may make a product zero although a basis element
+    joins its outer ends, which End of a split object never does, so this
+    reads the table where hereditary_end reads the object's Hom relation."""
     c._require_basic()
-    cover = dict.fromkeys(c.idempotents, 0)
-    for a in c.arrows():
-        s, t = c.ends[a]
-        cover[s] += len(c.projectives[t])
-    return all(cover[e] == len(c.projectives[e]) - 1 for e in c.idempotents)
+    return _radicals_projective(
+        {e: len(c.projectives[e]) for e in c.idempotents},
+        (c.ends[a] for a in c.arrows()),
+    )
+
+
+def _bits(mask):
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def hereditary_end(x):
+    """is_hereditary(end_of(x)), decided with no End(x) built: from the
+    relation "summand k has a nonzero graded map to summand l" alone.
+
+    reach(k), a bitmask, is the set of such l, k itself included; it is the
+    basis of End(x)'s projective at k.  A generator's degree is its shift
+    gap, so a composite k -> w -> l is nonzero exactly when k -> l is
+    (quiver.space_dim's composition rule).  So rad^2 at k is reach(k)
+    meeting reach(w) - {w} for some w in reach(k) - {k}, and the arrows out
+    of k are the rest of reach(k) - {k}; _radicals_projective counts as
+    is_hereditary does.  Distinct summands with maps both ways are equal
+    summands, so x and End(x) are not basic: InputError, as from
+    is_hereditary(end_of(x)).  Anything but a DerivedObject raises
+    InputError too."""
+    s = check_object(x, DerivedObject).summands
+    reach = [sum(1 << l for l, q in enumerate(s) if pair_space_dim(p, q))
+             for p in s]
+    arrows = []
+    for k, r in enumerate(reach):
+        out = r & ~(1 << k)
+        rad2 = 0
+        for w in _bits(out):
+            if reach[w] >> k & 1:
+                raise InputError("structure query requires a basic algebra")
+            rad2 |= reach[w] & ~(1 << w)
+        arrows += [(k, t) for t in _bits(out & ~rad2)]
+    return _radicals_projective(
+        {k: r.bit_count() for k, r in enumerate(reach)}, arrows
+    )
 
 
 @_kept

@@ -199,9 +199,9 @@ def test_classification_builds_one_endomorphism_algebra_per_candidate(
     end_of_calls,
 ):
     """End(x) is asked for once per shift-normalised candidate,
-    (n+1) 2^(n-2), for is_linear_A, and check_ddcp, which only the 2n - 1
-    survivors reach, reads it from end_of's cache.  The module route asks
-    for no other End: its closed form needs none of a slice."""
+    (n+1) 2^(n-2), for is_linear_A.  check_ddcp, which only the 2n - 1
+    survivors reach, asks for no End: its frame reads hereditariness off
+    x's Hom relation, and its closed form needs none of a slice."""
     n = 5
     result = enumerate_and_classify(Algebra(n))
     assert result.lambda_count == 2 * n - 1

@@ -1,7 +1,9 @@
+import json
 import sys
 from collections import Counter
 from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -106,35 +108,44 @@ COMPLEX_DECIDERS = [
 ]
 
 
-def test_tilting_module_builds_one_endomorphism_algebra(end_of_calls):
-    assert check_tilting_module(Algebra(3), ms((1, 3), (2, 3), (3, 3)))
-    assert len(end_of_calls) == 1
-
-
 def test_complex_deciders_build_one_endomorphism_algebra(
     end_of_calls, fresh_caches
 ):
-    """End(x) is built once per basic object, however many complex deciders
-    ask, and not at all when the object is not basic: the module route's
-    closed form asks for the End of no slice.  verify_homology_corners
-    builds End(x) once for both of its complex deciders, and the End of
-    each corner module once, for the tilting test of a tilting object."""
+    """The frame reads End(x)'s hereditariness off x's Hom relation, and the
+    module route's closed form needs no End, so only the derived route's
+    hom_module builds End(x): once per object, however many complex
+    deciders ask, when x is applicable and some vertex has one supporting
+    shift, and not at all otherwise.  The applicable objects are those
+    that are basic with is_hereditary(end_of(x)).  verify_homology_corners
+    builds End(x) once, for its derived tilting test, and no End of a
+    corner module."""
     alg = Algebra(3)
     atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
     objects = [DerivedObject(alg, combo) for combo in combinations(atoms, 3)]
     objects.append(obj(alg, (1, 2, 0), (1, 2, 0), (3, 3, 1)))
+    seen = Counter()
     for x in objects:
         end_of_calls.clear()
-        for decide in COMPLEX_DECIDERS:
-            decide(x)
-        assert end_of_calls == ([x] if x.is_basic() else []), x
+        reports = [decide(x) for decide in COMPLEX_DECIDERS]
+        frame = reports[0]
+        reached = frame.applicable and any(
+            len(pr.degrees_found) == 1 for pr in frame.projectives
+        )
+        assert end_of_calls == ([x] if reached else []), x
+        assert all(r.applicable == frame.applicable for r in reports), x
+        assert frame.applicable == (
+            x.is_basic() and is_hereditary(end_of(x))
+        ), x
+        seen[x.is_basic(), frame.applicable, reached] += 1
+    assert set(seen) == {
+        (False, False, False), (True, False, False), (True, True, False),
+        (True, True, True),
+    }, seen
     fresh_caches()
     end_of_calls.clear()
     x = make_T(alg, 1)
     assert verify_homology_corners(x)
-    assert end_of_calls == [
-        x, obj(Algebra(1), (1, 1, 0)), obj(Algebra(2), (1, 1, 0), (1, 2, 0))
-    ]
+    assert end_of_calls == [x]
 
 
 def test_ddcp_families_all_routes():
@@ -456,6 +467,54 @@ def small_basic_modules():
                 yield alg, dict.fromkeys(combo, 1)
 
 
+def test_module_decider_counts_over_every_basic_module():
+    """Over every basic module at n <= 4 (every nonempty set of intervals),
+    check_module_dcp holds on exactly the product of 2^j - 1 over
+    j = 1..n of them, and check_tilting_module on exactly 2^(n - 1) and
+    reports the stated counts not applicable (End not hereditary).
+    tests/module_counts.py records the same counts up to n = 6."""
+    counts = {}
+    for n in (1, 2, 3, 4):
+        alg = Algebra(n)
+        tally = Counter()
+        for size in range(1, len(alg.intervals()) + 1):
+            for members in combinations(alg.intervals(), size):
+                multiset = dict.fromkeys(members, 1)
+                tilting = check_tilting_module(alg, multiset)
+                tally["dcp"] += bool(check_module_dcp(alg, multiset))
+                tally["tilting"] += tilting.verdict
+                tally["not applicable"] += not tilting.applicable
+        counts[n] = (tally["dcp"], tally["tilting"], tally["not applicable"])
+    assert counts == {1: (1, 1, 0), 2: (3, 2, 1), 3: (21, 4, 29),
+                      4: (315, 8, 807)}
+
+
+MODULE_REFERENCE = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "module_reference.json"
+)
+
+
+def test_every_five_summand_module_at_n5_matches_the_reference():
+    """Every basic five-summand module at n = 5, all 3003 of them, gets the
+    verdict code that the benchmark's reference records for it, in
+    combination order: dcp 1/0, then tilting 1/0, or n when
+    check_tilting_module is not applicable."""
+    verdicts = json.loads(MODULE_REFERENCE.read_text())["verdicts"]
+    alg = Algebra(5)
+    modules = list(combinations(alg.intervals(), 5))
+    assert len(modules) == len(verdicts) == 3003
+    codes = Counter()
+    for members, want in zip(modules, verdicts):
+        multiset = dict.fromkeys(members, 1)
+        tilting = check_tilting_module(alg, multiset)
+        got = ("1" if check_module_dcp(alg, multiset) else "0") + (
+            "n" if not tilting.applicable else "1" if tilting else "0"
+        )
+        assert got == want, members
+        codes[got] += 1
+    assert len(codes) > 2
+
+
 def test_rank_counts_match_subrepresentation_reference():
     """The rank-count reference -- oracles.ranks and dims, and the three
     exactness predicates on them -- gives the answers of the kernel, image
@@ -610,13 +669,14 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
     were asked about the object before it: in order, in reverse order, and
     asked again.  A caller editing a report's reasons, degrees_found,
     approx_summands or kernel_intervals leaves every later report as it
-    was.  Asking every complex decider about one object builds End(x) once
-    and one approximation sequence per unique-shift vertex, for the derived
-    route; the module route builds none.  The four complex deciders share
+    was.  Asking every complex decider about one object builds one
+    approximation sequence per unique-shift vertex, and End(x) once when
+    there is one, for the derived route; the module route builds neither.  The four complex deciders share
     one frame, which the memo holds: x is asked is_basic once, no sequence
-    asks it of its own target (End(t) answers it), and End(x) is asked
-    is_hereditary once.  The module deciders build End of the module once,
-    for the tilting precondition, no sequence and no memo entry."""
+    asks it of its own target (End(t) answers it), and the hereditary rule
+    (hereditary_end) is asked about x once.  The module deciders build no
+    End, no sequence and no memo entry, and ask the hereditary rule about
+    the module once per tilting test."""
     sequences = []
     build = deciders.min_left_approx_sequence
 
@@ -632,15 +692,15 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
         return is_basic(x)
 
     hereditary_asked = []
-    hereditary = deciders.is_hereditary
+    hereditary = deciders.hereditary_end
 
-    def recording_hereditary(c):
-        hereditary_asked.append(c)
-        return hereditary(c)
+    def recording_hereditary(x):
+        hereditary_asked.append(x)
+        return hereditary(x)
 
     monkeypatch.setattr(deciders, "min_left_approx_sequence", recording)
     monkeypatch.setattr(DerivedObject, "is_basic", recording_basic)
-    monkeypatch.setattr(deciders, "is_hereditary", recording_hereditary)
+    monkeypatch.setattr(deciders, "hereditary_end", recording_hereditary)
     for calls in deciders_per_object():
         fresh = []
         for decide in calls:
@@ -659,15 +719,19 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
                 pr.degrees_found.append(7)
                 pr.approx_summands.append((Interval(1, 1), 7))
                 pr.kernel_intervals[Interval(1, 1)] = 7
-        (x,) = end_of_calls
         if len(calls) == len(COMPLEX_DECIDERS):
+            (x,) = calls[0].args
             unique = [s for s in deciders._vertex_shifts(x) if len(s) == 1]
             assert len(sequences) == len(unique)
+            assert end_of_calls == ([x] if unique else [])
             assert basic_asked == [x]
-            assert hereditary_asked == [end_of(x)]
+            assert hereditary_asked == [x]
             # the memo never holds more than the last object's work
             assert deciders._memo.cache_info().currsize == 1
         else:
+            alg, multiset = calls[0].args
+            t = DerivedObject(alg, [(iv, 0) for iv in multiset])
+            assert end_of_calls == [] and hereditary_asked == [t, t]
             assert sequences == [] and basic_asked == []
             assert deciders._memo.cache_info().currsize == 0
         fresh_caches()

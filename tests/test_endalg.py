@@ -11,6 +11,7 @@ from ddcp.deciders import verify_homology_corners
 from ddcp.endalg import (
     SCAlgebra,
     end_of,
+    hereditary_end,
     is_hereditary,
     is_linear_A,
     module_generators,
@@ -104,6 +105,50 @@ def test_end_is_basic_exactly_when_the_object_is():
     assert len(objects) == 7022
     assert all(end_of(x).is_basic() == x.is_basic() for x in objects)
     assert sum(not x.is_basic() for x in objects) > 0
+
+
+def test_hereditary_end_matches_the_end_algebra():
+    """hereditary_end(x), read off x's Hom relation, is is_hereditary and
+    is_hereditary_reference of end_of(x): on every basic object of at most
+    n + 1 summands at n <= 4 over shifts {0, 1}, at n <= 3 over shifts
+    {0, 1, 2}, where two summands can be two shifts apart, and on every
+    basic module at n <= 4.  On a non-basic object it raises InputError,
+    as is_hereditary(end_of(x)) does, and so on anything but an object."""
+    objects = Counter()
+    outcomes = Counter()
+    for window, top in ((2, 4), (3, 3)):
+        for n in range(1, top + 1):
+            alg = Algebra(n)
+            atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
+            for size in range(1, n + 2):
+                for combo in combinations(atoms, size):
+                    x = DerivedObject(alg, combo)
+                    c = end_of(x)
+                    hereditary = hereditary_end(x)
+                    assert hereditary == is_hereditary(c), x
+                    assert hereditary == is_hereditary_reference(c), x
+                    objects[window] += 1
+                    outcomes[hereditary] += 1
+    for n in range(1, 5):
+        alg = Algebra(n)
+        for size in range(1, len(alg.intervals()) + 1):
+            for members in combinations(alg.intervals(), size):
+                x = DerivedObject(alg, [(iv, 0) for iv in members])
+                c = end_of(x)
+                hereditary = hereditary_end(x)
+                assert hereditary == is_hereditary(c), x
+                assert hereditary == is_hereditary_reference(c), x
+                objects["modules"] += 1
+                outcomes[hereditary] += 1
+    assert objects == {2: 22536, 3: 4182, "modules": 1094}
+    assert outcomes[True] and outcomes[False]
+    for x in (obj(Algebra(2), (1, 2, 0), (1, 2, 0)),
+              obj(Algebra(3), (1, 1, 0), (2, 3, 1), (1, 1, 0))):
+        for query in (hereditary_end, lambda x: is_hereditary(end_of(x))):
+            with pytest.raises(InputError, match="basic"):
+                query(x)
+    with pytest.raises(InputError, match="DerivedObject"):
+        hereditary_end(end_of(obj(Algebra(2), (1, 2, 0))))
 
 
 def path_algebra(m, arrows, zero=(), longest=None):
