@@ -29,10 +29,9 @@ A_n.  The test suite checks this on every candidate with n <= 8.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
-from .quiver import InputError, check_algebra, hom_dim, is_int
+from .quiver import InputError, check_algebra, is_int
 from .derived import DerivedObject, pair_space_dim
 from .endalg import end_of, is_linear_A
 from .deciders import check_ddcp, ddcp_precheck
@@ -169,36 +168,15 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
 
 def zero_path_audit(alg, t):
     """True iff every composite of t consecutive nonzero non-isomorphisms
-    between interval modules vanishes.
+    between interval modules vanishes: iff t >= n.
 
-    Composites are folded with the canonical-generator rule: a partial
-    composite from the first interval stays nonzero exactly when the Hom
-    space from the first interval to the current one is nonzero.
-    """
+    A nonzero map X(a, b) -> X(c, d) has c <= a <= d <= b, and a composite
+    from X(a, b) is nonzero exactly when its Hom space is (the
+    canonical-generator rule).  So along a nonzero composite of
+    non-isomorphisms from X(a, b), each step lowers c + d and keeps (c, d)
+    in [1, a] x [a, b]: at most b - 1 <= n - 1 steps.  The first t < n steps
+    of X(1, n) -> X(1, n - 1) -> ... -> X(1, 1) compose to a nonzero map.
+    The test suite keeps the search over all paths as the reference."""
     if not (is_int(t) and t >= 1):
         raise InputError("path length must be a positive integer: %r" % (t,))
-    intervals = alg.intervals()
-    steps = {
-        src: [
-            tgt
-            for tgt in intervals
-            if tgt != src and hom_dim(alg, src, tgt)
-        ]
-        for src in intervals
-    }
-    @lru_cache(maxsize=None)
-    def nonzero_path_exists(first, current, remaining):
-        if remaining == 0:
-            return True
-        for nxt in steps[current]:
-            if hom_dim(alg, first, nxt) and nonzero_path_exists(
-                first, nxt, remaining - 1
-            ):
-                return True
-        return False
-
-    for first in intervals:
-        for second in steps[first]:
-            if nonzero_path_exists(first, second, t - 1):
-                return False
-    return True
+    return t >= check_algebra(alg).n

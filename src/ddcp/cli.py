@@ -12,7 +12,7 @@ import sys
 
 from .quiver import Algebra, InputError, ext_dim, hom_dim, is_int
 from .derived import DerivedObject
-from .endalg import end_of, is_hereditary, is_linear_A
+from .endalg import end_of, gabriel_quiver, is_hereditary, is_linear_A
 from .approx import min_left_approx_sequence
 from . import deciders
 from .classify import enumerate_and_classify, zero_path_audit
@@ -110,8 +110,9 @@ def cmd_end(args):
         ],
     }
     if algebra.is_basic():
-        out["quiver_arrows"] = [list(algebra.basis[a]) for a in algebra.arrows()]
-        out["hereditary"] = is_hereditary(algebra)
+        label = {ends: algebra.basis[b] for b, ends in enumerate(algebra.ends)}
+        out["quiver_arrows"] = [list(label[a]) for a in gabriel_quiver(x)[1]]
+        out["hereditary"] = is_hereditary(x)
         out["linear_chain"] = is_linear_A(algebra)
     else:
         out["basic"] = False

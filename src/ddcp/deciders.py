@@ -15,8 +15,9 @@ Precondition failures (non-basic object, endomorphism algebra not
 hereditary) are reported as "not applicable" -- false for classification
 purposes but distinguished from a genuine condition failure.  Whether
 End(x) is hereditary is read off the Hom relation of x's summands
-(endalg.hereditary_end), so no decider builds End(x) for its frame: only
-the derived route's approximation sequences do.
+(endalg.is_hereditary, through End(x)'s Gabriel quiver), so no decider
+builds End(x) for its frame: only the derived route's approximation
+sequences do.
 
 The complex deciders share the work that depends only on the object: its
 frame (not applicable, or else every vertex's supporting shifts) and each
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .derived import DerivedObject, cone
-from .endalg import hereditary_end
+from .endalg import is_hereditary
 from .approx import min_left_approx_sequence
 from .quiver import Algebra, InputError, Interval, check_object, is_int
 
@@ -149,10 +150,10 @@ def check_tilting_module(alg, multiset):
     """Tilting test for a module whose endomorphism algebra is hereditary:
     the minimal sequence 0 -> A -> M0 -> M1 -> 0 must be exact throughout.
     The precondition is read off the Hom relation of the module's summands
-    (hereditary_end), with no End built; a module whose End is not
+    (is_hereditary), with no End built; a module whose End is not
     hereditary is reported not applicable."""
     t = _basic_module(alg, multiset)
-    if not hereditary_end(t):
+    if not is_hereditary(t):
         return DeciderReport("tilting-module", False, False, [_NOT_HEREDITARY])
     injective, exact = _regular_checks(t, onto=True)
     return _judge("tilting-module", [
@@ -213,7 +214,7 @@ def ddcp_precheck(x):
 def _decide(x, name, step):
     """The report of one complex decider on x's frame, shared by all four:
     the reason x is not applicable (not basic, or End(x) not hereditary by
-    hereditary_end), or else every vertex's supporting shifts.  Every
+    is_hereditary(x)), or else every vertex's supporting shifts.  Every
     indecomposable projective P(e) needs a unique supporting shift i, and
     then step(x, report of P(e), i) must return no failures; each failing
     one adds a reason naming e."""
@@ -222,7 +223,7 @@ def _decide(x, name, step):
     def build():
         if not x.is_basic():
             return "object is not basic"
-        return _vertex_shifts(x) if hereditary_end(x) else _NOT_HEREDITARY
+        return _vertex_shifts(x) if is_hereditary(x) else _NOT_HEREDITARY
 
     frame = _once(x, "frame", build)
     if isinstance(frame, str):

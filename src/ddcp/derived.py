@@ -12,6 +12,7 @@ entries as much as a chain differential or lift, is sparse:
 {(source index, target index): nonzero Fraction}.
 """
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,8 +37,11 @@ class DerivedObject:
 
     def __init__(self, alg, pairs):
         self.alg = check_algebra(alg)
-        pairs = list(pairs)
-        for iv, s in pairs:
+        pairs = list(check_object(pairs, Iterable))
+        for pair in pairs:
+            if not (type(pair) is tuple and len(pair) == 2):
+                raise InputError("summand %r is not a pair" % (pair,))
+            iv, s = pair
             alg.check_interval(iv)
             if not is_int(s):
                 raise InputError("shift of %r must be an integer: %r" % (iv, s))

@@ -3,15 +3,16 @@
 Because every graded Hom space between interval summands is at most
 one-dimensional, the endomorphism algebra of a split object has a canonical
 basis (one idempotent per summand, one element per nonzero cross space) whose
-products are again basis elements or zero.  Structural questions -- radical,
-Gabriel quiver, hereditariness, isomorphism with a linear-chain path algebra
--- then reduce to set combinatorics on the multiplication table.
+products are again basis elements or zero.  Structural questions -- basic,
+isomorphic to a linear-chain path algebra -- then reduce to set
+combinatorics on the multiplication table.
 
 End(x) is a function of x's Hom pattern, the generator list of Hom(x, x):
 every object with the same pattern shares one algebra, and each structure
-query is answered once per algebra and kept on it.  hereditary_end answers
-the deciders' one question of End(x), whether it is hereditary, from x's
-Hom relation, with no algebra built.
+query is answered once per algebra and kept on it.  End(x)'s Gabriel quiver
+and whether End(x) is hereditary, the deciders' one question of it, are
+read off x's Hom relation instead, with no algebra built (gabriel_quiver,
+is_hereditary).
 """
 
 from functools import cached_property, lru_cache, wraps
@@ -90,28 +91,6 @@ class SCAlgebra:
             for (i, j), k in self.table.items()
         )
 
-    def _require_basic(self):
-        if not self.is_basic():
-            raise InputError("structure query requires a basic algebra")
-
-    def radical_indices(self):
-        """The non-idempotent basis indices: a basis of the radical when the
-        algebra is basic, which the public structure queries check."""
-        idem = set(self.idempotents)
-        return [i for i in range(self.dim) if i not in idem]
-
-    def radical_square(self):
-        idem = set(self.idempotents)
-        return {
-            k for (i, j), k in self.table.items()
-            if i not in idem and j not in idem
-        }
-
-    def arrows(self):
-        """Gabriel quiver arrows: basis of rad / rad^2, as basis indices."""
-        rad2 = self.radical_square()
-        return [i for i in self.radical_indices() if i not in rad2]
-
     def __repr__(self):
         return "SCAlgebra(dim=%d, idempotents=%d)" % (
             self.dim,
@@ -130,11 +109,11 @@ def end_of(x):
     sorted generator list, and _end_of_pattern keeps one per pattern,
     shared by every object with that pattern, so callers must never change
     it.  64 patterns hold classification's n.  No decider asks for End to
-    test hereditariness (hereditary_end), so of a seed-1 route_sweep unit
-    of the benchmark only the 946 objects that reach the derived route ask,
-    with 142 patterns, for which it builds 215 SCAlgebras; 256 patterns
-    build 142 and measured 2.5% less wall time there for 1.5% more peak
-    memory (four alternating 20-s pairs).  In front, _end_of_value keeps
+    test hereditariness (is_hereditary reads x), so of a seed-1 route_sweep
+    unit of the benchmark only the 946 objects that reach the derived route
+    ask, with 142 patterns, for which it builds 215 SCAlgebras; 256
+    patterns build 142 and measured 2.5% less wall time there for 1.5% more
+    peak memory (four alternating 20-s pairs).  In front, _end_of_value keeps
     the last object by value, a decision's traffic (no End of a slice is
     asked for), so a repeated ask skips graded_hom(x, x)."""
     return _end_of_value(check_object(x, DerivedObject))
@@ -157,35 +136,6 @@ def _end_of_pattern(gens):
     return SCAlgebra(basis, idempotents, composites(gens, gens))
 
 
-def _radicals_projective(size, arrows):
-    """Whether a basic algebra is hereditary, given dim P(e) as size[e] for
-    each vertex e and its Gabriel quiver's arrows as (source, target) pairs.
-
-    The radical of P(e) has its top spanned by the arrows out of e, so the
-    projectives at their targets cover it, by a surjective map; rad P(e) is
-    projective, as every simple's projective dimension at most one asks,
-    iff that cover has its dimension, dim P(e) - 1."""
-    cover = dict.fromkeys(size, 0)
-    for s, t in arrows:
-        cover[s] += size[t]
-    return all(cover[e] == size[e] - 1 for e in size)
-
-
-@_kept
-def is_hereditary(c):
-    """True iff every simple module has projective dimension at most one,
-    read off the table: the projective at e is spanned by the basis
-    elements with source e, and the arrows are those of rad / rad^2.  A
-    hand-built table may make a product zero although a basis element
-    joins its outer ends, which End of a split object never does, so this
-    reads the table where hereditary_end reads the object's Hom relation."""
-    c._require_basic()
-    return _radicals_projective(
-        {e: len(c.projectives[e]) for e in c.idempotents},
-        (c.ends[a] for a in c.arrows()),
-    )
-
-
 def _bits(mask):
     """The positions of mask's set bits, lowest first."""
     while mask:
@@ -194,20 +144,19 @@ def _bits(mask):
         mask ^= low
 
 
-def hereditary_end(x):
-    """is_hereditary(end_of(x)), decided with no End(x) built: from the
-    relation "summand k has a nonzero graded map to summand l" alone.
+def gabriel_quiver(x):
+    """End(x)'s Gabriel quiver, with no End(x) built: (size, arrows), size[k]
+    the dimension of the projective P(k) at summand k, arrows its (k, t)
+    pairs in order, the order of their elements in End(x)'s basis.
 
-    reach(k), a bitmask, is the set of such l, k itself included; it is the
-    basis of End(x)'s projective at k.  A generator's degree is its shift
-    gap, so a composite k -> w -> l is nonzero exactly when k -> l is
+    reach(k), a bitmask, is the set of summands t with a nonzero graded map
+    from k, k included: the basis of P(k).  A generator's degree is its
+    shift gap, so k -> w -> t is nonzero exactly when k -> t is
     (quiver.space_dim's composition rule).  So rad^2 at k is reach(k)
     meeting reach(w) - {w} for some w in reach(k) - {k}, and the arrows out
-    of k are the rest of reach(k) - {k}; _radicals_projective counts as
-    is_hereditary does.  Distinct summands with maps both ways are equal
-    summands, so x and End(x) are not basic: InputError, as from
-    is_hereditary(end_of(x)).  Anything but a DerivedObject raises
-    InputError too."""
+    of k are the rest of reach(k) - {k}.  Distinct summands with maps both
+    ways are equal, so x and End(x) are not basic: InputError, as for
+    anything but a DerivedObject."""
     s = check_object(x, DerivedObject).summands
     reach = [sum(1 << l for l, q in enumerate(s) if pair_space_dim(p, q))
              for p in s]
@@ -220,9 +169,19 @@ def hereditary_end(x):
                 raise InputError("structure query requires a basic algebra")
             rad2 |= reach[w] & ~(1 << w)
         arrows += [(k, t) for t in _bits(out & ~rad2)]
-    return _radicals_projective(
-        {k: r.bit_count() for k, r in enumerate(reach)}, arrows
-    )
+    return [r.bit_count() for r in reach], arrows
+
+
+def is_hereditary(x):
+    """True iff End(x) is hereditary, every simple of projective dimension
+    at most one: the arrows out of k (gabriel_quiver) span the top of
+    rad P(k), so the projectives at their targets cover it, and rad P(k) is
+    projective iff that cover has its dimension, dim P(k) - 1."""
+    size, arrows = gabriel_quiver(x)
+    cover = [0] * len(size)
+    for k, t in arrows:
+        cover[k] += size[t]
+    return all(c == d - 1 for c, d in zip(cover, size))
 
 
 @_kept
@@ -236,7 +195,8 @@ def is_linear_A(c):
     product, which in a valid table is the element between its outer ends.
     So the idempotents, ranked by how many basis elements they are the
     source of, largest first, must be that chain."""
-    c._require_basic()
+    if not c.is_basic():
+        raise InputError("structure query requires a basic algebra")
     rank = {e: r for r, e in enumerate(
         sorted(c.idempotents, key=lambda e: -len(c.projectives[e])))}
     m = len(rank)

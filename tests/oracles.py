@@ -1,6 +1,7 @@
 """Brute-force references that the closed-form rules are checked against."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, product
 
 from ddcp import reps
@@ -15,7 +16,7 @@ from ddcp.derived import (
 )
 from ddcp.endalg import SCModule, forest_join
 from ddcp.exactmat import Mat, rank, solve
-from ddcp.quiver import InputError, Interval
+from ddcp.quiver import InputError, Interval, hom_dim
 
 
 def compose_entries(f, g):
@@ -149,7 +150,7 @@ def dense_module_generators(module, vectors):
     def support(w):
         return [j for j, c in enumerate(w) if c]
 
-    for r in algebra.radical_indices():
+    for r in radical_indices(algebra):
         for v in vectors:
             join(support(module_act(module, r, v)))
     gens = []
@@ -176,7 +177,7 @@ def dense_cover_reference(y, t):
     m, _ = hom_module(y, t)
     algebra = m.algebra
     act = m.table.get
-    hit = {act((r, i)) for r in algebra.radical_indices() for i in range(m.dim)}
+    hit = {act((r, i)) for r in radical_indices(algebra) for i in range(m.dim)}
     top0 = [
         (l, i)
         for l in algebra.idempotents
@@ -572,9 +573,23 @@ def is_basic_reference(c):
     return True
 
 
+def radical_indices(c):
+    """The non-idempotent basis indices: a basis of the radical when the
+    algebra is basic."""
+    idem = set(c.idempotents)
+    return [i for i in range(c.dim) if i not in idem]
+
+
 def radical_square_reference(c):
-    rad = c.radical_indices()
+    rad = radical_indices(c)
     return {c.mul(i, j) for i in rad for j in rad} - {None}
+
+
+def arrows_reference(c):
+    """The Gabriel quiver's arrows, a basis of rad / rad^2, as basis
+    indices in basis order."""
+    rad2 = radical_square_reference(c)
+    return [i for i in radical_indices(c) if i not in rad2]
 
 
 def is_hereditary_reference(c):
@@ -583,7 +598,7 @@ def is_hereditary_reference(c):
     P(tgt i) over its top elements i, those not in rad . rad P(e)."""
     if not is_basic_reference(c):
         raise InputError("structure query requires a basic algebra")
-    rad = set(c.radical_indices())
+    rad = set(radical_indices(c))
     pdim = {e: len(projective_basis_reference(c, e)) for e in c.idempotents}
     for e in c.idempotents:
         rad_pe = [i for i in projective_basis_reference(c, e) if i in rad]
@@ -605,7 +620,7 @@ def is_linear_A_reference(c):
     m = len(c.idempotents)
     if c.dim != m * (m + 1) // 2:
         return None
-    arrows = c.arrows()
+    arrows = arrows_reference(c)
     if len(arrows) != m - 1:
         return None
     out_of = {}
@@ -634,3 +649,30 @@ def is_linear_A_reference(c):
     if len(visited) != m:
         return None
     return m
+
+
+def zero_path_audit_reference(alg, t):
+    """classify.zero_path_audit by search: False iff some composite of t
+    consecutive nonzero non-isomorphisms between interval modules is
+    nonzero.  Composites are folded with the canonical-generator rule: a
+    partial composite from the first interval stays nonzero exactly when
+    the Hom space from the first interval to the current one is nonzero."""
+    intervals = alg.intervals()
+    steps = {
+        src: [tgt for tgt in intervals if tgt != src and hom_dim(alg, src, tgt)]
+        for src in intervals
+    }
+
+    @lru_cache(maxsize=None)
+    def nonzero_path_exists(first, current, remaining):
+        return remaining == 0 or any(
+            hom_dim(alg, first, nxt)
+            and nonzero_path_exists(first, nxt, remaining - 1)
+            for nxt in steps[current]
+        )
+
+    return not any(
+        nonzero_path_exists(first, second, t - 1)
+        for first in intervals
+        for second in steps[first]
+    )

@@ -12,7 +12,7 @@ from ddcp.derived import (
     DerivedObject,
     graded_hom,
 )
-from ddcp.endalg import end_of, is_hereditary
+from ddcp.endalg import end_of
 from ddcp.approx import min_left_approx_sequence
 from ddcp.deciders import (
     check_ddcp,
@@ -30,6 +30,7 @@ from oracles import (
     compose,
     is_exact_at_middle,
     is_exact_sequence_with_zero,
+    is_hereditary_reference,
     is_injective,
     to_rep_morphism,
 )
@@ -95,7 +96,7 @@ def test_criterion_3_decider_cross_agreement(capsys):
             if min(s for _, s in combo) != 0:
                 continue
             x = DerivedObject(alg, combo)
-            if not is_hereditary(end_of(x)):
+            if not is_hereditary_reference(end_of(x)):
                 continue
             checked += 1
             assert bool(check_ddcp(x)) == bool(check_ddcp_derived(x)), x

@@ -17,6 +17,7 @@ from oracles import (
     is_injective,
     is_left_approximation,
     minimality_check,
+    radical_indices,
     regular_module,
     to_rep_morphism,
     validate_module,
@@ -223,7 +224,7 @@ def dense_generators(algebra, dim, actions):
     the pivots of the row-reduced column matrix.  The candidates come
     idempotent by idempotent and the pivots ascend, so the lifts are
     grouped by ascending idempotent."""
-    rad = [v for r in algebra.radical_indices() for v in actions[r].columns()]
+    rad = [v for r in radical_indices(algebra) for v in actions[r].columns()]
     cands = [(e, v) for e in algebra.idempotents for v in actions[e].columns()]
     _, pivots = rref(Mat.from_cols(rad + [v for _, v in cands], nrows=dim))
     return [cands[p - len(rad)] for p in pivots if p >= len(rad)]

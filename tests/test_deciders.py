@@ -29,6 +29,7 @@ from oracles import (
     injective_reference,
     is_exact_at_middle,
     is_exact_sequence_with_zero,
+    is_hereditary_reference,
     is_injective,
     kernel_intervals_reference,
     ranks,
@@ -116,7 +117,8 @@ def test_complex_deciders_build_one_endomorphism_algebra(
     hom_module builds End(x): once per object, however many complex
     deciders ask, when x is applicable and some vertex has one supporting
     shift, and not at all otherwise.  The applicable objects are those
-    that are basic with is_hereditary(end_of(x)).  verify_homology_corners
+    that are basic with a hereditary End(x) by the table reference
+    (is_hereditary_reference).  verify_homology_corners
     builds End(x) once, for its derived tilting test, and no End of a
     corner module."""
     alg = Algebra(3)
@@ -134,7 +136,7 @@ def test_complex_deciders_build_one_endomorphism_algebra(
         assert end_of_calls == ([x] if reached else []), x
         assert all(r.applicable == frame.applicable for r in reports), x
         assert frame.applicable == (
-            x.is_basic() and is_hereditary(end_of(x))
+            x.is_basic() and is_hereditary_reference(end_of(x))
         ), x
         seen[x.is_basic(), frame.applicable, reached] += 1
     assert set(seen) == {
@@ -304,7 +306,7 @@ def test_false_verdicts_name_each_failing_projective():
             if min(s for _, s in combo) != 0:
                 continue
             x = DerivedObject(alg, combo)
-            if not is_hereditary(end_of(x)):
+            if not is_hereditary(x):
                 continue
             for decide in deciders:
                 r = decide(x)
@@ -350,7 +352,7 @@ def criterion_3_objects():
         atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
         for combo in combinations(atoms, n):
             x = DerivedObject(alg, combo)
-            if min(s for _, s in combo) == 0 and is_hereditary(end_of(x)):
+            if min(s for _, s in combo) == 0 and is_hereditary(x):
                 yield x
 
 
@@ -674,7 +676,7 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
     there is one, for the derived route; the module route builds neither.  The four complex deciders share
     one frame, which the memo holds: x is asked is_basic once, no sequence
     asks it of its own target (End(t) answers it), and the hereditary rule
-    (hereditary_end) is asked about x once.  The module deciders build no
+    (is_hereditary) is asked about x once.  The module deciders build no
     End, no sequence and no memo entry, and ask the hereditary rule about
     the module once per tilting test."""
     sequences = []
@@ -692,7 +694,7 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
         return is_basic(x)
 
     hereditary_asked = []
-    hereditary = deciders.hereditary_end
+    hereditary = deciders.is_hereditary
 
     def recording_hereditary(x):
         hereditary_asked.append(x)
@@ -700,7 +702,7 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
 
     monkeypatch.setattr(deciders, "min_left_approx_sequence", recording)
     monkeypatch.setattr(DerivedObject, "is_basic", recording_basic)
-    monkeypatch.setattr(deciders, "hereditary_end", recording_hereditary)
+    monkeypatch.setattr(deciders, "is_hereditary", recording_hereditary)
     for calls in deciders_per_object():
         fresh = []
         for decide in calls:

@@ -11,19 +11,19 @@ from ddcp.deciders import verify_homology_corners
 from ddcp.endalg import (
     SCAlgebra,
     end_of,
-    hereditary_end,
+    gabriel_quiver,
     is_hereditary,
     is_linear_A,
     module_generators,
 )
 from oracles import (
+    arrows_reference,
     compose,
     is_basic_reference,
     is_hereditary_reference,
     is_linear_A_reference,
     module_act,
     projective_basis_reference,
-    radical_square_reference,
     regular_module,
     src_reference,
     tgt_reference,
@@ -46,15 +46,16 @@ def test_end_of_regular_object():
     assert e.dim == 6
     assert len(e.idempotents) == 3
     assert is_linear_A(e) == 3
-    assert is_hereditary(e)
+    assert is_hereditary(full_projectives(alg))
 
 
 def test_end_of_semisimple():
     alg = Algebra(3)
-    e = end_of(obj(alg, (1, 1, 0), (2, 2, 0), (3, 3, 0)))
+    x = obj(alg, (1, 1, 0), (2, 2, 0), (3, 3, 0))
+    e = end_of(x)
     assert e.dim == 3
     assert is_linear_A(e) is None
-    assert is_hereditary(e)
+    assert is_hereditary(x)
 
 
 def test_end_of_families_linear():
@@ -75,17 +76,18 @@ def test_opposite_involution_and_linearity():
     alg = Algebra(3)
     op = opposite(end_of(full_projectives(alg)))
     assert is_linear_A(op) == 3
-    assert is_hereditary(op)
+    assert is_hereditary_reference(op)
     semi = end_of(obj(alg, (1, 1, 0), (2, 2, 0), (3, 3, 0)))
     assert opposite(semi).table == semi.table
 
 
 def test_non_basic_rejected_by_structure_queries():
     alg = Algebra(2)
-    dup = end_of(obj(alg, (1, 2, 0), (1, 2, 0)))
+    x = obj(alg, (1, 2, 0), (1, 2, 0))
+    dup = end_of(x)
     assert not dup.is_basic()
     with pytest.raises(InputError):
-        is_hereditary(dup)
+        is_hereditary(x)
     with pytest.raises(InputError):
         is_linear_A(dup)
 
@@ -107,48 +109,52 @@ def test_end_is_basic_exactly_when_the_object_is():
     assert sum(not x.is_basic() for x in objects) > 0
 
 
-def test_hereditary_end_matches_the_end_algebra():
-    """hereditary_end(x), read off x's Hom relation, is is_hereditary and
-    is_hereditary_reference of end_of(x): on every basic object of at most
-    n + 1 summands at n <= 4 over shifts {0, 1}, at n <= 3 over shifts
-    {0, 1, 2}, where two summands can be two shifts apart, and on every
-    basic module at n <= 4.  On a non-basic object it raises InputError,
-    as is_hereditary(end_of(x)) does, and so on anything but an object."""
+def test_gabriel_quiver_matches_the_end_algebra():
+    """gabriel_quiver(x), read off x's Hom relation, has the arrows of
+    end_of(x) by the rad / rad^2 reference, in basis order, and
+    is_hereditary(x) is is_hereditary_reference of end_of(x): on every
+    basic object of at most n + 1 summands at n <= 4 over shifts {0, 1}, at
+    n <= 3 over shifts {0, 1, 2}, where two summands can be two shifts
+    apart, and on every basic module at n <= 4.  On a non-basic object both
+    raise InputError, as is_hereditary_reference(end_of(x)) does, and so on
+    anything but an object."""
     objects = Counter()
     outcomes = Counter()
+
+    def check(x, kind):
+        c = end_of(x)
+        sizes, arrows = gabriel_quiver(x)
+        assert sizes == [len(c.projectives[e]) for e in c.idempotents], x
+        assert arrows == [c.ends[a] for a in arrows_reference(c)], x
+        hereditary = is_hereditary(x)
+        assert hereditary == is_hereditary_reference(c), x
+        objects[kind] += 1
+        outcomes[hereditary] += 1
+
     for window, top in ((2, 4), (3, 3)):
         for n in range(1, top + 1):
             alg = Algebra(n)
             atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
             for size in range(1, n + 2):
                 for combo in combinations(atoms, size):
-                    x = DerivedObject(alg, combo)
-                    c = end_of(x)
-                    hereditary = hereditary_end(x)
-                    assert hereditary == is_hereditary(c), x
-                    assert hereditary == is_hereditary_reference(c), x
-                    objects[window] += 1
-                    outcomes[hereditary] += 1
+                    check(DerivedObject(alg, combo), window)
     for n in range(1, 5):
         alg = Algebra(n)
         for size in range(1, len(alg.intervals()) + 1):
             for members in combinations(alg.intervals(), size):
-                x = DerivedObject(alg, [(iv, 0) for iv in members])
-                c = end_of(x)
-                hereditary = hereditary_end(x)
-                assert hereditary == is_hereditary(c), x
-                assert hereditary == is_hereditary_reference(c), x
-                objects["modules"] += 1
-                outcomes[hereditary] += 1
+                check(DerivedObject(alg, [(iv, 0) for iv in members]),
+                      "modules")
     assert objects == {2: 22536, 3: 4182, "modules": 1094}
     assert outcomes[True] and outcomes[False]
     for x in (obj(Algebra(2), (1, 2, 0), (1, 2, 0)),
               obj(Algebra(3), (1, 1, 0), (2, 3, 1), (1, 1, 0))):
-        for query in (hereditary_end, lambda x: is_hereditary(end_of(x))):
+        for query in (gabriel_quiver, is_hereditary,
+                      lambda x: is_hereditary_reference(end_of(x))):
             with pytest.raises(InputError, match="basic"):
                 query(x)
-    with pytest.raises(InputError, match="DerivedObject"):
-        hereditary_end(end_of(obj(Algebra(2), (1, 2, 0))))
+    for query in (gabriel_quiver, is_hereditary):
+        with pytest.raises(InputError, match="DerivedObject"):
+            query(end_of(obj(Algebra(2), (1, 2, 0))))
 
 
 def path_algebra(m, arrows, zero=(), longest=None):
@@ -221,10 +227,11 @@ def test_non_hereditary_example():
     # End of X(3,3) + X(1,3) + X(1,1) is a linear quiver with a zero
     # relation on the length-two path, which has global dimension two.
     alg = Algebra(3)
-    e = end_of(obj(alg, (3, 3, 0), (1, 3, 0), (1, 1, 0)))
+    x = obj(alg, (3, 3, 0), (1, 3, 0), (1, 1, 0))
+    e = end_of(x)
     assert e.dim == 5
     assert is_linear_A(e) is None
-    assert not is_hereditary(e)
+    assert not is_hereditary(x)
 
 
 def test_hereditary_matches_linear_chain():
@@ -234,9 +241,8 @@ def test_hereditary_matches_linear_chain():
         full_projectives(alg),
         obj(alg, (1, 1, 0), (2, 2, 1), (2, 3, 1), (2, 4, 1)),
     ]:
-        e = end_of(x)
-        if is_linear_A(e) is not None:
-            assert is_hereditary(e)
+        if is_linear_A(end_of(x)) is not None:
+            assert is_hereditary(x)
 
 
 def corner_algebra(alg, verts):
@@ -377,7 +383,7 @@ def test_structure_queries_match_mul_scanning_references():
     references that scan every product through mul, and is_linear_A's
     chain rule with the walk along the Gabriel quiver: on the End algebras of
     small_objects and repeated_objects, on their opposites, and on the
-    non-basic ones among both, where is_hereditary raises.  Each query is
+    non-basic ones among both, where is_linear_A raises.  Each query is
     asked twice, so the second call reads the answer kept by the first."""
     algebras = [end_of(x) for _, x in small_objects()]
     algebras += [end_of(x) for x in repeated_objects()]
@@ -388,18 +394,15 @@ def test_structure_queries_match_mul_scanning_references():
         ]
         for e in c.idempotents:
             assert c.projectives[e] == projective_basis_reference(c, e)
-        assert c.radical_square() == radical_square_reference(c)
         basic = c.is_basic()
         assert basic == is_basic_reference(c) == c.is_basic()
         if basic:
-            hereditary = is_hereditary(c)
-            assert hereditary == is_hereditary_reference(c) == is_hereditary(c)
+            hereditary = is_hereditary_reference(c)
             assert is_linear_A(c) == is_linear_A_reference(c) == is_linear_A(c)
         else:
             hereditary = None
             # a call that raises keeps nothing, so the second raises too
-            for query in (is_hereditary, is_hereditary, is_linear_A,
-                          is_linear_A, is_hereditary_reference,
+            for query in (is_linear_A, is_linear_A, is_hereditary_reference,
                           is_linear_A_reference):
                 with pytest.raises(InputError):
                     query(c)
