@@ -47,16 +47,16 @@ def test_interval_validation():
     for summand in ((1, 2), "X(1,2)", None):
         with pytest.raises(InputError):
             DerivedObject(Algebra(3), [(summand, 0)])
-    # the summands are an iterable of (interval, shift) tuples
-    for pairs in (5, None, [5], [(Interval(1, 1),)],
-                  [(Interval(1, 1), 0, 1)], [[Interval(1, 1), 0]]):
-        with pytest.raises(InputError):
-            DerivedObject(Algebra(3), pairs)
         for dim in (hom_dim, ext_dim):
             with pytest.raises(InputError, match="not an interval"):
                 dim(Algebra(3), summand, Interval(1, 1))
             with pytest.raises(InputError, match="not an interval"):
                 dim(Algebra(3), Interval(1, 1), summand)
+    # the summands are an iterable of (interval, shift) tuples
+    for pairs in (5, None, [5], [(Interval(1, 1),)],
+                  [(Interval(1, 1), 0, 1)], [[Interval(1, 1), 0]]):
+        with pytest.raises(InputError):
+            DerivedObject(Algebra(3), pairs)
     for dim in (hom_dim, ext_dim):
         with pytest.raises(InputError, match="exceeds"):
             dim(Algebra(3), Interval(1, 1), Interval(1, 4))
