@@ -133,7 +133,7 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
     why degree_window=2 is complete up to shift).  n above bound raises
     InputError; library callers pass bound=n for a larger n.  A window
     below 1, or a window or bound that is not an int, raises InputError."""
-    n = alg.n
+    n = check_algebra(alg).n
     if not (is_int(degree_window) and degree_window >= 1):
         raise InputError(
             "degree window must be an integer at least 1: %r" % (degree_window,))

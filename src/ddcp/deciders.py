@@ -175,13 +175,17 @@ def _kernel(alg, b):
 def kernel_interval(x, e, i):
     """Kernel of P(e) -> X0, the minimal approximation of P(e) by x's shift-i
     slice (i the one shift supporting e): _kernel of b, the largest right
-    end of a shift-i summand containing e (_in_slice derives it)."""
-    b = max(iv.b for iv, s in x.summands if s == i and iv.a <= e <= iv.b)
+    end of a shift-i summand containing e (_in_slice derives it), or
+    InputError when no such summand is there."""
+    try:
+        b = max(iv.b for iv, s in x.summands if s == i and iv.a <= e <= iv.b)
+    except ValueError:  # max(..., default=None) measured slower
+        raise InputError("no shift-%r summand of %r covers %r" % (i, x, e))
     return _kernel(x.alg, b)
 
 
 def _kernel_failures(x, kernel, i):
-    if kernel is None or kernel in x.slice(i + 1):
+    if kernel is None or (kernel, i + 1) in x.summands:
         return []
     return ["kernel interval %r outside add of the shift-%d slice"
             % (kernel, i + 1)]
@@ -201,6 +205,7 @@ def ddcp_precheck(x):
     a rule needing no approximation sequence (no unique supporting shift, or
     the kernel interval outside the next slice), or None.  A reason means
     check_ddcp(x) fails, so a caller may reject by it first."""
+    check_object(x, DerivedObject)
     for e, shifts in enumerate(_vertex_shifts(x), 1):
         failures = (
             _kernel_failures(x, kernel_interval(x, e, shifts[0]), shifts[0])

@@ -93,6 +93,8 @@ class DerivedObject:
         return out
 
     def shifted(self, k):
+        if not is_int(k):
+            raise InputError("shift must be an integer: %r" % (k,))
         return DerivedObject(self.alg, [(iv, s + k) for iv, s in self.summands])
 
     def normalized(self):

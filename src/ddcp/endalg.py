@@ -27,7 +27,7 @@ def _kept(query):
     raises keeps nothing, so it raises again on the next call."""
     @wraps(query)
     def kept(c):
-        if query not in c._answers:
+        if query not in check_object(c, SCAlgebra)._answers:
             c._answers[query] = query(c)
         return c._answers[query]
 

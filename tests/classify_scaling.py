@@ -19,17 +19,9 @@ the host.  Standard library only, and not collected by pytest:
     PYTHONPATH=src python tests/classify_scaling.py > classify_scaling.json
     PYTHONPATH=src python tests/classify_scaling.py --max-n 9 --deterministic \\
         | diff tests/golden/classify_scaling.txt -
-
---deterministic prints one line per n, the record without its times.
-The full record's "command" is the command line it was run with.
 """
 
 import argparse
-import json
-import os
-import platform
-import shlex
-import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -37,6 +29,7 @@ from contextlib import contextmanager
 from ddcp import classify
 from ddcp.deciders import check_tilting_complex
 from ddcp.quiver import Algebra
+from records import emit
 
 REASONS = {
     "supported in shifts": "no unique shift",
@@ -138,31 +131,12 @@ def record(n):
     }
 
 
-def command():
-    """The command line this run was started with, its PYTHONPATH
-    included."""
-    path = os.environ.get("PYTHONPATH")
-    prefix = ["PYTHONPATH=" + path] if path else []
-    return shlex.join(prefix + ["python"] + sys.argv)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--max-n", type=int, default=12)
     parser.add_argument("--deterministic", action="store_true")
     args = parser.parse_args()
-    records = [record(n) for n in range(5, args.max_n + 1)]
-    if args.deterministic:
-        for r in records:
-            del r["times"]
-            print(json.dumps(r, sort_keys=True))
-        return
-    print(json.dumps({
-        "command": command(),
-        "host": {"python": platform.python_version(), "nproc": os.cpu_count()},
-        "note": "every field but times is independent of the host",
-        "records": records,
-    }, indent=1))
+    emit([record(n) for n in range(5, args.max_n + 1)], args.deterministic)
 
 
 if __name__ == "__main__":

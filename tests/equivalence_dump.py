@@ -33,7 +33,6 @@ import contextlib
 import hashlib
 import io
 import json
-from itertools import combinations, combinations_with_replacement
 
 from ddcp import cli
 from ddcp.approx import hom_module, min_left_approx_sequence
@@ -48,33 +47,9 @@ from ddcp.deciders import (
 from ddcp.derived import DerivedObject
 from ddcp.endalg import end_of
 from ddcp.quiver import Algebra
-from oracles import dims, ranks
-
-
-def atoms(alg, shifts):
-    return [(iv, s) for s in shifts for iv in alg.intervals()]
-
-
-def normalised_objects(n, sizes):
-    """Objects of the given summand counts over shifts {0, 1}, minimum
-    shift zero."""
-    alg = Algebra(n)
-    for size in sizes:
-        for combo in combinations(atoms(alg, (0, 1)), size):
-            if min(s for _, s in combo) == 0:
-                yield DerivedObject(alg, combo)
-
-
-def repeated_objects():
-    """Objects of at most 3 summands, with repetition, over shifts
-    {0, 1, 2}, n <= 3."""
-    for n in (1, 2, 3):
-        alg = Algebra(n)
-        for size in (1, 2, 3):
-            for combo in combinations_with_replacement(
-                atoms(alg, (0, 1, 2)), size
-            ):
-                yield DerivedObject(alg, combo)
+from oracles import (
+    basic_modules, dims, normalised_objects, ranks, repeated_objects
+)
 
 
 def end_population():
@@ -95,14 +70,6 @@ def approx_pairs():
         for t in normalised_objects(n, range(1, n + 1)):
             for y in ys:
                 yield y, t
-
-
-def basic_modules():
-    for n in (1, 2, 3, 4, 5):
-        alg = Algebra(n)
-        for size in range(6):
-            for combo in combinations(alg.intervals(), size):
-                yield alg, dict.fromkeys(combo, 1)
 
 
 def obj_json(x):
@@ -174,7 +141,7 @@ def decider_items():
                 reports.append(verify_homology_corners(x))
             for r in reports:
                 yield [obj_json(x), r.as_dict()]
-    for alg, multiset in basic_modules():
+    for alg, multiset in basic_modules(range(1, 6), range(6)):
         key = [alg.n, sorted([iv.a, iv.b] for iv in multiset)]
         for r in check_module_dcp(alg, multiset), check_tilting_module(alg, multiset):
             yield [key, r.as_dict()]

@@ -20,44 +20,35 @@ collected by pytest:
     PYTHONPATH=src python tests/in_slice_record.py --max-n 5 --deterministic \\
         | diff tests/golden/in_slice_record.txt -
 
---deterministic prints one line per n, the record without its times.
-The full record's "command" is the command line it was run with.  The exit
-status is 1 when a key mismatches, else 0.
+The exit status is 1 when a key mismatches, else 0.
 """
 
 import argparse
-import json
-import os
-import platform
-import shlex
-import sys
 import time
-from itertools import combinations
 
 from ddcp.deciders import _in_slice
 from ddcp.quiver import Algebra
-from oracles import in_slice_reference
+from oracles import basic_slices, in_slice_reference
+from records import emit
 
 SHOWN = 10  # mismatches listed per n
 
 
 def record(n):
     alg = Algebra(n)
-    intervals = alg.intervals()
     keys = exact = exact_onto = 0
     mismatched = []
     t0 = time.perf_counter()
-    for size in range(1, len(intervals) + 1):
-        for members in combinations(intervals, size):
-            for e in range(1, n + 1):
-                if not any(iv.a <= e <= iv.b for iv in members):
-                    continue
-                closed = _in_slice(alg, members, e)
-                keys += 1
-                exact += closed[1]
-                exact_onto += closed[2]
-                if closed != in_slice_reference(alg, members, e):
-                    mismatched.append([[[iv.a, iv.b] for iv in members], e])
+    for members in basic_slices(alg):
+        for e in range(1, n + 1):
+            if not any(iv.a <= e <= iv.b for iv in members):
+                continue
+            closed = _in_slice(alg, members, e)
+            keys += 1
+            exact += closed[1]
+            exact_onto += closed[2]
+            if closed != in_slice_reference(alg, members, e):
+                mismatched.append([[[iv.a, iv.b] for iv in members], e])
     return {
         "n": n,
         "keys": keys,
@@ -69,33 +60,13 @@ def record(n):
     }
 
 
-def command():
-    """The command line this run was started with, its PYTHONPATH
-    included."""
-    path = os.environ.get("PYTHONPATH")
-    prefix = ["PYTHONPATH=" + path] if path else []
-    return shlex.join(prefix + ["python"] + sys.argv)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--deterministic", action="store_true")
     args = parser.parse_args()
     records = [record(n) for n in range(1, args.max_n + 1)]
-    if args.deterministic:
-        for r in records:
-            del r["times"]
-            print(json.dumps(r, sort_keys=True))
-    else:
-        print(json.dumps({
-            "command": command(),
-            "host": {"python": platform.python_version(),
-                     "nproc": os.cpu_count()},
-            "note": "every field but times is independent of the host",
-            "records": records,
-        }, indent=1))
-    sys.exit(any(r["mismatches"] for r in records))
+    emit(records, args.deterministic, any(r["mismatches"] for r in records))
 
 
 if __name__ == "__main__":

@@ -19,38 +19,27 @@ collected by pytest:
     PYTHONPATH=src python tests/module_counts.py --max-m 5 --deterministic \\
         | diff tests/golden/module_counts.txt -
 
---deterministic prints one line per m, the record without its times.
-The full record's "command" is the command line it was run with.  The exit
-status is 1 when a count differs from its closed form, else 0.
+The exit status is 1 when a count differs from its closed form, else 0.
 """
 
 import argparse
-import json
-import os
-import platform
-import shlex
-import sys
 import time
-from itertools import combinations
 from math import prod
 
 from ddcp.deciders import check_module_dcp, check_tilting_module
-from ddcp.quiver import Algebra
+from oracles import basic_modules
+from records import emit
 
 
 def record(m):
-    alg = Algebra(m)
-    intervals = alg.intervals()
     modules = dcp = tilting = not_applicable = 0
     t0 = time.perf_counter()
-    for size in range(1, len(intervals) + 1):
-        for members in combinations(intervals, size):
-            multiset = dict.fromkeys(members, 1)
-            modules += 1
-            dcp += bool(check_module_dcp(alg, multiset))
-            report = check_tilting_module(alg, multiset)
-            tilting += report.verdict
-            not_applicable += not report.applicable
+    for alg, multiset in basic_modules([m]):
+        modules += 1
+        dcp += bool(check_module_dcp(alg, multiset))
+        report = check_tilting_module(alg, multiset)
+        tilting += report.verdict
+        not_applicable += not report.applicable
     return {
         "m": m,
         "modules": modules,
@@ -63,35 +52,15 @@ def record(m):
     }
 
 
-def command():
-    """The command line this run was started with, its PYTHONPATH
-    included."""
-    path = os.environ.get("PYTHONPATH")
-    prefix = ["PYTHONPATH=" + path] if path else []
-    return shlex.join(prefix + ["python"] + sys.argv)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--max-m", type=int, default=6)
     parser.add_argument("--deterministic", action="store_true")
     args = parser.parse_args()
     records = [record(m) for m in range(1, args.max_m + 1)]
-    if args.deterministic:
-        for r in records:
-            del r["times"]
-            print(json.dumps(r, sort_keys=True))
-    else:
-        print(json.dumps({
-            "command": command(),
-            "host": {"python": platform.python_version(),
-                     "nproc": os.cpu_count()},
-            "note": "every field but times is independent of the host",
-            "records": records,
-        }, indent=1))
-    sys.exit(any(r["dcp"] != r["dcp_closed_form"]
-                 or r["tilting"] != r["tilting_closed_form"]
-                 for r in records))
+    emit(records, args.deterministic,
+         any(r["dcp"] != r["dcp_closed_form"]
+             or r["tilting"] != r["tilting_closed_form"] for r in records))
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import (
+    accumulate, combinations, combinations_with_replacement, product
+)
 
 from ddcp import reps
 from ddcp.approx import hom_module, min_left_approx_sequence
@@ -16,7 +18,57 @@ from ddcp.derived import (
 )
 from ddcp.endalg import SCModule, forest_join
 from ddcp.exactmat import Mat, rank, solve
-from ddcp.quiver import InputError, Interval, hom_dim
+from ddcp.quiver import Algebra, InputError, Interval, hom_dim
+
+
+# The populations the tests and the record scripts decide, each in
+# combinations order: the equivalence dump hashes its items in that order.
+
+
+def window_objects(alg, sizes, window=2):
+    """Every object over alg of distinct summands, of the given summand
+    counts, with shifts in 0..window-1: the combinations of the atoms
+    (interval, shift), shift-major."""
+    atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
+    for size in sizes:
+        for combo in combinations(atoms, size):
+            yield DerivedObject(alg, combo)
+
+
+def normalised_objects(n, sizes):
+    """The shift-normalised objects among window_objects over A_n, of the
+    given nonzero summand counts: those with minimum shift 0."""
+    return (x for x in window_objects(Algebra(n), sizes) if x.shifts()[0] == 0)
+
+
+def repeated_objects():
+    """Every object of at most 3 summands drawn with repetition, n <= 3,
+    shifts in {0, 1, 2}: repeated summands, and Ext after Ext composites of
+    degree 2, which vanish."""
+    for n in (1, 2, 3):
+        alg = Algebra(n)
+        atoms = [(iv, s) for s in (0, 1, 2) for iv in alg.intervals()]
+        for size in (1, 2, 3):
+            for combo in combinations_with_replacement(atoms, size):
+                yield DerivedObject(alg, combo)
+
+
+def basic_slices(alg, sizes=None):
+    """Every basic slice over alg of the given summand counts (default:
+    every nonempty one), as its intervals in summand order."""
+    intervals = alg.intervals()
+    if sizes is None:
+        sizes = range(1, len(intervals) + 1)
+    for size in sizes:
+        yield from combinations(intervals, size)
+
+
+def basic_modules(ns, sizes=None):
+    """(A_n, module) for each n in ns and each basic module over A_n of the
+    given summand counts (default: every nonempty one)."""
+    for alg in map(Algebra, ns):
+        for members in basic_slices(alg, sizes):
+            yield alg, dict.fromkeys(members, 1)
 
 
 def compose_entries(f, g):

@@ -26,17 +26,12 @@ not collected by pytest:
     PYTHONPATH=src python tests/route_agreement.py --n 5 --deterministic \\
         | diff tests/golden/route_agreement_n5.txt -
 
---deterministic prints one line per n, the record without its times.
-The full record's "command" is the command line it was run with.  The exit
-status is 1 when an object's reports contradict each other or its verdict
-differs from the reference, else 0.
+The exit status is 1 when an object's reports contradict each other or its
+verdict differs from the reference, else 0.
 """
 
 import argparse
 import json
-import os
-import platform
-import shlex
 import sys
 import time
 from collections import Counter
@@ -46,6 +41,7 @@ from pathlib import Path
 from ddcp.deciders import check_ddcp, check_ddcp_derived, check_tilting_complex
 from ddcp.derived import DerivedObject
 from ddcp.quiver import Algebra
+from records import NOTE, emit
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import (  # noqa: E402
@@ -112,33 +108,15 @@ def record(n):
     }
 
 
-def command():
-    """The command line this run was started with, its PYTHONPATH
-    included."""
-    path = os.environ.get("PYTHONPATH")
-    prefix = ["PYTHONPATH=" + path] if path else []
-    return shlex.join(prefix + ["python"] + sys.argv)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n", type=int, nargs="+", default=[4, 5])
     parser.add_argument("--deterministic", action="store_true")
     args = parser.parse_args()
     records = [record(n) for n in args.n]
-    if args.deterministic:
-        for r in records:
-            del r["times"]
-            print(json.dumps(r, sort_keys=True))
-    else:
-        print(json.dumps({
-            "command": command(),
-            "host": {"python": platform.python_version(), "nproc": os.cpu_count()},
-            "note": "every field but times is independent of the host; "
-                    "reference_differ is null where the reference has no n",
-            "records": records,
-        }, indent=1))
-    sys.exit(any(r["disagreements"] or r["reference_differ"] for r in records))
+    emit(records, args.deterministic,
+         any(r["disagreements"] or r["reference_differ"] for r in records),
+         NOTE + "; reference_differ is null where the reference has no n")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -21,6 +20,7 @@ from oracles import (
     regular_module,
     to_rep_morphism,
     validate_module,
+    window_objects,
 )
 
 
@@ -286,12 +286,7 @@ def approximation_pairs():
         ys = [regular(alg)] + [
             obj(alg, (e, n, s)) for e in range(1, n + 1) for s in (0, 1)
         ]
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        targets = [
-            DerivedObject(alg, combo)
-            for size in range(4)
-            for combo in combinations(atoms, size)
-        ]
+        targets = list(window_objects(alg, range(4)))
         for y in ys:
             for t in targets:
                 yield y, t

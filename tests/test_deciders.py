@@ -2,7 +2,6 @@ import json
 import sys
 from collections import Counter
 from functools import partial
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -22,6 +21,8 @@ from ddcp.deciders import (
 from ddcp.classify import make_T, make_V
 from ddcp.endalg import end_of, is_hereditary
 from oracles import (
+    basic_modules,
+    basic_slices,
     dims,
     exact_at_middle_reference,
     exact_with_zero_reference,
@@ -32,9 +33,11 @@ from oracles import (
     is_hereditary_reference,
     is_injective,
     kernel_intervals_reference,
+    normalised_objects,
     ranks,
     to_rep_morphism,
     validate_morphism,
+    window_objects,
 )
 
 
@@ -122,8 +125,7 @@ def test_complex_deciders_build_one_endomorphism_algebra(
     builds End(x) once, for its derived tilting test, and no End of a
     corner module."""
     alg = Algebra(3)
-    atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-    objects = [DerivedObject(alg, combo) for combo in combinations(atoms, 3)]
+    objects = list(window_objects(alg, [3]))
     objects.append(obj(alg, (1, 2, 0), (1, 2, 0), (3, 3, 1)))
     seen = Counter()
     for x in objects:
@@ -300,12 +302,7 @@ def test_false_verdicts_name_each_failing_projective():
     ]
     false_reports = 0
     for n in (1, 2, 3):
-        alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        for combo in combinations(atoms, n):
-            if min(s for _, s in combo) != 0:
-                continue
-            x = DerivedObject(alg, combo)
+        for x in normalised_objects(n, [n]):
             if not is_hereditary(x):
                 continue
             for decide in deciders:
@@ -348,11 +345,8 @@ def criterion_3_objects():
     """The population of acceptance criterion 3: every shift-normalised
     n-summand object over shifts {0, 1} with hereditary End, n <= 4."""
     for n in (1, 2, 3, 4):
-        alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        for combo in combinations(atoms, n):
-            x = DerivedObject(alg, combo)
-            if min(s for _, s in combo) == 0 and is_hereditary(x):
+        for x in normalised_objects(n, [n]):
+            if is_hereditary(x):
                 yield x
 
 
@@ -424,13 +418,6 @@ def test_in_slice_outcomes_equal_fresh_sequences(monkeypatch):
     ))
 
 
-def basic_slices(n):
-    """Every basic slice over A_n, as its intervals in summand order."""
-    alg = Algebra(n)
-    for size in range(1, len(alg.intervals()) + 1):
-        yield from combinations(alg.intervals(), size)
-
-
 def test_in_slice_closed_form_matches_sequence_reference():
     """The closed form of deciders._in_slice equals the rank-count reference
     on a fresh minimal approximation sequence, for every basic slice and
@@ -443,7 +430,7 @@ def test_in_slice_closed_form_matches_sequence_reference():
     outcomes = Counter()
     for n in (1, 2, 3, 4):
         alg = Algebra(n)
-        for intervals in basic_slices(n):
+        for intervals in basic_slices(alg):
             for e in range(1, n + 1):
                 closed = deciders._in_slice(alg, intervals, e)
                 assert closed == in_slice_reference(alg, intervals, e), (
@@ -460,15 +447,6 @@ def test_in_slice_closed_form_matches_sequence_reference():
     assert set(outcomes) == {(True, True), (True, False), (False, False)}
 
 
-def small_basic_modules():
-    """Every basic module of at most five summands, n <= 4."""
-    for n in (1, 2, 3, 4):
-        alg = Algebra(n)
-        for size in range(6):
-            for combo in combinations(alg.intervals(), size):
-                yield alg, dict.fromkeys(combo, 1)
-
-
 def test_module_decider_counts_over_every_basic_module():
     """Over every basic module at n <= 4 (every nonempty set of intervals),
     check_module_dcp holds on exactly the product of 2^j - 1 over
@@ -477,15 +455,12 @@ def test_module_decider_counts_over_every_basic_module():
     tests/module_counts.py records the same counts up to n = 6."""
     counts = {}
     for n in (1, 2, 3, 4):
-        alg = Algebra(n)
         tally = Counter()
-        for size in range(1, len(alg.intervals()) + 1):
-            for members in combinations(alg.intervals(), size):
-                multiset = dict.fromkeys(members, 1)
-                tilting = check_tilting_module(alg, multiset)
-                tally["dcp"] += bool(check_module_dcp(alg, multiset))
-                tally["tilting"] += tilting.verdict
-                tally["not applicable"] += not tilting.applicable
+        for alg, multiset in basic_modules([n]):
+            tilting = check_tilting_module(alg, multiset)
+            tally["dcp"] += bool(check_module_dcp(alg, multiset))
+            tally["tilting"] += tilting.verdict
+            tally["not applicable"] += not tilting.applicable
         counts[n] = (tally["dcp"], tally["tilting"], tally["not applicable"])
     assert counts == {1: (1, 1, 0), 2: (3, 2, 1), 3: (21, 4, 29),
                       4: (315, 8, 807)}
@@ -503,7 +478,7 @@ def test_every_five_summand_module_at_n5_matches_the_reference():
     check_tilting_module is not applicable."""
     verdicts = json.loads(MODULE_REFERENCE.read_text())["verdicts"]
     alg = Algebra(5)
-    modules = list(combinations(alg.intervals(), 5))
+    modules = list(basic_slices(alg, [5]))
     assert len(modules) == len(verdicts) == 3003
     codes = Counter()
     for members, want in zip(modules, verdicts):
@@ -580,7 +555,7 @@ def test_rank_counts_match_subrepresentation_reference():
                 assert pr.approx_summands == t0
                 assert pr.kernel_intervals == kernel
                 assert pr.exact == exact[route]
-    for alg, multiset in small_basic_modules():
+    for alg, multiset in basic_modules(range(1, 5), range(6)):
         regular = obj(alg, *[(e, alg.n, 0) for e in range(1, alg.n + 1)])
         t = DerivedObject(alg, [(iv, 0) for iv in multiset])
         _, out = referenced(approx.min_left_approx_sequence(regular, t))
@@ -635,7 +610,7 @@ def test_module_route_does_no_elimination(monkeypatch):
             monkeypatch.setattr(module, "rref", counting_rref)
     monkeypatch.setattr(exactmat.Mat, "__init__", counting_mat_init)
     monkeypatch.setattr(reps.RepMorphism, "__init__", counting_init)
-    for alg, multiset in small_basic_modules():
+    for alg, multiset in basic_modules(range(1, 5), range(6)):
         check_module_dcp(alg, multiset)
         check_tilting_module(alg, multiset)
     for x in criterion_3_objects():
@@ -653,11 +628,12 @@ def test_module_route_does_no_elimination(monkeypatch):
 
 
 def deciders_per_object():
-    """For each object of criterion 3 and each small basic module, the
-    deciders a route-agreement check asks about it, as calls."""
+    """For each object of criterion 3 and each basic module of at most five
+    summands at n <= 4, the deciders a route-agreement check asks about it,
+    as calls."""
     for x in criterion_3_objects():
         yield [partial(decide, x) for decide in COMPLEX_DECIDERS]
-    for alg, multiset in small_basic_modules():
+    for alg, multiset in basic_modules(range(1, 5), range(6)):
         yield [
             partial(decide, alg, multiset)
             for decide in (check_module_dcp, check_tilting_module)
@@ -782,15 +758,11 @@ def test_objects_taken_as_checked_equal_checked_ones(monkeypatch):
 
     checks = Counter()
     for n in (1, 2, 3, 4):
-        alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        for combo in combinations(atoms, n):
-            if min(s for _, s in combo) == 0:
-                x = DerivedObject(alg, combo)
-                for decide in COMPLEX_DECIDERS:
-                    decide(x)
-                checks[n] += len(built)
-                check_built()
+        for x in normalised_objects(n, [n]):
+            for decide in COMPLEX_DECIDERS:
+                decide(x)
+            checks[n] += len(built)
+            check_built()
     assert checks == {1: 5, 2: 70, 3: 1285, 4: 26240}, checks
     # a kept hash is the hash of the value, whichever object kept it
     alg = Algebra(3)

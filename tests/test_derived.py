@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -22,6 +22,7 @@ from oracles import (
     compose,
     compose_entries,
     derived_identity,
+    normalised_objects,
     validate_chain,
     validate_morphism,
 )
@@ -51,6 +52,8 @@ def test_object_rejects_non_integer_shifts():
     for pair in pairs:
         with pytest.raises(InputError):
             DerivedObject(alg, [pair])
+        with pytest.raises(InputError):
+            DerivedObject(alg, [(Interval(1, 1), 0)]).shifted(pair[1])
 
 
 def test_graded_hom_counts():
@@ -232,13 +235,9 @@ def derived_route_cones(monkeypatch):
 
     monkeypatch.setattr(deciders, "cone", recording)
     for n in (1, 2, 3):
-        alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        for combo in combinations(atoms, n):
-            if min(s for _, s in combo) == 0:
-                x = DerivedObject(alg, combo)
-                deciders.check_ddcp_derived(x)
-                deciders.check_tilting_complex(x, "derived")
+        for x in normalised_objects(n, [n]):
+            deciders.check_ddcp_derived(x)
+            deciders.check_tilting_complex(x, "derived")
     return morphisms
 
 

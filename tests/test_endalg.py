@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -18,6 +18,7 @@ from ddcp.endalg import (
 )
 from oracles import (
     arrows_reference,
+    basic_slices,
     compose,
     is_basic_reference,
     is_hereditary_reference,
@@ -25,10 +26,12 @@ from oracles import (
     module_act,
     projective_basis_reference,
     regular_module,
+    repeated_objects,
     src_reference,
     tgt_reference,
     validate_algebra,
     validate_module,
+    window_objects,
 )
 
 
@@ -133,17 +136,11 @@ def test_gabriel_quiver_matches_the_end_algebra():
 
     for window, top in ((2, 4), (3, 3)):
         for n in range(1, top + 1):
-            alg = Algebra(n)
-            atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
-            for size in range(1, n + 2):
-                for combo in combinations(atoms, size):
-                    check(DerivedObject(alg, combo), window)
-    for n in range(1, 5):
-        alg = Algebra(n)
-        for size in range(1, len(alg.intervals()) + 1):
-            for members in combinations(alg.intervals(), size):
-                check(DerivedObject(alg, [(iv, 0) for iv in members]),
-                      "modules")
+            for x in window_objects(Algebra(n), range(1, n + 2), window):
+                check(x, window)
+    for alg in map(Algebra, range(1, 5)):
+        for members in basic_slices(alg):
+            check(DerivedObject(alg, [(iv, 0) for iv in members]), "modules")
     assert objects == {2: 22536, 3: 4182, "modules": 1094}
     assert outcomes[True] and outcomes[False]
     for x in (obj(Algebra(2), (1, 2, 0), (1, 2, 0)),
@@ -313,27 +310,14 @@ def small_objects():
     for n in (1, 2, 3):
         alg = Algebra(n)
         atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-        for size in (1, 2, 3):
-            for combo in combinations(atoms, size):
-                yield atoms, DerivedObject(alg, combo)
+        for x in window_objects(alg, (1, 2, 3)):
+            yield atoms, x
 
 
 def basis_morphism(x, label):
     """The endomorphism of x that an end_of basis label names."""
     src, tgt = (label[1], label[1]) if label[0] == "e" else label[1:3]
     return DerivedMorphism(x, x, {(src, tgt): 1})
-
-
-def repeated_objects():
-    """Every object of at most 3 summands drawn with repetition, n <= 3,
-    shifts in {0, 1, 2}: repeated summands, and Ext after Ext composites of
-    degree 2, which vanish."""
-    for n in (1, 2, 3):
-        alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1, 2) for iv in alg.intervals()]
-        for size in (1, 2, 3):
-            for combo in combinations_with_replacement(atoms, size):
-                yield DerivedObject(alg, combo)
 
 
 def table_products(objects):

@@ -14,18 +14,21 @@ from ddcp.quiver import (
 )
 from ddcp import reps
 from ddcp.approx import hom_module, min_left_approx_sequence
+from ddcp.classify import enumerate_and_classify
 from ddcp.deciders import (
     check_ddcp,
     check_ddcp_derived,
     check_module_dcp,
     check_tilting_complex,
     check_tilting_module,
+    ddcp_precheck,
+    kernel_interval,
     verify_homology_corners,
 )
 from ddcp.derived import (
     DerivedMorphism, DerivedObject, composites, cone, graded_hom
 )
-from ddcp.endalg import end_of
+from ddcp.endalg import end_of, is_linear_A
 from oracles import brute_ext_dim
 
 
@@ -72,6 +75,8 @@ def test_interval_validation():
         for dim in (hom_dim, ext_dim):
             with pytest.raises(InputError, match="not an Algebra"):
                 dim(alg, Interval(1, 1), Interval(1, 1))
+        with pytest.raises(InputError, match="not an Algebra"):
+            enumerate_and_classify(alg)
     # every public entry point that takes an object, a morphism or a
     # multiset checks its type before reading an attribute
     x = DerivedObject(Algebra(3), [(Interval(1, 3), 0)])
@@ -95,9 +100,15 @@ def test_interval_validation():
             lambda: end_of(bad),
             lambda: check_module_dcp(Algebra(3), bad),
             lambda: check_tilting_module(Algebra(3), bad),
+            lambda: ddcp_precheck(bad),
+            lambda: is_linear_A(bad),
+            lambda: is_linear_A(x),  # an object, not its End
         ):
             with pytest.raises(InputError, match="is not a "):
                 call()
+    # no shift-1 summand covers vertex 1, so it has no kernel interval there
+    with pytest.raises(InputError, match="covers"):
+        kernel_interval(x, 1, 1)
 
 
 def test_algebra_families():

@@ -8,7 +8,6 @@ no RepMorphism; the test references do), and each validator, with
 validate_rep_morphism, against a broken instance it must reject."""
 
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -22,13 +21,15 @@ from ddcp.deciders import (
     check_tilting_module,
     verify_homology_corners,
 )
-from ddcp.derived import ChainComplex, DerivedMorphism, DerivedObject
+from ddcp.derived import ChainComplex, DerivedMorphism
 from ddcp.endalg import SCAlgebra, SCModule
 from ddcp.exactmat import Mat
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.reps import RepMorphism, realize
 from oracles import (
+    basic_modules,
     identity_morphism,
+    normalised_objects,
     regular_module,
     validate_algebra,
     validate_chain,
@@ -76,26 +77,9 @@ def validated(monkeypatch):
     return counts
 
 
-def normalised_objects(n):
-    """Every n-summand object over shifts {0, 1} with minimum shift zero."""
-    alg = Algebra(n)
-    atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
-    for combo in combinations(atoms, n):
-        if min(s for _, s in combo) == 0:
-            yield DerivedObject(alg, combo)
-
-
-def basic_modules(n):
-    alg = Algebra(n)
-    ivs = alg.intervals()
-    for size in range(len(ivs) + 1):
-        for combo in combinations(ivs, size):
-            yield alg, dict.fromkeys(combo, 1)
-
-
 def test_every_built_instance_validates(validated):
     for n in (1, 2, 3):
-        for x in normalised_objects(n):
+        for x in normalised_objects(n, [n]):
             check_ddcp(x)
             check_ddcp_derived(x)
             check_tilting_complex(x, "module")
@@ -105,7 +89,8 @@ def test_every_built_instance_validates(validated):
             # test_approx.py validates
             validate_module(regular_module(endalg.end_of(x)))
     alg5 = Algebra(5)
-    modules = [(alg, m) for n in (1, 2, 3) for alg, m in basic_modules(n)]
+    # every basic module at n <= 3 (at most 6 intervals), the empty one too
+    modules = list(basic_modules(range(1, 4), range(7)))
     modules += [(alg5, make_V(alg5, m).slice(0)) for m in range(1, 6)]
     for alg, multiset in modules:
         check_module_dcp(alg, multiset)
