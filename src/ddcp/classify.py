@@ -153,7 +153,8 @@ def enumerate_and_classify(alg, degree_window=2, bound=5):
         pairs = [atoms[i] for i in idxs]
         if min(s for _, s in pairs) != 0:
             continue  # shift normalization: each class counted once
-        x = DerivedObject(alg, pairs)
+        # shift-major atoms at increasing indices: already in summand_order
+        x = DerivedObject._checked(alg, pairs)
         if is_linear_A(end_of(x)) != n:
             continue
         if ddcp_precheck(x) is not None:

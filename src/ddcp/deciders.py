@@ -176,7 +176,15 @@ def kernel_interval(x, e, i):
     """Kernel of P(e) -> X0, the minimal approximation of P(e) by x's shift-i
     slice (i the one shift supporting e): _kernel of b, the largest right
     end of a shift-i summand containing e (_in_slice derives it), or
-    InputError when no such summand is there."""
+    InputError when no such summand is there, or on malformed arguments."""
+    check_object(x, DerivedObject)
+    if not (is_int(e) and is_int(i)):
+        raise InputError("vertex %r and shift %r must be integers" % (e, i))
+    return _kernel_interval(x, e, i)
+
+
+def _kernel_interval(x, e, i):
+    """kernel_interval on checked arguments, as ddcp_precheck asks it."""
     try:
         b = max(iv.b for iv, s in x.summands if s == i and iv.a <= e <= iv.b)
     except ValueError:  # max(..., default=None) measured slower
@@ -208,7 +216,7 @@ def ddcp_precheck(x):
     check_object(x, DerivedObject)
     for e, shifts in enumerate(_vertex_shifts(x), 1):
         failures = (
-            _kernel_failures(x, kernel_interval(x, e, shifts[0]), shifts[0])
+            _kernel_failures(x, _kernel_interval(x, e, shifts[0]), shifts[0])
             if len(shifts) == 1 else [_shift_failure(shifts)]
         )
         if failures:

@@ -75,9 +75,6 @@ class DerivedObject:
     def __len__(self):
         return len(self.summands)
 
-    def is_zero(self):
-        return not self.summands
-
     def is_basic(self):
         return len(set(self.summands)) == len(self.summands)
 
@@ -96,12 +93,6 @@ class DerivedObject:
         if not is_int(k):
             raise InputError("shift must be an integer: %r" % (k,))
         return DerivedObject(self.alg, [(iv, s + k) for iv, s in self.summands])
-
-    def normalized(self):
-        """Shift so the minimum shift is zero."""
-        if not self.summands:
-            return self
-        return self.shifted(-min(s for _, s in self.summands))
 
     def __repr__(self):
         return "DObj[%s]" % ", ".join(

@@ -89,21 +89,6 @@ class Mat:
                             orow[j] += s * brow[j]
         return out
 
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in add")
-        return Mat(
-            self.nrows,
-            self.ncols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Mat(self.nrows, self.ncols, [[-a for a in row] for row in self.rows])
-
     def is_zero(self):
         return all(not x for row in self.rows for x in row)
 

@@ -72,9 +72,6 @@ class Algebra:
     def injective(self, i):
         return self.interval(1, i)
 
-    def simple(self, i):
-        return self.interval(i, i)
-
 
 @lru_cache
 def _intervals(n):

@@ -31,13 +31,6 @@ class QuiverRep:
     def total_dim(self):
         return sum(self.dims)
 
-    def composite(self, i, j):
-        """Matrix of the composite V_i -> V_j (1-indexed, i <= j)."""
-        m = Mat.identity(self.dims[i - 1])
-        for v in range(i - 1, j - 1):
-            m = self.maps[v] @ m
-        return m
-
     def __repr__(self):
         return "QuiverRep(dims=%r)" % (self.dims,)
 
@@ -53,15 +46,6 @@ class RepMorphism:
 
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks)
-
-
-def zero_rep(alg):
-    return QuiverRep(alg, [0] * alg.n, [Mat(0, 0) for _ in range(alg.n - 1)])
-
-
-def zero_morphism(src, tgt):
-    blocks = [Mat(tgt.dims[v], src.dims[v]) for v in range(src.alg.n)]
-    return RepMorphism(src, tgt, blocks)
 
 
 def compose_rep(f, g):

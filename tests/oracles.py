@@ -7,7 +7,7 @@ from itertools import (
 )
 
 from ddcp import reps
-from ddcp.approx import hom_module, min_left_approx_sequence
+from ddcp.approx import min_left_approx_sequence
 from ddcp.derived import (
     DerivedMorphism,
     DerivedObject,
@@ -21,15 +21,25 @@ from ddcp.exactmat import Mat, rank, solve
 from ddcp.quiver import Algebra, InputError, Interval, hom_dim
 
 
+def obj(alg, *triples):
+    """The object over alg of the summands X(a, b)[s], given as (a, b, s)."""
+    return DerivedObject(alg, [(Interval(a, b), s) for a, b, s in triples])
+
+
 # The populations the tests and the record scripts decide, each in
 # combinations order: the equivalence dump hashes its items in that order.
 
 
+def window_atoms(alg, shifts):
+    """The atoms (interval, shift) over alg with the given shifts,
+    shift-major."""
+    return [(iv, s) for s in shifts for iv in alg.intervals()]
+
+
 def window_objects(alg, sizes, window=2):
     """Every object over alg of distinct summands, of the given summand
-    counts, with shifts in 0..window-1: the combinations of the atoms
-    (interval, shift), shift-major."""
-    atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
+    counts, with shifts in 0..window-1: the combinations of window_atoms."""
+    atoms = window_atoms(alg, range(window))
     for size in sizes:
         for combo in combinations(atoms, size):
             yield DerivedObject(alg, combo)
@@ -47,7 +57,7 @@ def repeated_objects():
     degree 2, which vanish."""
     for n in (1, 2, 3):
         alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1, 2) for iv in alg.intervals()]
+        atoms = window_atoms(alg, (0, 1, 2))
         for size in (1, 2, 3):
             for combo in combinations_with_replacement(atoms, size):
                 yield DerivedObject(alg, combo)
@@ -190,85 +200,6 @@ def module_act(module, a, v):
         if c and j is not None:
             w[j] += c
     return w
-
-
-def dense_module_generators(module, vectors):
-    """module_generators on dense vectors of an SCModule: lifts of a basis
-    of N / rad N, N spanned by vectors, grouped by idempotent, each step
-    decided by forest_join on the dense action's support."""
-    algebra = module.algebra
-    join = forest_join()
-
-    def support(w):
-        return [j for j, c in enumerate(w) if c]
-
-    for r in radical_indices(algebra):
-        for v in vectors:
-            join(support(module_act(module, r, v)))
-    gens = []
-    for e in algebra.idempotents:
-        for v in vectors:
-            w = module_act(module, e, v)
-            if join(support(w)):
-                gens.append((e, w))
-    return gens
-
-
-def dense_cover_reference(y, t):
-    """The cover Q0 -> Hom(y, t) of a minimal approximation sequence as a
-    dense SCModule, with T1 and the nonzero entries of g from its kernel
-    top.
-
-    Q0 is the direct sum of the projectives E e_l, one per head of
-    Hom(y, t), with basis (cover position, algebra basis element beta with
-    source l) and its own action table: a sends (pos, beta) to
-    (pos, a beta).  The heads are found by applying every idempotent to
-    every basis vector of Hom(y, t), the kernel vectors are dense, e_j or
-    e_j - e_first, and the kernel top is found by dense_module_generators.
-    Returns (q0, t1, g entries)."""
-    m, _ = hom_module(y, t)
-    algebra = m.algebra
-    act = m.table.get
-    hit = {act((r, i)) for r in radical_indices(algebra) for i in range(m.dim)}
-    top0 = [
-        (l, i)
-        for l in algebra.idempotents
-        for i in range(m.dim)
-        if act((l, i)) == i and i not in hit
-    ]
-    q0_basis = [
-        (pos, bi)
-        for pos, (l, _) in enumerate(top0)
-        for bi in algebra.projectives[l]
-    ]
-    q0_index = {pb: i for i, pb in enumerate(q0_basis)}
-    q0 = SCModule(algebra, len(q0_basis), {
-        (a, j): q0_index[pos, ab]
-        for j, (pos, bi) in enumerate(q0_basis)
-        for a in range(algebra.dim)
-        if (ab := algebra.mul(a, bi)) is not None
-    })
-    kernel = []
-    first = {}
-    for j, (pos, bi) in enumerate(q0_basis):
-        image = act((bi, top0[pos][1]))
-        kappa = [0] * q0.dim
-        kappa[j] = 1
-        if image is None:
-            kernel.append(kappa)
-        elif image in first:
-            kappa[first[image]] = -1
-            kernel.append(kappa)
-        else:
-            first[image] = j
-    top1 = dense_module_generators(q0, kernel)
-    t1 = DerivedObject(y.alg, [t.summands[l] for l, _ in top1])
-    g_entries = {}
-    for pos1, (_, kappa) in enumerate(top1):
-        for (pos0, _), c in zip(q0_basis, kappa):
-            if c:
-                g_entries[pos0, pos1] = g_entries.get((pos0, pos1), 0) + c
-    return q0, t1, {key: c for key, c in g_entries.items() if c}
 
 
 def brute_ext_dim(alg, src, tgt):

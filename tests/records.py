@@ -19,11 +19,12 @@ NOTE = "every field but times is independent of the host"
 
 
 def command():
-    """The command line this run was started with, its PYTHONPATH
-    included."""
+    """The command line this run was started with, its PYTHONPATH and
+    warning options included."""
     path = os.environ.get("PYTHONPATH")
     prefix = ["PYTHONPATH=" + path] if path else []
-    return shlex.join(prefix + ["python"] + sys.argv)
+    warn = [a for w in sys.warnoptions for a in ("-W", w)]
+    return shlex.join(prefix + ["python"] + warn + sys.argv)
 
 
 def emit(records, deterministic, failed=False, note=NOTE):

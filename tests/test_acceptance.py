@@ -147,7 +147,7 @@ def test_criterion_4_reference_sequences(capsys):
             assert seq.t0.slice(0) == {
                 Interval(k, i): 1 for k in range(1, i + 1)
             }
-            assert seq.t1.is_zero()
+            assert not seq.t1.summands
             f = to_rep_morphism(seq.f)
             ker, _ = reps.kernel(f)
             assert reps.interval_decompose(ker) == {Interval(i + 1, n): i}

@@ -7,35 +7,24 @@ from ddcp.derived import DerivedObject
 from ddcp.endalg import SCModule, module_generators
 from ddcp.exactmat import Mat, nullspace, rref, solve
 from ddcp.approx import hom_module, min_left_approx_sequence
+from ddcp.classify import make_V
 from ddcp import approx, endalg, reps
 from oracles import (
     approximation_matrix,
-    dense_cover_reference,
     is_exact_at_middle,
     is_exact_sequence_with_zero,
     is_injective,
     is_left_approximation,
     minimality_check,
+    obj,
     radical_indices,
-    regular_module,
     to_rep_morphism,
-    validate_module,
     window_objects,
 )
 
 
-def obj(alg, *pairs):
-    return DerivedObject(alg, [(Interval(a, b), s) for a, b, s in pairs])
-
-
 def regular(alg):
     return obj(alg, *[(i, alg.n, 0) for i in range(1, alg.n + 1)])
-
-
-def make_V_object(alg, m):
-    pairs = [(k, alg.n, 0) for k in range(1, m + 1)]
-    pairs += [(1, k, 0) for k in range(m, alg.n)]
-    return obj(alg, *pairs)
 
 
 def test_hom_module_regular():
@@ -49,7 +38,7 @@ def test_hom_module_regular():
 def test_hom_module_projective_to_family():
     alg = Algebra(3)
     p1 = obj(alg, (1, 3, 0))
-    v2 = make_V_object(alg, 2)
+    v2 = make_V(alg, 2)
     m, _ = hom_module(p1, v2)
     # one endomorphism-like map to P(1) and one onto I(2)
     assert m.dim == 2
@@ -67,7 +56,7 @@ def test_hom_module_zero():
 def test_V_family_approximation_of_regular(n):
     alg = Algebra(n)
     for m in range(1, n + 1):
-        t = make_V_object(alg, m)
+        t = make_V(alg, m)
         seq = min_left_approx_sequence(regular(alg), t)
         expected_t0 = {Interval(m, n): n - m + 1}
         expected_t0.update({Interval(k, n): 1 for k in range(1, m)})
@@ -99,7 +88,7 @@ def test_two_shift_family_module_sequences(n):
         t2 = obj(alg, *[(k, i, 0) for k in range(1, i + 1)])
         seq2 = min_left_approx_sequence(y2, t2)
         assert seq2.t0.slice(0) == {Interval(k, i): 1 for k in range(1, i + 1)}
-        assert seq2.t1.is_zero()
+        assert not seq2.t1.summands
         f2 = to_rep_morphism(seq2.f)
         ker, _ = reps.kernel(f2)
         assert reps.interval_decompose(ker) == {Interval(i + 1, n): i}
@@ -112,13 +101,13 @@ def test_target_in_add_t():
     p1 = obj(alg, (1, 3, 0))
     seq = min_left_approx_sequence(p1, regular(alg))
     assert seq.t0 == p1
-    assert seq.t1.is_zero()
+    assert not seq.t1.summands
     assert list(seq.f.entries.values()) == [1]
 
 
 def test_sequences_are_minimal_approximations():
     alg = Algebra(3)
-    v2 = make_V_object(alg, 2)
+    v2 = make_V(alg, 2)
     seq = min_left_approx_sequence(regular(alg), v2)
     assert is_left_approximation(seq.f, v2)
     assert minimality_check(seq.f, v2)
@@ -126,7 +115,7 @@ def test_sequences_are_minimal_approximations():
 
 def test_padded_approximation_fails_minimality():
     alg = Algebra(3)
-    v2 = make_V_object(alg, 2)
+    v2 = make_V(alg, 2)
     seq = min_left_approx_sequence(regular(alg), v2)
     from ddcp.derived import DerivedMorphism
 
@@ -176,7 +165,7 @@ def test_objects_over_different_algebras_rejected(ny, nt):
 def test_determinism_of_sequences():
     alg = Algebra(4)
     y = regular(alg)
-    t = make_V_object(alg, 2)
+    t = make_V(alg, 2)
     s1 = min_left_approx_sequence(y, t)
     s2 = min_left_approx_sequence(y, t)
     assert s1.t0 == s2.t0 and s1.t1 == s2.t1
@@ -303,37 +292,6 @@ def test_kernel_top_matches_kernel_module_reference():
     assert count == 3 * 4 + 5 * 42 + 7 * 299
 
 
-def test_sparse_cover_matches_dense_reference():
-    """The cover's kernel and kernel top, read as sparse vectors acted on
-    through End(t)'s table, give the T1 and g of the dense construction:
-    Q0 as an SCModule with its own action table, which validates, dense
-    kernel vectors and dense actions.  Its table is the regular action on
-    each block E e_l, one per summand of T0 in idempotent order."""
-    count = 0
-    for y, t in approximation_pairs():
-        seq = min_left_approx_sequence(y, t)
-        q0, t1, g_entries = dense_cover_reference(y, t)
-        validate_module(q0)
-        assert seq.t1 == t1
-        assert seq.g.entries == g_entries
-        algebra = q0.algebra
-        reg = regular_module(algebra)
-        blocks = [
-            algebra.projectives[l]
-            for l in sorted(t.summands.index(p) for p in seq.t0.summands)
-        ]
-        expect = {}
-        offset = 0
-        for pb in blocks:
-            for (a, bi), ab in reg.table.items():
-                if bi in pb:
-                    expect[a, offset + pb.index(bi)] = offset + pb.index(ab)
-            offset += len(pb)
-        assert (q0.dim, q0.table) == (offset, expect)
-        count += 1
-    assert count == 3 * 4 + 5 * 42 + 7 * 299
-
-
 def test_sequences_are_unit_and_edge_combinatorics(monkeypatch):
     """The shape the counting relies on: every f entry is 1, every g entry
     is +-1, and every sparse vector module_generators is handed or builds
@@ -388,8 +346,8 @@ def test_one_module_per_sequence(monkeypatch):
 
     monkeypatch.setattr(approx, "SCModule", Counting)
     alg = Algebra(3)
-    y, t = regular(alg), make_V_object(alg, 2)
+    y, t = regular(alg), make_V(alg, 2)
     seq = min_left_approx_sequence(y, t)
-    assert not seq.t1.is_zero()
+    assert seq.t1.summands
     hom, = built
     assert hom.table == hom_module(y, t)[0].table

@@ -16,7 +16,7 @@ from ddcp.classify import (
 from ddcp.deciders import check_ddcp, check_tilting_complex
 from ddcp.derived import DerivedObject, graded_hom
 from ddcp.endalg import end_of, is_linear_A
-from oracles import zero_path_audit_reference
+from oracles import window_atoms, zero_path_audit_reference
 
 
 def test_degree_window_below_one_rejected():
@@ -96,7 +96,7 @@ def test_classification_normalization():
     seen = set()
     for x in result.survivors:
         assert min(s for _, s in x.summands) == 0
-        key = x.normalized()
+        key = x.shifted(-x.shifts()[0])
         assert key not in seen
         seen.add(key)
 
@@ -133,7 +133,7 @@ def test_wider_windows_add_no_normalised_clique():
         alg = Algebra(n)
 
         def normalised(window):
-            atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
+            atoms = window_atoms(alg, range(window))
             cliques = [
                 [atoms[i] for i in c] for c in _clique_candidates(atoms, n)
             ]
@@ -175,7 +175,7 @@ def test_clique_funnel_closed_forms():
     # minimum shift zero; a change in either count is a search bug
     for n in range(3, 9):
         alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        atoms = window_atoms(alg, (0, 1))
         cliques = _clique_candidates(atoms, n)
         normalised = [c for c in cliques if min(atoms[i][1] for i in c) == 0]
         assert len(cliques) == (n + 3) * 2 ** (n - 2)
@@ -189,7 +189,7 @@ def test_end_is_linear_on_every_normalised_clique():
     objects = 0
     for n in range(1, 9):
         alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        atoms = window_atoms(alg, (0, 1))
         for c in _clique_candidates(atoms, n):
             pairs = [atoms[i] for i in c]
             if min(s for _, s in pairs) == 0:
@@ -199,15 +199,26 @@ def test_end_is_linear_on_every_normalised_clique():
 
 
 def test_classification_builds_one_endomorphism_algebra_per_candidate(
-    end_of_calls,
+    monkeypatch, end_of_calls,
 ):
     """End(x) is asked for once per shift-normalised candidate,
     (n+1) 2^(n-2), for is_linear_A.  check_ddcp, which only the 2n - 1
     survivors reach, asks for no End: its frame reads hereditariness off
-    x's Hom relation, and its closed form needs none of a slice."""
+    x's Hom relation, and its closed form needs none of a slice.  The
+    candidates are taken as checked: only the 2n - 1 reference families
+    go through DerivedObject's checks."""
+    checked = []
+    init = DerivedObject.__init__
+
+    def counted(self, *args):
+        checked.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DerivedObject, "__init__", counted)
     n = 5
     result = enumerate_and_classify(Algebra(n))
     assert result.lambda_count == 2 * n - 1
+    assert len(checked) == 2 * n - 1
     assert len(set(end_of_calls)) == len(end_of_calls)
     assert len(end_of_calls) == (n + 1) * 2 ** (n - 2) == 48
     assert set(result.survivors) <= set(end_of_calls)
@@ -276,7 +287,7 @@ def set_based_cliques(alg, atoms, size):
 def test_bitset_cliques_match_set_based_search(window, top):
     for n in range(1, top + 1):
         alg = Algebra(n)
-        atoms = [(iv, s) for s in range(window) for iv in alg.intervals()]
+        atoms = window_atoms(alg, range(window))
         assert _clique_candidates(atoms, n) == set_based_cliques(
             alg, atoms, n
         )

@@ -34,15 +34,12 @@ from oracles import (
     is_injective,
     kernel_intervals_reference,
     normalised_objects,
+    obj,
     ranks,
     to_rep_morphism,
     validate_morphism,
     window_objects,
 )
-
-
-def obj(alg, *pairs):
-    return DerivedObject(alg, [(Interval(a, b), s) for a, b, s in pairs])
 
 
 def ms(*ivs):

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from ddcp.quiver import Algebra, InputError, Interval
+from ddcp.quiver import Algebra, InputError
 from ddcp.derived import DerivedMorphism, DerivedObject, graded_hom
 from ddcp.approx import hom_module
 from ddcp.classify import make_T, make_V
@@ -24,6 +24,7 @@ from oracles import (
     is_hereditary_reference,
     is_linear_A_reference,
     module_act,
+    obj,
     projective_basis_reference,
     regular_module,
     repeated_objects,
@@ -31,12 +32,9 @@ from oracles import (
     tgt_reference,
     validate_algebra,
     validate_module,
+    window_atoms,
     window_objects,
 )
-
-
-def obj(alg, *pairs):
-    return DerivedObject(alg, [(Interval(a, b), s) for a, b, s in pairs])
 
 
 def full_projectives(alg):
@@ -105,7 +103,7 @@ def test_end_is_basic_exactly_when_the_object_is():
         for alg in map(Algebra, range(1, 5))
         for size in (1, 2, 3)
         for combo in combinations_with_replacement(
-            [(iv, s) for s in (0, 1, 2) for iv in alg.intervals()], size)
+            window_atoms(alg, (0, 1, 2)), size)
     ]
     assert len(objects) == 7022
     assert all(end_of(x).is_basic() == x.is_basic() for x in objects)
@@ -309,7 +307,7 @@ def small_objects():
     the atoms it is drawn from."""
     for n in (1, 2, 3):
         alg = Algebra(n)
-        atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+        atoms = window_atoms(alg, (0, 1))
         for x in window_objects(alg, (1, 2, 3)):
             yield atoms, x
 

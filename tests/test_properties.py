@@ -18,6 +18,7 @@ from ddcp.deciders import (
 )
 from ddcp.derived import DerivedObject
 from ddcp.quiver import Algebra, InputError
+from oracles import window_atoms
 
 bounded = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 sizes = pytest.mark.parametrize("n", [5, 6])
@@ -33,7 +34,7 @@ def objects(draw, n):
         return make_V(alg, draw(st.integers(1, n)))
     if kind == "T":
         return make_T(alg, draw(st.integers(1, n - 1)))
-    atoms = [(iv, s) for s in (0, 1) for iv in alg.intervals()]
+    atoms = window_atoms(alg, (0, 1))
     pairs = st.lists(st.sampled_from(atoms), min_size=n, max_size=n, unique=True)
     return DerivedObject(alg, draw(pairs))
 
@@ -77,7 +78,7 @@ def test_complex_verdicts_are_shift_invariant(n, data):
 def any_objects(draw, min_size=0):
     """A random object, basic or not, n <= 6, with shifts in -3..3."""
     alg = Algebra(draw(st.integers(1, 6)))
-    atoms = [(iv, s) for s in range(-3, 4) for iv in alg.intervals()]
+    atoms = window_atoms(alg, range(-3, 4))
     pairs = st.lists(st.sampled_from(atoms), min_size=min_size, max_size=8)
     return DerivedObject(alg, draw(pairs))
 

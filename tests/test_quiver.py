@@ -101,6 +101,7 @@ def test_interval_validation():
             lambda: check_module_dcp(Algebra(3), bad),
             lambda: check_tilting_module(Algebra(3), bad),
             lambda: ddcp_precheck(bad),
+            lambda: kernel_interval(bad, 1, 0),
             lambda: is_linear_A(bad),
             lambda: is_linear_A(x),  # an object, not its End
         ):
@@ -109,13 +110,17 @@ def test_interval_validation():
     # no shift-1 summand covers vertex 1, so it has no kernel interval there
     with pytest.raises(InputError, match="covers"):
         kernel_interval(x, 1, 1)
+    # a vertex and a shift are ints, not coerced
+    for e, i in (("1", 0), (1.5, 0), (True, 0), (1, "0"), (1, 0.0), (1, False)):
+        with pytest.raises(InputError, match="must be integers"):
+            kernel_interval(x, e, i)
 
 
 def test_algebra_families():
     alg = Algebra(4)
     assert alg.projective(2) == Interval(2, 4)
     assert alg.injective(3) == Interval(1, 3)
-    assert alg.simple(2) == Interval(2, 2)
+    assert alg.interval(2, 2) == Interval(2, 2)
     assert len(alg.intervals()) == 10
 
 

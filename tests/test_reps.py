@@ -20,7 +20,6 @@ def test_realize_dimensions():
     rep = reps.realize(alg, [Interval(1, 3), Interval(2, 2)])
     assert rep.dims == (1, 2, 1)
     assert rep.total_dim() == 4
-    assert rep.composite(1, 3).nrows == 1
 
 
 def test_decompose_round_trip_random():
@@ -111,12 +110,3 @@ def test_complex_homology_detects_bad_differential():
     ident = identity_morphism(x)
     with pytest.raises(InputError):
         complex_homology({0: x, 1: x, 2: x}, {0: ident, 1: ident})
-
-
-def test_zero_rep_and_morphism():
-    alg = Algebra(2)
-    z = reps.zero_rep(alg)
-    assert z.total_dim() == 0
-    x = reps.realize(alg, [Interval(1, 2)])
-    f = reps.zero_morphism(x, x)
-    assert f.is_zero()
