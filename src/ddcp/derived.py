@@ -83,6 +83,8 @@ class DerivedObject:
 
     def slice(self, s):
         """Interval multiset of the summands at a given shift."""
+        if not is_int(s):
+            raise InputError("shift must be an integer: %r" % (s,))
         out = {}
         for iv, sh in self.summands:
             if sh == s:

@@ -1,13 +1,14 @@
 """Brute-force references that the closed-form rules are checked against."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import (
     accumulate, combinations, combinations_with_replacement, product
 )
 
 from ddcp import reps
 from ddcp.approx import min_left_approx_sequence
+from ddcp.deciders import check_ddcp, check_ddcp_derived, check_tilting_complex
 from ddcp.derived import (
     DerivedMorphism,
     DerivedObject,
@@ -79,6 +80,16 @@ def basic_modules(ns, sizes=None):
     for alg in map(Algebra, ns):
         for members in basic_slices(alg, sizes):
             yield alg, dict.fromkeys(members, 1)
+
+
+# The four complex deciders: the module route, then the derived route, of
+# the derived double centraliser property and of two-sided tilting.
+COMPLEX_DECIDERS = [
+    check_ddcp,
+    check_ddcp_derived,
+    partial(check_tilting_complex, route="module"),
+    partial(check_tilting_complex, route="derived"),
+]
 
 
 def compose_entries(f, g):

@@ -8,28 +8,20 @@ from ddcp.endalg import SCModule, module_generators
 from ddcp.exactmat import Mat, nullspace, rref, solve
 from ddcp.approx import hom_module, min_left_approx_sequence
 from ddcp.classify import make_V
-from ddcp import approx, endalg, reps
+from ddcp import approx, endalg
 from oracles import (
     approximation_matrix,
-    is_exact_at_middle,
-    is_exact_sequence_with_zero,
-    is_injective,
     is_left_approximation,
     minimality_check,
     obj,
     radical_indices,
-    to_rep_morphism,
     window_objects,
 )
 
 
-def regular(alg):
-    return obj(alg, *[(i, alg.n, 0) for i in range(1, alg.n + 1)])
-
-
 def test_hom_module_regular():
     alg = Algebra(3)
-    a = regular(alg)
+    a = make_V(alg, alg.n)
     m, gens = hom_module(a, a)
     assert m.dim == 6
     assert len(gens) == 6
@@ -52,54 +44,10 @@ def test_hom_module_zero():
     assert m.dim == 0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_V_family_approximation_of_regular(n):
-    alg = Algebra(n)
-    for m in range(1, n + 1):
-        t = make_V(alg, m)
-        seq = min_left_approx_sequence(regular(alg), t)
-        expected_t0 = {Interval(m, n): n - m + 1}
-        expected_t0.update({Interval(k, n): 1 for k in range(1, m)})
-        expected_t1 = {Interval(1, k): 1 for k in range(m, n)}
-        assert seq.t0.slice(0) == expected_t0
-        assert seq.t1.slice(0) == expected_t1
-        assert is_injective(seq)
-        assert is_exact_at_middle(seq)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_two_shift_family_module_sequences(n):
-    alg = Algebra(n)
-    for i in range(1, n):
-        # injective-resolution shape: projectives at the tail vertices
-        # against the shifted slice
-        y = obj(alg, *[(k, n, 0) for k in range(i + 1, n + 1)])
-        t = obj(alg, *[(i + 1, j, 0) for j in range(i + 1, n + 1)])
-        seq = min_left_approx_sequence(y, t)
-        assert seq.t0.slice(0) == {Interval(i + 1, n): n - i}
-        assert seq.t1.slice(0) == {
-            Interval(i + 1, j): 1 for j in range(i + 1, n)
-        }
-        assert is_injective(seq)
-        assert is_exact_sequence_with_zero(seq)
-
-        # quotient-module shape: kernel is a power of an interval
-        y2 = obj(alg, *[(k, n, 0) for k in range(1, i + 1)])
-        t2 = obj(alg, *[(k, i, 0) for k in range(1, i + 1)])
-        seq2 = min_left_approx_sequence(y2, t2)
-        assert seq2.t0.slice(0) == {Interval(k, i): 1 for k in range(1, i + 1)}
-        assert not seq2.t1.summands
-        f2 = to_rep_morphism(seq2.f)
-        ker, _ = reps.kernel(f2)
-        assert reps.interval_decompose(ker) == {Interval(i + 1, n): i}
-        cok, _ = reps.cokernel(f2)
-        assert cok.total_dim() == 0
-
-
 def test_target_in_add_t():
     alg = Algebra(3)
     p1 = obj(alg, (1, 3, 0))
-    seq = min_left_approx_sequence(p1, regular(alg))
+    seq = min_left_approx_sequence(p1, make_V(alg, alg.n))
     assert seq.t0 == p1
     assert not seq.t1.summands
     assert list(seq.f.entries.values()) == [1]
@@ -108,7 +56,7 @@ def test_target_in_add_t():
 def test_sequences_are_minimal_approximations():
     alg = Algebra(3)
     v2 = make_V(alg, 2)
-    seq = min_left_approx_sequence(regular(alg), v2)
+    seq = min_left_approx_sequence(make_V(alg, alg.n), v2)
     assert is_left_approximation(seq.f, v2)
     assert minimality_check(seq.f, v2)
 
@@ -116,7 +64,7 @@ def test_sequences_are_minimal_approximations():
 def test_padded_approximation_fails_minimality():
     alg = Algebra(3)
     v2 = make_V(alg, 2)
-    seq = min_left_approx_sequence(regular(alg), v2)
+    seq = min_left_approx_sequence(make_V(alg, alg.n), v2)
     from ddcp.derived import DerivedMorphism
 
     padded_tgt = DerivedObject(
@@ -143,7 +91,7 @@ def test_non_basic_target_rejected():
     alg = Algebra(2)
     dup = obj(alg, (1, 2, 0), (1, 2, 0))
     with pytest.raises(InputError, match="must be basic"):
-        min_left_approx_sequence(regular(alg), dup)
+        min_left_approx_sequence(make_V(alg, alg.n), dup)
 
 
 @pytest.mark.parametrize("ny,nt", [(5, 3), (3, 5)])
@@ -153,7 +101,7 @@ def test_objects_over_different_algebras_rejected(ny, nt):
     on graded_hom."""
     from ddcp.derived import DerivedMorphism, graded_hom
 
-    y, t = regular(Algebra(ny)), regular(Algebra(nt))
+    y, t = make_V(Algebra(ny), ny), make_V(Algebra(nt), nt)
     with pytest.raises(InputError, match="objects over"):
         graded_hom(y, t)
     with pytest.raises(InputError, match="objects over"):
@@ -164,7 +112,7 @@ def test_objects_over_different_algebras_rejected(ny, nt):
 
 def test_determinism_of_sequences():
     alg = Algebra(4)
-    y = regular(alg)
+    y = make_V(alg, alg.n)
     t = make_V(alg, 2)
     s1 = min_left_approx_sequence(y, t)
     s2 = min_left_approx_sequence(y, t)
@@ -272,7 +220,7 @@ def approximation_pairs():
     most three summands over shifts {0, 1}, n <= 3."""
     for n in (1, 2, 3):
         alg = Algebra(n)
-        ys = [regular(alg)] + [
+        ys = [make_V(alg, n)] + [
             obj(alg, (e, n, s)) for e in range(1, n + 1) for s in (0, 1)
         ]
         targets = list(window_objects(alg, range(4)))
@@ -346,7 +294,7 @@ def test_one_module_per_sequence(monkeypatch):
 
     monkeypatch.setattr(approx, "SCModule", Counting)
     alg = Algebra(3)
-    y, t = regular(alg), make_V(alg, 2)
+    y, t = make_V(alg, alg.n), make_V(alg, 2)
     seq = min_left_approx_sequence(y, t)
     assert seq.t1.summands
     hom, = built

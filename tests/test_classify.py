@@ -80,16 +80,6 @@ def family_labels(n):
     )
 
 
-@pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (3, 5)])
-def test_classification_small(n, expected):
-    alg = Algebra(n)
-    result = enumerate_and_classify(alg)
-    assert result.lambda_count == expected
-    labels = sorted(result.matched.values())
-    assert labels == family_labels(n)
-    assert "UNEXPECTED" not in labels
-
-
 def test_classification_normalization():
     alg = Algebra(3)
     result = enumerate_and_classify(alg)
@@ -106,13 +96,6 @@ def test_classification_bound_refusal():
     with pytest.raises(InputError) as exc:
         enumerate_and_classify(alg)
     assert str(exc.value) == "n=6 exceeds the configured bound 5"
-
-
-def test_window_three_matches_window_two():
-    alg = Algebra(3)
-    r2 = enumerate_and_classify(alg, degree_window=2)
-    r3 = enumerate_and_classify(alg, degree_window=3)
-    assert set(r2.survivors) == set(r3.survivors)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -157,17 +140,6 @@ def test_zero_path_audit():
     for t in (0, -1, True, 2.0, "2", None):
         with pytest.raises(InputError, match="path length"):
             zero_path_audit(Algebra(2), t)
-
-
-def test_families_pass_deciders():
-    from ddcp.deciders import check_ddcp, check_tilting_complex
-
-    alg = Algebra(4)
-    for m in range(1, 5):
-        assert check_ddcp(make_V(alg, m))
-    for i in range(1, 4):
-        assert check_ddcp(make_T(alg, i))
-        assert check_tilting_complex(make_T(alg, i))
 
 
 def test_clique_funnel_closed_forms():

@@ -1,12 +1,12 @@
+import ast
 import json
-import sys
 from collections import Counter
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from ddcp import approx, deciders, exactmat, reps
+from ddcp import approx, deciders, reps
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedMorphism, DerivedObject
 from ddcp.deciders import (
@@ -21,6 +21,7 @@ from ddcp.deciders import (
 from ddcp.classify import make_T, make_V
 from ddcp.endalg import end_of, is_hereditary
 from oracles import (
+    COMPLEX_DECIDERS,
     basic_modules,
     basic_slices,
     dims,
@@ -50,18 +51,6 @@ def ms(*ivs):
     return out
 
 
-def V_multiset(n, m):
-    out = {Interval(k, n): 1 for k in range(1, m + 1)}
-    out.update({Interval(1, k): 1 for k in range(m, n)})
-    return out
-
-
-def test_module_dcp_families():
-    alg = Algebra(3)
-    for m in (1, 2, 3):
-        assert check_module_dcp(alg, V_multiset(3, m))
-
-
 def test_module_dcp_failures():
     alg = Algebra(3)
     assert not check_module_dcp(alg, ms((1, 1), (2, 2), (3, 3)))
@@ -72,25 +61,24 @@ def test_module_dcp_duplicates_use_add_closure():
     """A multiplicity counts only as present (positive) or absent (zero);
     anything but a non-negative int is rejected, not coerced."""
     alg = Algebra(3)
-    doubled = {iv: 2 for iv in V_multiset(3, 2)}
+    v2 = make_V(alg, 2).slice(0)
+    doubled = {iv: 2 for iv in v2}
     assert bool(check_module_dcp(alg, doubled)) == bool(
-        check_module_dcp(alg, V_multiset(3, 2))
+        check_module_dcp(alg, v2)
     )
-    with_zero = {**V_multiset(3, 2), Interval(2, 2): 0}
+    with_zero = {**v2, Interval(2, 2): 0}
     for decide in check_module_dcp, check_tilting_module:
-        assert decide(alg, with_zero).as_dict() == decide(
-            alg, V_multiset(3, 2)
-        ).as_dict()
+        assert decide(alg, with_zero).as_dict() == decide(alg, v2).as_dict()
         for bad in (-1, 1.5, True, "2", None):
             with pytest.raises(InputError, match="multiplicity"):
-                decide(alg, {**V_multiset(3, 2), Interval(2, 2): bad})
+                decide(alg, {**v2, Interval(2, 2): bad})
 
 
 def test_tilting_module_examples():
     alg = Algebra(3)
     assert check_tilting_module(alg, ms((1, 3), (2, 3), (3, 3)))  # regular
     assert check_tilting_module(alg, ms((1, 1), (1, 2), (1, 3)))  # co-regular
-    assert not check_tilting_module(alg, V_multiset(3, 2))
+    assert not check_tilting_module(alg, make_V(alg, 2).slice(0))
 
 
 def test_tilting_module_precondition():
@@ -99,14 +87,6 @@ def test_tilting_module_precondition():
     assert not rep.applicable
     assert not rep.verdict
     assert any("hereditary" in r for r in rep.reasons)
-
-
-COMPLEX_DECIDERS = [
-    check_ddcp,
-    check_ddcp_derived,
-    lambda x: check_tilting_complex(x, "module"),
-    lambda x: check_tilting_complex(x, "derived"),
-]
 
 
 def test_complex_deciders_build_one_endomorphism_algebra(
@@ -149,19 +129,6 @@ def test_complex_deciders_build_one_endomorphism_algebra(
     assert end_of_calls == [x]
 
 
-def test_ddcp_families_all_routes():
-    for n in (2, 3):
-        alg = Algebra(n)
-        for m in range(1, n + 1):
-            x = make_V(alg, m)
-            assert check_ddcp(x)
-            assert check_ddcp_derived(x)
-        for i in range(1, n):
-            x = make_T(alg, i)
-            assert check_ddcp(x)
-            assert check_ddcp_derived(x)
-
-
 def test_ddcp_failure_simples():
     alg = Algebra(3)
     x = obj(alg, (1, 1, 0), (2, 2, 0), (3, 3, 0))
@@ -183,57 +150,6 @@ def test_ddcp_precondition_reporting():
     r = check_ddcp(non_hered)
     assert not r.applicable
     assert any("hereditary" in reason for reason in r.reasons)
-
-
-def test_tilting_split_families():
-    for n in (2, 3, 4):
-        alg = Algebra(n)
-        for i in range(1, n):
-            assert check_tilting_complex(make_T(alg, i), "derived")
-            assert check_tilting_complex(make_T(alg, i), "module")
-        for m in range(1, n + 1):
-            expected = m in (1, n)
-            assert bool(check_tilting_complex(make_V(alg, m), "derived")) == expected
-            assert bool(check_tilting_complex(make_V(alg, m), "module")) == expected
-
-
-def test_tilting_implies_ddcp():
-    alg = Algebra(3)
-    for x in [make_V(alg, 1), make_V(alg, 3), make_T(alg, 1), make_T(alg, 2)]:
-        assert check_tilting_complex(x)
-        assert check_ddcp(x)
-
-
-def test_worked_example_diagnostics():
-    # S(1) + I(2) + S(3)[1]: tilting, unique shifts 0, 0, 1, with the
-    # middle terms I(2), I(2), S(3) and kernels S(3), S(3), 0
-    alg = Algebra(3)
-    x = obj(alg, (1, 1, 0), (1, 2, 0), (3, 3, 1))
-    assert check_tilting_complex(x, "derived")
-    assert check_tilting_complex(x, "module")
-    r = check_ddcp(x)
-    assert r.verdict
-    diag = {p.vertex: p for p in r.projectives}
-    assert [diag[e].degrees_found for e in (1, 2, 3)] == [[0], [0], [1]]
-    assert diag[1].approx_summands == [(Interval(1, 2), 0)]
-    assert diag[2].approx_summands == [(Interval(1, 2), 0)]
-    assert diag[3].approx_summands == [(Interval(3, 3), 0)]
-    assert diag[1].kernel_intervals == {Interval(3, 3): 1}
-    assert diag[2].kernel_intervals == {Interval(3, 3): 1}
-    assert diag[3].kernel_intervals == {}
-
-
-def test_shift_invariance():
-    alg = Algebra(3)
-    for x in [make_T(alg, 1), make_V(alg, 2), obj(alg, (1, 1, 0), (2, 2, 0), (3, 3, 0))]:
-        for k in (-2, 1, 4):
-            assert bool(check_ddcp(x)) == bool(check_ddcp(x.shifted(k)))
-            assert bool(check_ddcp_derived(x)) == bool(
-                check_ddcp_derived(x.shifted(k))
-            )
-            assert bool(check_tilting_complex(x)) == bool(
-                check_tilting_complex(x.shifted(k))
-            )
 
 
 def test_survivors_have_adjacent_shifts():
@@ -291,18 +207,12 @@ def test_tilting_complex_rejects_unknown_route():
 
 
 def test_false_verdicts_name_each_failing_projective():
-    deciders = [
-        check_ddcp,
-        check_ddcp_derived,
-        lambda x: check_tilting_complex(x, "module"),
-        lambda x: check_tilting_complex(x, "derived"),
-    ]
     false_reports = 0
     for n in (1, 2, 3):
         for x in normalised_objects(n, [n]):
             if not is_hereditary(x):
                 continue
-            for decide in deciders:
+            for decide in COMPLEX_DECIDERS:
                 r = decide(x)
                 assert r.applicable
                 if r.verdict:
@@ -334,10 +244,6 @@ def test_false_verdict_reasons_say_what_failed():
     assert cones and all("cone is" in r for r in cones)
 
 
-def check_tilting_module_route(x):
-    return check_tilting_complex(x, "module")
-
-
 def criterion_3_objects():
     """The population of acceptance criterion 3: every shift-normalised
     n-summand object over shifts {0, 1} with hereditary End, n <= 4."""
@@ -345,74 +251,6 @@ def criterion_3_objects():
         for x in normalised_objects(n, [n]):
             if is_hereditary(x):
                 yield x
-
-
-def in_slice_keys(x):
-    """The (algebra, slice intervals, vertex) of every unique-shift vertex
-    of a basic x with hereditary End: one in-slice outcome each."""
-    return {
-        (x.alg, tuple(x.slice(shifts[0])), e)
-        for e, shifts in enumerate(deciders._vertex_shifts(x), 1)
-        if len(shifts) == 1
-    }
-
-
-def test_kernel_interval_matches_approximation():
-    """kernel_interval(x, e, i) is X(b + 1, n), b the largest right end of
-    a summand of T0 in the minimal approximation of P(e) by the shift-i
-    slice, at every vertex with a unique shift of every criterion-3
-    object."""
-    expected = {}  # many objects share a slice: one sequence per (e, slice)
-    checks = 0
-    for x in criterion_3_objects():
-        alg = x.alg
-        for e, shifts in enumerate(deciders._vertex_shifts(x), 1):
-            if len(shifts) != 1:
-                continue
-            i = shifts[0]
-            t = DerivedObject(alg, [(iv, 0) for iv in x.slice(i)])
-            if (e, t) not in expected:
-                seq = approx.min_left_approx_sequence(obj(alg, (e, alg.n, 0)), t)
-                b = max(iv.b for iv, _ in seq.t0.summands)
-                expected[e, t] = Interval(b + 1, alg.n) if b < alg.n else None
-            assert kernel_interval(x, e, i) == expected[e, t], (x, e)
-            checks += 1
-    assert checks == 5520
-
-
-def test_in_slice_outcomes_equal_fresh_sequences(monkeypatch):
-    """On every criterion-3 object, each in-slice outcome that a module-route
-    report reads -- T0's intervals, its route's exactness and the kernel
-    interval -- equals the outcome of a fresh min_left_approx_sequence of
-    P(e) by the slice, read by the rank-count reference.  The module route
-    builds no approximation sequence: it reads the closed form."""
-    def no_sequence(y, t):
-        raise AssertionError("the module route built a sequence")
-
-    references = {}  # many objects share a slice: one sequence per key
-    checked = 0
-    for x in criterion_3_objects():
-        with monkeypatch.context() as m:
-            m.setattr(deciders, "min_left_approx_sequence", no_sequence)
-            reports = check_ddcp(x), check_tilting_complex(x, "module")
-        for onto, report in enumerate(reports):
-            for pr in report.projectives:
-                if len(pr.degrees_found) != 1:
-                    continue
-                key = x.alg, tuple(x.slice(pr.degrees_found[0])), pr.vertex
-                if key not in references:
-                    references[key] = in_slice_reference(*key)
-                t0, exact, exact_onto, kernel = references[key]
-                assert pr.approx_summands == [(iv, 0) for iv in t0], (x, pr)
-                assert pr.exact == (exact_onto if onto else exact), (x, pr)
-                assert pr.kernel_intervals == (
-                    {} if kernel is None else {kernel: 1}
-                ), (x, pr)
-                checked += 1
-    assert checked == 2 * 5520
-    assert len(references) == len(set().union(
-        *map(in_slice_keys, criterion_3_objects())
-    ))
 
 
 def test_in_slice_closed_form_matches_sequence_reference():
@@ -500,7 +338,8 @@ def test_rank_counts_match_subrepresentation_reference():
     objects and on the regular sequence of every basic module of at most
     five summands, n <= 4.  Every module-route report, read off the closed
     form, says what the sub-representations of its sequence say: T0, the
-    kernel, each route's exactness, and each module decider's reasons."""
+    kernel, each route's exactness, and each module decider's reasons; and
+    kernel_interval gives its kernel."""
     verdicts = {}
 
     def referenced(seq):
@@ -524,10 +363,11 @@ def test_rank_counts_match_subrepresentation_reference():
         return f, out
 
     # (P(e), slice module) -> what the reports of its in-slice sequence must
-    # read: T0, the kernel, and each route's exactness
+    # read: T0, the kernel, and each module route's exactness
     in_slice = {}
+    reports = 0
     for x in criterion_3_objects():
-        for route in (check_ddcp, check_tilting_module_route):
+        for onto, route in enumerate(COMPLEX_DECIDERS[::2]):  # module routes
             for pr in route(x).projectives:
                 if len(pr.degrees_found) != 1:
                     continue
@@ -542,18 +382,19 @@ def test_rank_counts_match_subrepresentation_reference():
                     in_slice[key] = (
                         list(seq.t0.summands),
                         kernel_intervals_reference(f),
-                        {
-                            check_ddcp: out[is_exact_at_middle],
-                            check_tilting_module_route:
-                                out[is_exact_sequence_with_zero],
-                        },
+                        (out[is_exact_at_middle],
+                         out[is_exact_sequence_with_zero]),
                     )
                 t0, kernel, exact = in_slice[key]
                 assert pr.approx_summands == t0
                 assert pr.kernel_intervals == kernel
-                assert pr.exact == exact[route]
+                assert pr.exact == exact[onto]
+                k = kernel_interval(x, pr.vertex, i)
+                assert pr.kernel_intervals == ({} if k is None else {k: 1})
+                reports += 1
+    assert reports == 2 * 5520
     for alg, multiset in basic_modules(range(1, 5), range(6)):
-        regular = obj(alg, *[(e, alg.n, 0) for e in range(1, alg.n + 1)])
+        regular = make_V(alg, alg.n)
         t = DerivedObject(alg, [(iv, 0) for iv in multiset])
         _, out = referenced(approx.min_left_approx_sequence(regular, t))
         injective = (out[is_injective], deciders._NOT_INJECTIVE)
@@ -580,48 +421,26 @@ def test_rank_counts_match_subrepresentation_reference():
     }
 
 
-def test_module_route_does_no_elimination(monkeypatch):
-    """Neither route builds a matrix: the module route decides on the
-    approximation sequence it built, the derived route reduces sparse cone
-    differentials.  So no rref, which rank, solve and nullspace all go
-    through, no Mat and no RepMorphism."""
-    counts = Counter()
-    rref = exactmat.rref
-    mat_init = exactmat.Mat.__init__
-    init = reps.RepMorphism.__init__
-
-    def counting_rref(m):
-        counts["rref"] += 1
-        return rref(m)
-
-    def counting_mat_init(self, *args):
-        counts["Mat"] += 1
-        mat_init(self, *args)
-
-    def counting_init(self, *args):
-        counts["RepMorphism"] += 1
-        init(self, *args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ddcp") and getattr(module, "rref", None) is rref:
-            monkeypatch.setattr(module, "rref", counting_rref)
-    monkeypatch.setattr(exactmat.Mat, "__init__", counting_mat_init)
-    monkeypatch.setattr(reps.RepMorphism, "__init__", counting_init)
-    for alg, multiset in basic_modules(range(1, 5), range(6)):
-        check_module_dcp(alg, multiset)
-        check_tilting_module(alg, multiset)
-    for x in criterion_3_objects():
-        check_ddcp(x)
-        check_tilting_module_route(x)
-        check_ddcp_derived(x)
-        check_tilting_complex(x, "derived")
-    assert counts == Counter()
-    # the counters do see the references, which eliminate
-    alg = Algebra(2)
-    reps.kernel(
-        reps.rep_morphism(alg, [Interval(1, 2)], [Interval(1, 1)], {(0, 0): 1})
-    )
-    assert counts["rref"] and counts["Mat"] and counts["RepMorphism"]
+def test_module_route_does_no_elimination():
+    """Neither route builds a matrix: the module route reads a closed form,
+    the derived route reduces sparse cone differentials.  Read off the
+    package's imports, so it holds on every path, not only on the objects
+    a sweep decides: only reps imports exactmat, and only the package's
+    __init__ imports reps (for the tracer), so no decider reaches rref, Mat
+    or RepMorphism."""
+    importers = {}
+    for path in sorted(Path(deciders.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {p for a in node.names for p in a.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):
+                names = set((node.module or "").split("."))
+                names.update(a.name for a in node.names)
+            else:
+                continue
+            for name in names & {"exactmat", "reps"}:
+                importers.setdefault(name, set()).add(path.name)
+    assert importers == {"exactmat": {"reps.py"}, "reps": {"__init__.py"}}
 
 
 def deciders_per_object():

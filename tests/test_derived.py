@@ -51,6 +51,8 @@ def test_object_rejects_non_integer_shifts():
             DerivedObject(alg, [pair])
         with pytest.raises(InputError):
             DerivedObject(alg, [(Interval(1, 1), 0)]).shifted(pair[1])
+        with pytest.raises(InputError):
+            DerivedObject(alg, [(Interval(1, 1), 0)]).slice(pair[1])
 
 
 def test_graded_hom_counts():

@@ -37,17 +37,13 @@ from oracles import (
 )
 
 
-def full_projectives(alg):
-    return obj(alg, *[(i, alg.n, 0) for i in range(1, alg.n + 1)])
-
-
 def test_end_of_regular_object():
     alg = Algebra(3)
-    e = end_of(full_projectives(alg))
+    e = end_of(make_V(alg, alg.n))
     assert e.dim == 6
     assert len(e.idempotents) == 3
     assert is_linear_A(e) == 3
-    assert is_hereditary(full_projectives(alg))
+    assert is_hereditary(make_V(alg, alg.n))
 
 
 def test_end_of_semisimple():
@@ -59,14 +55,6 @@ def test_end_of_semisimple():
     assert is_hereditary(x)
 
 
-def test_end_of_families_linear():
-    alg = Algebra(3)
-    v2 = obj(alg, (2, 3, 0), (1, 3, 0), (1, 2, 0))
-    t1 = obj(alg, (1, 1, 0), (2, 2, 1), (2, 3, 1))
-    assert is_linear_A(end_of(v2)) == 3
-    assert is_linear_A(end_of(t1)) == 3
-
-
 def opposite(c):
     """The opposite algebra: same basis, transposed table."""
     table = {(j, i): k for (i, j), k in c.table.items()}
@@ -75,7 +63,7 @@ def opposite(c):
 
 def test_opposite_involution_and_linearity():
     alg = Algebra(3)
-    op = opposite(end_of(full_projectives(alg)))
+    op = opposite(end_of(make_V(alg, alg.n)))
     assert is_linear_A(op) == 3
     assert is_hereditary_reference(op)
     semi = end_of(obj(alg, (1, 1, 0), (2, 2, 0), (3, 3, 0)))
@@ -233,7 +221,7 @@ def test_hereditary_matches_linear_chain():
     # every linear-chain algebra must be hereditary
     alg = Algebra(4)
     for x in [
-        full_projectives(alg),
+        make_V(alg, alg.n),
         obj(alg, (1, 1, 0), (2, 2, 1), (2, 3, 1), (2, 4, 1)),
     ]:
         if is_linear_A(end_of(x)) is not None:
@@ -275,7 +263,7 @@ def test_corner_decomposition_violation():
 
 def test_regular_module_and_generators():
     alg = Algebra(3)
-    e = end_of(full_projectives(alg))
+    e = end_of(make_V(alg, alg.n))
     reg = regular_module(e)
     validate_module(reg)
     assert reg.dim == e.dim

@@ -10,15 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from ddcp.classify import make_T, make_V
 from ddcp.cli import object_from_json, object_to_json
-from ddcp.deciders import (
-    check_ddcp,
-    check_ddcp_derived,
-    check_tilting_complex,
-    verify_homology_corners,
-)
+from ddcp.deciders import verify_homology_corners
 from ddcp.derived import DerivedObject
 from ddcp.quiver import Algebra, InputError
-from oracles import window_atoms
+from oracles import COMPLEX_DECIDERS, window_atoms
 
 bounded = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 sizes = pytest.mark.parametrize("n", [5, 6])
@@ -43,19 +38,13 @@ def outcome(report):
     return report.verdict, report.applicable, [pr.verdict for pr in report.projectives]
 
 
-def check_tilting_module_route(x):
-    return check_tilting_complex(x, "module")
-
-
 @sizes
 @bounded
 @given(data=st.data())
 def test_routes_agree_on_random_objects(n, data):
     x = data.draw(objects(n))
-    assert outcome(check_ddcp(x)) == outcome(check_ddcp_derived(x))
-    assert outcome(check_tilting_module_route(x)) == outcome(
-        check_tilting_complex(x, "derived")
-    )
+    outcomes = [outcome(decide(x)) for decide in COMPLEX_DECIDERS]
+    assert outcomes[::2] == outcomes[1::2]  # module route == derived route
 
 
 @sizes
@@ -64,13 +53,7 @@ def test_routes_agree_on_random_objects(n, data):
 def test_complex_verdicts_are_shift_invariant(n, data):
     x = data.draw(objects(n))
     k = data.draw(st.integers(-3, 3))
-    for decide in (
-        check_ddcp,
-        check_ddcp_derived,
-        check_tilting_module_route,
-        check_tilting_complex,
-        verify_homology_corners,
-    ):
+    for decide in (*COMPLEX_DECIDERS, verify_homology_corners):
         assert outcome(decide(x)) == outcome(decide(x.shifted(k)))
 
 

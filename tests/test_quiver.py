@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 
 from ddcp.quiver import (
@@ -12,7 +10,6 @@ from ddcp.quiver import (
     hom_dim,
     space_dim,
 )
-from ddcp import reps
 from ddcp.approx import hom_module, min_left_approx_sequence
 from ddcp.classify import enumerate_and_classify
 from ddcp.deciders import (
@@ -29,7 +26,6 @@ from ddcp.derived import (
     DerivedMorphism, DerivedObject, composites, cone, graded_hom
 )
 from ddcp.endalg import end_of, is_linear_A
-from oracles import brute_ext_dim
 
 
 def test_interval_validation():
@@ -122,26 +118,6 @@ def test_algebra_families():
     assert alg.injective(3) == Interval(1, 3)
     assert alg.interval(2, 2) == Interval(2, 2)
     assert len(alg.intervals()) == 10
-
-
-def brute_hom_dim(alg, src, tgt):
-    return len(
-        reps.morphism_space(reps.realize(alg, [src]), reps.realize(alg, [tgt]))
-    )
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_hom_formula_against_brute_force(n):
-    alg = Algebra(n)
-    for src, tgt in product(alg.intervals(), alg.intervals()):
-        assert hom_dim(alg, src, tgt) == brute_hom_dim(alg, src, tgt)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_ext_formula_against_brute_force(n):
-    alg = Algebra(n)
-    for src, tgt in product(alg.intervals(), alg.intervals()):
-        assert ext_dim(alg, src, tgt) == brute_ext_dim(alg, src, tgt)
 
 
 def test_space_dim_degrees():

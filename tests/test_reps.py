@@ -22,15 +22,6 @@ def test_realize_dimensions():
     assert rep.total_dim() == 4
 
 
-def test_decompose_round_trip_random():
-    rng = random.Random(2024)
-    for _ in range(100):
-        alg = Algebra(rng.randint(1, 6))
-        ms = random_multiset(rng, alg)
-        rep = reps.realize_multiset(alg, ms)
-        assert reps.interval_decompose(rep) == ms
-
-
 def test_rep_morphism_validates_generators():
     alg = Algebra(3)
     src = [Interval(1, 3)]
