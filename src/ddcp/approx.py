@@ -4,7 +4,12 @@ For a target object t with endomorphism algebra E, the graded Hom space
 Hom(y, t) is a left E-module by post-composition, and the additive category
 add t is dual to the projective E-modules.  A minimal projective presentation
 of Hom(y, t) therefore transports to a minimal left add-t-approximation
-sequence y -> T0 -> T1, with explicit scalar components.
+sequence y -> T0 -> T1, with explicit scalar components.  Over A_n every
+Hom space between two summands is at most one-dimensional and a composite
+is nonzero exactly when its space is, so min_left_approx_sequence runs
+that presentation on the summands' Hom relation (derived.reach), with no
+E and no module built.  hom_module builds Hom(y, t) as an E-module all the
+same; the tests build the presentation from it, as the reference.
 
 The minimal sequence is a direct summand of every approximation sequence,
 so exactness and kernel membership transfer to any other.  The deciders'
@@ -14,10 +19,14 @@ derived route takes the cone of its g, and the module route's closed form
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .quiver import InputError
-from .derived import DerivedMorphism, DerivedObject, composites, graded_hom
-from .endalg import SCModule, end_of, module_generators
+from .derived import (
+    DerivedMorphism, DerivedObject, _check_pair, bits, composites,
+    graded_hom, reach,
+)
+from .endalg import SCModule, end_of, forest_join
 
 
 def hom_module(y, t):
@@ -46,62 +55,98 @@ class ApproxSequence:
     g: DerivedMorphism
 
 
-def min_left_approx_sequence(y, t):
-    """Construct the minimal sequence by projective presentation transport.
-    t must be basic, which End(t) answers once per Hom pattern: over A_n, two
-    distinct summands of a split object never have mutually inverse degree-0
-    maps, so End(t) is basic exactly when t is."""
-    m, gens = hom_module(y, t)
-    algebra = m.algebra
-    if not algebra.is_basic():
-        raise InputError("approximation target must be basic")
+_ONE = Fraction(1)
+_SIGNS = {1: (_ONE,), 2: (-_ONE, _ONE)}  # the entries of a kernel vector
 
-    # The top of Hom(y, t), grouped by summand l of t: the cover is by the
-    # projectives E e_l, dual to the summands t_l themselves.  Hom(y, t) is
-    # spanned by its basis, so rad Hom(y, t) is spanned by the basis vectors
-    # a radical element hits, and the top by the others, the heads.
-    # Idempotent l is summand l of the sorted t.summands (end_of) and fixes
-    # b_i when gens[i] targets t_l, so top0, and top1 below, list heads by
-    # idempotent in DerivedObject's order: position pos is summand pos.
-    idem = set(algebra.idempotents)
-    hit = {j for (a, _), j in m.table.items() if a not in idem}
-    top0 = sorted((gens[i][1], i) for i in range(m.dim) if i not in hit)
-    t0 = t._select(l for l, _ in top0)
-    # Each entry of f is a generator of Hom(y, t), and each entry of g an
-    # End(t) basis element, so both have a nonzero space: f and g are built
-    # as checked, with Fraction entries.
-    one = Fraction(1)
+
+@lru_cache(maxsize=1)
+def _target_reach(t):
+    """reach(t.summands, t.summands) of the last target, by value, or
+    InputError when t is not basic: two distinct summands of a split
+    object over A_n with maps both ways are equal."""
+    own = reach(t.summands, t.summands)
+    if any(own[w] >> k & 1 for k, r in enumerate(own)
+           for w in bits(r & ~(1 << k))):
+        raise InputError("approximation target must be basic")
+    return own
+
+
+def min_left_approx_sequence(y, t):
+    """The minimal sequence y -> T0 -> T1, by projective presentation
+    transport, read off the Hom relation.  Anything but two objects over
+    one algebra raises InputError, and so does a target t that is not
+    basic.
+
+    Write reach(l) for the summands u of t with a nonzero graded map
+    l -> u, l included, and into(k) for the same set of a summand k of y.
+    Each such space is spanned by one generator, and a composite of
+    generators is the generator of its space, or zero when the space is.
+    So Hom(y, t) has basis b(k, l), l in into(k), and E = End(t) has basis
+    (l, u), u in reach(l), acting by (l, u) . b(k, l) = b(k, u) when u is
+    in into(k), and by zero otherwise.
+
+    Heads.  rad Hom(y, t) is spanned by the b(k, l) that some radical
+    (w, l), w != l, hits: l in reach(w) for some other w in into(k).  The
+    rest, the heads, lift a basis of the top.  The projective cover Q0 has
+    one copy pos of E e_l per head (k, l), listed by (l, k): T0 is t's
+    summand l at pos, and f is 1 at (k, pos).
+
+    Cover kernel.  Q0 has basis (pos, u), the element (l, u) in copy pos,
+    sent to b(k, u) or to zero.  Visit it copy by copy, l's identity
+    first, then u in reach(l) - {l} increasing.  The kernel is spanned by
+    (pos, u) for each zero image, and by (pos, u) - (pos', u) when an
+    earlier (pos', u) hit b(k, u) first.
+
+    T1 and g.  Every kernel vector has its coordinates at one u, and a
+    radical (u, w) of E sends (pos, u) to (pos, w) when w is in reach(l)
+    (the composite l -> u -> w), else to zero.  These images span the
+    kernel's radical, so its top is the kernel vectors independent of all
+    the images and of the kernel vectors before them.  Each vector is 0,
+    +-(pos, w) or a difference of two such, so forest_join decides.  The
+    top vectors, stably sorted by u, are T1's summands u, and each is a
+    column of g: 1 at its pos, and -1 at pos' for a difference.
+    """
+    _check_pair(y, t)
+    own = _target_reach(t)
+    into = reach(y.summands, t.summands)
+
+    heads = []
+    for k, r in enumerate(into):
+        hit = 0
+        for w in bits(r):
+            hit |= own[w] & ~(1 << w)
+        heads += [(l, k) for l in bits(r & ~hit)]
+    heads.sort()
+    t0 = t._select(l for l, _ in heads)
+    # f and g are built as checked: each entry joins summands with a map
     f = DerivedMorphism._checked(
-        y, t0, {(gens[i][0], pos): one for pos, (_, i) in enumerate(top0)}
+        y, t0, {(k, pos): _ONE for pos, (_, k) in enumerate(heads)}
     )
 
-    # Q0 = direct sum of projectives E e_l, one copy pos per head, a
-    # submodule of the free module of module_generators: basis (pos, beta),
-    # beta an algebra basis element with source l.  The cover sends
-    # (pos, beta) to beta . b_head, a basis vector or zero.  Its kernel, in
-    # Q0's order: (pos, beta) for a zero image, and (pos, beta) - first for
-    # an image that an earlier basis element, first, hit first.
+    # kernel vectors (u, copies): +(pos, u) for copies (pos,), and
+    # (pos, u) - (pos', u) for copies (pos', pos)
     kernel = []
     first = {}
-    for pos, (l, i) in enumerate(top0):
-        for beta in algebra.projectives[l]:
-            image = m.table.get((beta, i))
-            if image is None:
-                kernel.append({(pos, beta): 1})
-            elif image in first:
-                kernel.append({first[image]: -1, (pos, beta): 1})
+    for pos, (l, k) in enumerate(heads):
+        for u in (l, *bits(own[l] & ~(1 << l))):
+            if not into[k] >> u & 1:
+                kernel.append((u, (pos,)))
+            elif (k, u) in first:
+                kernel.append((u, (first[k, u], pos)))
             else:
-                first[image] = (pos, beta)
+                first[k, u] = pos
 
-    # The top of the kernel K, read in Q0 coordinates, gives T1 and g.
-    top1 = module_generators(algebra, kernel)
-    t1 = t._select(l for l, _ in top1)
+    join = forest_join()
+    for u, copies in kernel:
+        for w in bits(own[u] & ~(1 << u)):
+            join([(p, w) for p in copies if own[heads[p][0]] >> w & 1])
+    top1 = sorted(((u, copies) for u, copies in kernel
+                   if join([(p, u) for p in copies])), key=lambda v: v[0])
+    t1 = t._select(u for u, _ in top1)
 
-    g_entries = {}
-    for pos1, (_, kappa) in enumerate(top1):
-        for (pos0, _), c in kappa.items():
-            g_entries[pos0, pos1] = g_entries.get((pos0, pos1), 0) + c
-    g = DerivedMorphism._checked(
-        t0, t1, {kl: Fraction(c) for kl, c in g_entries.items() if c}
-    )
+    g = DerivedMorphism._checked(t0, t1, {
+        (p, pos1): c
+        for pos1, (_, copies) in enumerate(top1)
+        for p, c in zip(copies, _SIGNS[len(copies)])
+    })
     return ApproxSequence(t0, f, t1, g)

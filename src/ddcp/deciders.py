@@ -15,9 +15,9 @@ Precondition failures (non-basic object, endomorphism algebra not
 hereditary) are reported as "not applicable" -- false for classification
 purposes but distinguished from a genuine condition failure.  Whether
 End(x) is hereditary is read off the Hom relation of x's summands
-(endalg.is_hereditary, through End(x)'s Gabriel quiver), so no decider
-builds End(x) for its frame: only the derived route's approximation
-sequences do.
+(endalg.is_hereditary, through End(x)'s Gabriel quiver), and the derived
+route's approximation sequences read the same relation (approx), so no
+decider builds End(x).
 
 The complex deciders share the work that depends only on the object: its
 frame (not applicable, or else every vertex's supporting shifts) and each
@@ -394,7 +394,13 @@ def verify_homology_corners(x):
 
     Once check_ddcp(x) holds, each vertex's report records its one
     supporting shift, and each slice lies inside the corner of the vertices
-    with its shift."""
+    with its shift.
+
+    This checks one direction of the corner reduction: ddcp implies every
+    slice dcp over its corner, and tilting implies every slice tilting
+    over its corner.  The converse, that such slices make x ddcp (or
+    tilting), is not checked: an object failing check_ddcp is reported not
+    applicable, with no corner examined."""
     ddcp = check_ddcp(x)
     if not ddcp:
         return DeciderReport("corners", False, False,

@@ -111,6 +111,30 @@ def pair_space_dim(src_pair, tgt_pair):
     return space_dim(src_pair[0], tgt_pair[0], deg) if deg in DEGREES else 0
 
 
+def reach(src, tgt):
+    """The Hom relation between two summand tuples as bitmasks: entry k is
+    the set of indices l with a nonzero graded map src[k] -> tgt[l].  A
+    generator's degree is its shift gap, so a composite of generators
+    src[k] -> w -> tgt[l] is nonzero exactly when l is in entry k
+    (quiver.space_dim's composition rule)."""
+    out = []
+    for p, i in src:
+        mask = 0
+        for l, (q, j) in enumerate(tgt):
+            if space_dim(p, q, j - i):
+                mask |= 1 << l
+        out.append(mask)
+    return out
+
+
+def bits(mask):
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _check_pair(y, x):
     """y and x are DerivedObjects over one algebra, or InputError."""
     check_object(y, DerivedObject)

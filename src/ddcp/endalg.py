@@ -12,13 +12,13 @@ every object with the same pattern shares one algebra, and each structure
 query is answered once per algebra and kept on it.  End(x)'s Gabriel quiver
 and whether End(x) is hereditary, the deciders' one question of it, are
 read off x's Hom relation instead, with no algebra built (gabriel_quiver,
-is_hereditary).
+is_hereditary), and so are the minimal approximation sequences (approx).
 """
 
 from functools import cached_property, lru_cache, wraps
 
 from .quiver import InputError, check_object
-from .derived import DerivedObject, composites, graded_hom, pair_space_dim
+from .derived import DerivedObject, bits, composites, graded_hom, reach
 
 
 def _kept(query):
@@ -105,22 +105,14 @@ def end_of(x):
     identity, the idempotent ("e", i) at index i.  Anything but a
     DerivedObject raises InputError.
 
-    Two bounded caches.  The algebra depends only on x's Hom pattern, the
-    sorted generator list, and _end_of_pattern keeps one per pattern,
-    shared by every object with that pattern, so callers must never change
-    it.  64 patterns hold classification's n.  No decider asks for End to
-    test hereditariness (is_hereditary reads x), so of a seed-1 route_sweep
-    unit of the benchmark only the 946 objects that reach the derived route
-    ask, with 142 patterns, for which it builds 215 SCAlgebras; 256
-    patterns build 142 and measured 2.5% less wall time there for 1.5% more
-    peak memory (four alternating 20-s pairs).  In front, _end_of_value keeps
-    the last object by value, a decision's traffic (no End of a slice is
-    asked for), so a repeated ask skips graded_hom(x, x)."""
-    return _end_of_value(check_object(x, DerivedObject))
-
-
-@lru_cache(maxsize=1)
-def _end_of_value(x):
+    The algebra depends only on x's Hom pattern, the sorted generator list,
+    and _end_of_pattern keeps one per pattern in a bounded cache, shared by
+    every object with that pattern, so callers must never change it.  64
+    patterns hold classification's n.  Its callers ask once per object:
+    classification's is_linear_A on each candidate, ddcp end, and
+    hom_module.  No decider and no approximation sequence asks for End:
+    they read x's Hom relation (derived.reach) instead."""
+    x = check_object(x, DerivedObject)
     return _end_of_pattern(
         tuple(sorted(graded_hom(x, x), key=lambda g: g[0] != g[1]))
     )
@@ -136,40 +128,30 @@ def _end_of_pattern(gens):
     return SCAlgebra(basis, idempotents, composites(gens, gens))
 
 
-def _bits(mask):
-    """The positions of mask's set bits, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def gabriel_quiver(x):
     """End(x)'s Gabriel quiver, with no End(x) built: (size, arrows), size[k]
     the dimension of the projective P(k) at summand k, arrows its (k, t)
     pairs in order, the order of their elements in End(x)'s basis.
 
-    reach(k), a bitmask, is the set of summands t with a nonzero graded map
-    from k, k included: the basis of P(k).  A generator's degree is its
-    shift gap, so k -> w -> t is nonzero exactly when k -> t is
-    (quiver.space_dim's composition rule).  So rad^2 at k is reach(k)
-    meeting reach(w) - {w} for some w in reach(k) - {k}, and the arrows out
-    of k are the rest of reach(k) - {k}.  Distinct summands with maps both
-    ways are equal, so x and End(x) are not basic: InputError, as for
-    anything but a DerivedObject."""
+    reach(k), a bitmask (derived.reach), is the set of summands t with a
+    nonzero graded map from k, k included: the basis of P(k).  A composite
+    k -> w -> t is nonzero exactly when k -> t is, so rad^2 at k is
+    reach(k) meeting reach(w) - {w} for some w in reach(k) - {k}, and the
+    arrows out of k are the rest of reach(k) - {k}.  Distinct summands
+    with maps both ways are equal, so x and End(x) are not basic:
+    InputError, as for anything but a DerivedObject."""
     s = check_object(x, DerivedObject).summands
-    reach = [sum(1 << l for l, q in enumerate(s) if pair_space_dim(p, q))
-             for p in s]
+    own = reach(s, s)
     arrows = []
-    for k, r in enumerate(reach):
+    for k, r in enumerate(own):
         out = r & ~(1 << k)
         rad2 = 0
-        for w in _bits(out):
-            if reach[w] >> k & 1:
+        for w in bits(out):
+            if own[w] >> k & 1:
                 raise InputError("structure query requires a basic algebra")
-            rad2 |= reach[w] & ~(1 << w)
-        arrows += [(k, t) for t in _bits(out & ~rad2)]
-    return [r.bit_count() for r in reach], arrows
+            rad2 |= own[w] & ~(1 << w)
+        arrows += [(k, t) for t in bits(out & ~rad2)]
+    return [r.bit_count() for r in own], arrows
 
 
 def is_hereditary(x):

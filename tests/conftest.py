@@ -2,20 +2,21 @@ import sys
 
 import pytest
 
-from ddcp import deciders, derived, endalg
+from ddcp import approx, deciders, derived, endalg
 
 # the cached functions themselves, which a test may monkeypatch away
 CACHES = (
-    endalg._end_of_value,
     endalg._end_of_pattern,
+    approx._target_reach,
     deciders._memo,
     derived._chain_cone,
 )
 
 
 def reset_caches():
-    """Forget every End cached, by object or by Hom pattern, the deciders'
-    shared work and every cone cached by morphism value."""
+    """Forget every End cached by Hom pattern, the approximation target's
+    Hom relation, the deciders' shared work and every cone cached by
+    morphism value."""
     for cached in CACHES:
         cached.cache_clear()
 
@@ -31,21 +32,18 @@ def fresh_caches():
 
 @pytest.fixture
 def end_of_calls(monkeypatch):
-    """The objects End was first asked about (misses of end_of's cache by
-    value), in order, through every module of the package that imported
-    end_of.  A miss need not construct an SCAlgebra: objects with the same
-    Hom pattern share one."""
-    builds = []
-    end_of, cached = endalg.end_of, endalg._end_of_value
+    """The objects End was asked about, one entry per call of end_of, in
+    order, through every module of the package that imported it.  A call
+    need not construct an SCAlgebra: objects with the same Hom pattern
+    share one."""
+    calls = []
+    end_of = endalg.end_of
 
     def counted(x):
-        misses = cached.cache_info().misses
-        algebra = end_of(x)
-        if cached.cache_info().misses > misses:
-            builds.append(x)
-        return algebra
+        calls.append(x)
+        return end_of(x)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("ddcp") and getattr(module, "end_of", None) is end_of:
             monkeypatch.setattr(module, "end_of", counted)
-    return builds
+    return calls

@@ -7,7 +7,7 @@ from itertools import (
 )
 
 from ddcp import reps
-from ddcp.approx import min_left_approx_sequence
+from ddcp.approx import ApproxSequence, hom_module, min_left_approx_sequence
 from ddcp.deciders import check_ddcp, check_ddcp_derived, check_tilting_complex
 from ddcp.derived import (
     DerivedMorphism,
@@ -17,7 +17,7 @@ from ddcp.derived import (
     pair_space_dim,
     to_chain,
 )
-from ddcp.endalg import SCModule, forest_join
+from ddcp.endalg import SCModule, forest_join, module_generators
 from ddcp.exactmat import Mat, rank, solve
 from ddcp.quiver import Algebra, InputError, Interval, hom_dim
 
@@ -407,6 +407,62 @@ def to_rep_morphism(f):
     src_ivs = [iv for iv, _ in f.src.summands]
     tgt_ivs = [iv for iv, _ in f.tgt.summands]
     return reps.rep_morphism(alg, src_ivs, tgt_ivs, f.entries)
+
+
+def approx_sequence_reference(y, t):
+    """The minimal sequence y -> T0 -> T1 that min_left_approx_sequence
+    reads off the Hom relation, built from the Hom module instead: a
+    minimal projective presentation of hom_module(y, t) over end_of(t),
+    with the top of the cover's kernel found by module_generators.  The
+    same InputErrors: for anything but two objects over one algebra
+    (graded_hom), and for a t that is not basic (over A_n, End(t) is basic
+    exactly when t is)."""
+    m, gens = hom_module(y, t)
+    algebra = m.algebra
+    if not algebra.is_basic():
+        raise InputError("approximation target must be basic")
+
+    # The top of Hom(y, t): the basis vectors no radical element hits.
+    # Idempotent l is summand l of the sorted t.summands (end_of) and fixes
+    # b_i when gens[i] targets t_l, so top0 and top1 list heads by
+    # idempotent in DerivedObject's order: position pos is summand pos.
+    idem = set(algebra.idempotents)
+    hit = {j for (a, _), j in m.table.items() if a not in idem}
+    top0 = sorted((gens[i][1], i) for i in range(m.dim) if i not in hit)
+    t0 = t._select(l for l, _ in top0)
+    one = Fraction(1)
+    f = DerivedMorphism._checked(
+        y, t0, {(gens[i][0], pos): one for pos, (_, i) in enumerate(top0)}
+    )
+
+    # Q0 = direct sum of projectives E e_l, one copy pos per head: basis
+    # (pos, beta), beta an algebra basis element with source l, sent to
+    # beta . b_head.  Its kernel, in Q0's order: (pos, beta) for a zero
+    # image, and (pos, beta) - first for an image that an earlier basis
+    # element, first, hit first.
+    kernel = []
+    first = {}
+    for pos, (l, i) in enumerate(top0):
+        for beta in algebra.projectives[l]:
+            image = m.table.get((beta, i))
+            if image is None:
+                kernel.append({(pos, beta): 1})
+            elif image in first:
+                kernel.append({first[image]: -1, (pos, beta): 1})
+            else:
+                first[image] = (pos, beta)
+
+    # The top of the kernel, read in Q0 coordinates, gives T1 and g.
+    top1 = module_generators(algebra, kernel)
+    t1 = t._select(l for l, _ in top1)
+    g_entries = {}
+    for pos1, (_, kappa) in enumerate(top1):
+        for (pos0, _), c in kappa.items():
+            g_entries[pos0, pos1] = g_entries.get((pos0, pos1), 0) + c
+    g = DerivedMorphism._checked(
+        t0, t1, {kl: Fraction(c) for kl, c in g_entries.items() if c}
+    )
+    return ApproxSequence(t0, f, t1, g)
 
 
 def approximation_matrix(f, t):

@@ -1,12 +1,13 @@
 """The output of the record scripts, written once.
 
 Each record script (classify_scaling.py, route_agreement.py,
-in_slice_record.py, module_counts.py) builds one record per size, whose
-"times" field is its only host-dependent part, and hands the records to
-emit.  --deterministic prints one sort-keyed JSON line per record, the
-record without its times: what CI diffs against a golden file.  Otherwise
-emit prints the full record, whose "command" is the command line it was
-run with.  Standard library only, and not collected by pytest.
+in_slice_record.py, module_counts.py, approx_record.py) builds one record
+per size, whose "times" field is its only host-dependent part, and hands
+the records to emit.  --deterministic prints one sort-keyed JSON line per
+record, the record without its times: what CI diffs against a golden
+file.  Otherwise emit prints the full record, whose "command" is the
+command line it was run with.  Standard library only, and not collected
+by pytest.
 """
 
 import json

@@ -1,23 +1,28 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedObject
-from ddcp.endalg import SCModule, module_generators
+from ddcp.derived import graded_hom
 from ddcp.exactmat import Mat, nullspace, rref, solve
 from ddcp.approx import hom_module, min_left_approx_sequence
 from ddcp.classify import make_V
-from ddcp import approx, endalg, reps
+from ddcp import approx, deciders, derived, endalg, reps
 from oracles import (
+    COMPLEX_DECIDERS,
+    approx_sequence_reference,
     approximation_matrix,
     is_exact_at_middle,
     is_exact_sequence_with_zero,
     is_injective,
     is_left_approximation,
     minimality_check,
+    normalised_objects,
     obj,
     radical_indices,
+    repeated_objects,
     to_rep_morphism,
     window_objects,
 )
@@ -288,62 +293,94 @@ def test_kernel_top_matches_kernel_module_reference():
     assert count == 3 * 4 + 5 * 42 + 7 * 299
 
 
-def test_sequences_are_unit_and_edge_combinatorics(monkeypatch):
-    """The shape the counting relies on: every f entry is 1, every g entry
-    is +-1, and every sparse vector module_generators is handed or builds
-    by free_act is zero, +-b_j or +-(b_j - b_k).  Every vector it is
-    handed lies in one idempotent component, as module_generators needs:
-    the basis elements of its coordinates share a target."""
-    seen = []
+def test_sequences_equal_the_hom_module_reference():
+    """min_left_approx_sequence, read off the Hom relation, equals the
+    presentation of hom_module over end_of (approx_sequence_reference)
+    entry for entry: on approximation_pairs, and on every y of one or two
+    summands against every t of at most three, over shifts {0, 1} at
+    n <= 3, where Ext-degree generators occur.  A non-basic target
+    (repeated_objects) raises the reference's InputError."""
+    pairs = list(approximation_pairs())
+    for n in (1, 2, 3):
+        alg = Algebra(n)
+        targets = list(window_objects(alg, range(4)))
+        pairs += [(y, t) for y in window_objects(alg, (1, 2)) for t in targets]
+    ext = 0
+    for y, t in pairs:
+        seq, ref = min_left_approx_sequence(y, t), approx_sequence_reference(y, t)
+        assert (seq.t0, seq.f.entries, seq.t1, seq.g.entries) == (
+            ref.t0, ref.f.entries, ref.t1, ref.g.entries), (y, t)
+        ext += any(deg for *_, deg in graded_hom(y, t))
+    assert len(pairs) == 2315 + 3 * 4 + 21 * 42 + 78 * 299 and ext > 0
+    non_basic = 0
+    for t in repeated_objects():
+        y = make_V(t.alg, t.alg.n)
+        if t.is_basic():
+            continue
+        non_basic += 1
+        for build in (min_left_approx_sequence, approx_sequence_reference):
+            with pytest.raises(InputError, match="^approximation target must "
+                                                 "be basic$"):
+                build(y, t)
+    assert non_basic > 0
 
-    def recording_generators(algebra, vectors):
-        for v in vectors:
-            assert len({algebra.ends[beta][1] for _, beta in v}) == 1
-        seen.extend(vectors)
-        return module_generators(algebra, vectors)
 
-    def recording_act(algebra, a, v):
-        w = free_act(algebra, a, v)
-        seen.append(w)
-        return w
-
-    free_act = endalg.free_act
-    monkeypatch.setattr(approx, "module_generators", recording_generators)
-    monkeypatch.setattr(endalg, "free_act", recording_act)
+def test_sequences_are_unit_and_edge_combinatorics():
+    """The shape the forest rule relies on: every f entry is 1, one on
+    each T0 summand, and each T1 summand's g entries are a single +-1 or
+    one +1 and one -1."""
     for y, t in approximation_pairs():
         seq = min_left_approx_sequence(y, t)
-        assert set(seq.f.entries.values()) <= {1}
-        assert set(seq.g.entries.values()) <= {1, -1}
-        # the forest rule's rows: one f entry per T0 summand, and g entries
-        # on a T1 summand a single +-1 or one +1 and one -1
         f_rows = [[c for (_, l), c in seq.f.entries.items() if l == row]
                   for row in range(len(seq.t0))]
         g_rows = [sorted(c for (_, l), c in seq.g.entries.items() if l == row)
                   for row in range(len(seq.t1))]
         assert all(r == [1] for r in f_rows)
         assert all(r in ([1], [-1], [-1, 1]) for r in g_rows)
-    # sparse vectors keep no zero coordinate
-    assert all(all(v.values()) for v in seen)
-    shapes = {tuple(sorted(v.values())) for v in seen}
-    assert shapes <= {(), (1,), (-1,), (-1, 1)}
-    assert (-1, 1) in shapes
 
 
-def test_one_module_per_sequence(monkeypatch):
-    """The only module a sequence builds is Hom(y, t): the cover Q0 and its
-    kernel are read off End(t)'s table as sparse vectors, and no module is
-    built in Q0 or kernel coordinates."""
-    built = []
+def test_sequence_builds_no_module_and_no_end(monkeypatch):
+    """A sequence reads the Hom relation alone: no call of
+    min_left_approx_sequence, by the derived route of the deciders or
+    directly, goes through end_of, hom_module, graded_hom, SCAlgebra,
+    SCModule, module_generators or DerivedObject.is_basic."""
+    inside = []
+    forbidden = {"end_of": endalg.end_of, "hom_module": approx.hom_module,
+                 "graded_hom": derived.graded_hom,
+                 "module_generators": endalg.module_generators}
 
-    class Counting(SCModule):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    def guarded(name, fn):
+        def guard(*args):
+            assert not inside, "a sequence called " + name
+            return fn(*args)
+        return guard
 
-    monkeypatch.setattr(approx, "SCModule", Counting)
-    alg = Algebra(3)
-    y, t = make_V(alg, alg.n), make_V(alg, 2)
-    seq = min_left_approx_sequence(y, t)
-    assert seq.t1.summands
-    hom, = built
-    assert hom.table == hom_module(y, t)[0].table
+    for name, module in list(sys.modules.items()):
+        for attr, fn in forbidden.items():
+            if name.startswith("ddcp") and getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, guarded(attr, fn))
+    for cls, attr in ((endalg.SCAlgebra, "__init__"),
+                      (endalg.SCModule, "__init__"),
+                      (DerivedObject, "is_basic")):
+        monkeypatch.setattr(cls, attr, guarded(cls.__name__ + "." + attr,
+                                               getattr(cls, attr)))
+    sequence = approx.min_left_approx_sequence
+    calls = []
+
+    def tracked(y, t):
+        calls.append(y)
+        inside.append(y)
+        try:
+            return sequence(y, t)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(deciders, "min_left_approx_sequence", tracked)
+    for n in (1, 2, 3):
+        for x in normalised_objects(n, [n]):
+            for decide in COMPLEX_DECIDERS:
+                decide(x)
+    # one sequence per derived-route key (tests/approx_record.py)
+    assert len(calls) == 1 + 14 + 257
+    for y, t in approximation_pairs():
+        tracked(y, t)

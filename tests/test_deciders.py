@@ -89,18 +89,18 @@ def test_tilting_module_precondition():
     assert any("hereditary" in r for r in rep.reasons)
 
 
-def test_complex_deciders_build_one_endomorphism_algebra(
+def test_complex_deciders_build_no_endomorphism_algebra(
     end_of_calls, fresh_caches
 ):
-    """The frame reads End(x)'s hereditariness off x's Hom relation, and the
-    module route's closed form needs no End, so only the derived route's
-    hom_module builds End(x): once per object, however many complex
-    deciders ask, when x is applicable and some vertex has one supporting
-    shift, and not at all otherwise.  The applicable objects are those
-    that are basic with a hereditary End(x) by the table reference
-    (is_hereditary_reference).  verify_homology_corners
-    builds End(x) once, for its derived tilting test, and no End of a
-    corner module."""
+    """The frame reads End(x)'s hereditariness off x's Hom relation, the
+    module route's closed form needs no End, and the derived route's
+    sequences read the same relation, so no complex decider asks for
+    End(x): not on an object that is not applicable, nor on one that
+    reaches the derived route (applicable, with some vertex of one
+    supporting shift).  The applicable objects are those that are basic
+    with a hereditary End(x) by the table reference
+    (is_hereditary_reference).  verify_homology_corners asks for no End
+    either, of x or of a corner module."""
     alg = Algebra(3)
     objects = list(window_objects(alg, [3]))
     objects.append(obj(alg, (1, 2, 0), (1, 2, 0), (3, 3, 1)))
@@ -112,7 +112,7 @@ def test_complex_deciders_build_one_endomorphism_algebra(
         reached = frame.applicable and any(
             len(pr.degrees_found) == 1 for pr in frame.projectives
         )
-        assert end_of_calls == ([x] if reached else []), x
+        assert end_of_calls == [], x
         assert all(r.applicable == frame.applicable for r in reports), x
         assert frame.applicable == (
             x.is_basic() and is_hereditary_reference(end_of(x))
@@ -126,7 +126,7 @@ def test_complex_deciders_build_one_endomorphism_algebra(
     end_of_calls.clear()
     x = make_T(alg, 1)
     assert verify_homology_corners(x)
-    assert end_of_calls == [x]
+    assert end_of_calls == []
 
 
 def test_ddcp_failure_simples():
@@ -464,13 +464,14 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
     asked again.  A caller editing a report's reasons, degrees_found,
     approx_summands or kernel_intervals leaves every later report as it
     was.  Asking every complex decider about one object builds one
-    approximation sequence per unique-shift vertex, and End(x) once when
-    there is one, for the derived route; the module route builds neither.  The four complex deciders share
-    one frame, which the memo holds: x is asked is_basic once, no sequence
-    asks it of its own target (End(t) answers it), and the hereditary rule
-    (is_hereditary) is asked about x once.  The module deciders build no
-    End, no sequence and no memo entry, and ask the hereditary rule about
-    the module once per tilting test."""
+    approximation sequence per unique-shift vertex, for the derived route,
+    and no End(x); the module route builds no sequence.  The four complex
+    deciders share one frame, which the memo holds: x is asked is_basic
+    once, no sequence asks it of its own target (the target's Hom relation
+    answers it), and the hereditary rule (is_hereditary) is asked about x
+    once.  The module deciders build no End, no sequence and no memo
+    entry, and ask the hereditary rule about the module once per tilting
+    test."""
     sequences = []
     build = deciders.min_left_approx_sequence
 
@@ -517,7 +518,7 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
             (x,) = calls[0].args
             unique = [s for s in deciders._vertex_shifts(x) if len(s) == 1]
             assert len(sequences) == len(unique)
-            assert end_of_calls == ([x] if unique else [])
+            assert end_of_calls == []
             assert basic_asked == [x]
             assert hereditary_asked == [x]
             # the memo never holds more than the last object's work

@@ -1,17 +1,19 @@
 """The constructors of SCAlgebra, SCModule, RepMorphism and ChainComplex,
 and DerivedMorphism._checked, only store their arguments (the public
 DerivedMorphism constructor keeps its entries as nonzero Fractions), so the
-checks of tests/oracles.py are run here: validate_algebra,
-validate_module, validate_chain and validate_morphism over every instance the
-library builds for a population of objects and modules (the library builds
-no RepMorphism; the test references do), and each validator, with
-validate_rep_morphism, against a broken instance it must reject."""
+checks of tests/oracles.py are run here: validate_algebra, validate_chain
+and validate_morphism over every instance the library builds for a
+population of objects and modules, validate_module over the modules the
+test references build from the library's (the deciders build no SCModule
+and no RepMorphism), and each validator, with validate_rep_morphism,
+against a broken instance it must reject."""
 
 from collections import Counter
 
 import pytest
 
 from ddcp import approx, derived, endalg
+from ddcp.approx import hom_module
 from ddcp.classify import enumerate_and_classify, make_V
 from ddcp.deciders import (
     check_ddcp,
@@ -21,7 +23,7 @@ from ddcp.deciders import (
     check_tilting_module,
     verify_homology_corners,
 )
-from ddcp.derived import ChainComplex, DerivedMorphism
+from ddcp.derived import ChainComplex, DerivedMorphism, DerivedObject
 from ddcp.endalg import SCAlgebra, SCModule
 from ddcp.exactmat import Mat
 from ddcp.quiver import Algebra, InputError, Interval
@@ -61,15 +63,12 @@ def validating(cls, check, counts):
 
 @pytest.fixture
 def validated(monkeypatch):
-    """Validate every SCAlgebra, SCModule, ChainComplex and DerivedMorphism
-    the library builds; returns the number validated per class."""
+    """Validate every SCAlgebra, ChainComplex and DerivedMorphism the
+    library builds; returns the number validated per class."""
     counts = Counter()
-    module = validating(SCModule, validate_module, counts)
     morphism = validating(DerivedMorphism, validate_morphism, counts)
     monkeypatch.setattr(
         endalg, "SCAlgebra", validating(SCAlgebra, validate_algebra, counts))
-    monkeypatch.setattr(endalg, "SCModule", module)
-    monkeypatch.setattr(approx, "SCModule", module)
     monkeypatch.setattr(
         derived, "ChainComplex", validating(ChainComplex, validate_chain, counts))
     monkeypatch.setattr(derived, "DerivedMorphism", morphism)
@@ -85,9 +84,13 @@ def test_every_built_instance_validates(validated):
             check_tilting_complex(x, "module")
             check_tilting_complex(x, "derived")
             verify_homology_corners(x)
-            # a test reference (oracles.py), like the dense cover Q0 that
-            # test_approx.py validates
+            # the modules of the test references (oracles.py): End(x) over
+            # itself, and the Hom module of each sequence reference
             validate_module(regular_module(endalg.end_of(x)))
+            for e in range(1, n + 1):
+                for i in x.shifts():
+                    y = DerivedObject(x.alg, [(x.alg.projective(e), i)])
+                    validate_module(hom_module(y, x)[0])
     alg5 = Algebra(5)
     # every basic module at n <= 3 (at most 6 intervals), the empty one too
     modules = list(basic_modules(range(1, 4), range(7)))
@@ -97,7 +100,7 @@ def test_every_built_instance_validates(validated):
         check_tilting_module(alg, multiset)
     enumerate_and_classify(Algebra(4))
     assert set(validated) == {
-        "SCAlgebra", "SCModule", "ChainComplex", "DerivedMorphism._checked"
+        "SCAlgebra", "ChainComplex", "DerivedMorphism._checked"
     }
     assert min(validated.values()) > 0
 
