@@ -61,10 +61,13 @@ _SIGNS = {1: (_ONE,), 2: (-_ONE, _ONE)}  # the entries of a kernel vector
 
 @lru_cache(maxsize=1)
 def _target_reach(t):
-    """reach(t.summands, t.summands) of the last target, by value, or
+    """t's own Hom relation (t.hom_relation(), kept on t and shared with
+    is_hereditary(t)), checked once for the last target, by value, or
     InputError when t is not basic: two distinct summands of a split
-    object over A_n with maps both ways are equal."""
-    own = reach(t.summands, t.summands)
+    object over A_n with maps both ways are equal.  The cache keeps the
+    basic check to one per target; the relation itself is computed once
+    per object, whichever of the two readers asks first."""
+    own = t.hom_relation()
     if any(own[w] >> k & 1 for k, r in enumerate(own)
            for w in bits(r & ~(1 << k))):
         raise InputError("approximation target must be basic")
@@ -73,9 +76,11 @@ def _target_reach(t):
 
 def min_left_approx_sequence(y, t):
     """The minimal sequence y -> T0 -> T1, by projective presentation
-    transport, read off the Hom relation.  Anything but two objects over
-    one algebra raises InputError, and so does a target t that is not
-    basic.
+    transport, read off the Hom relation: reach(y.summands, t.summands)
+    and t's own relation (_target_reach), which a decider that asked
+    is_hereditary(t) first finds already computed.  Anything but two
+    objects over one algebra raises InputError, and so does a target t
+    that is not basic.
 
     Write reach(l) for the summands u of t with a nonzero graded map
     l -> u, l included, and into(k) for the same set of a summand k of y.

@@ -19,22 +19,31 @@ End(x) is hereditary is read off the Hom relation of x's summands
 route's approximation sequences read the same relation (approx), so no
 decider builds End(x).
 
-The complex deciders share the work that depends only on the object: its
-frame (not applicable, or else every vertex's supporting shifts) and each
-derived-route (T0, cone(g)), built once for the deciders asked about it in
-a row and kept, by value, for the last object only, so every report is
-what a fresh computation gives.  derived.cone shares each cone by the
-value of g, read and never changed.  P(e)[i] and the cones built from a
-checked object are taken as checked, not validated again.
+The complex deciders share the work that depends only on the object,
+built once for the deciders asked about it in a row and kept, by value,
+for the last object only (_once), so every report is what a fresh
+computation gives: its frame (_frame: not applicable, or else every
+vertex's supporting shifts, with a shift failure formatted once), each
+module-route in-slice outcome (_slice_outcome, read by check_ddcp and the
+module route of check_tilting_complex) and each derived-route (T0,
+cone(g)) (_approx_cone).  x's own Hom relation is kept on x itself
+(DerivedObject.hom_relation): the frame's is_hereditary(x) computes it and
+the derived route's sequences with target x read it.  is_hereditary stays
+out of any cache by value, since the module deciders ask it of a fresh
+object each call.  derived.cone shares each cone by the value of g, read
+and never changed.  P(e)[i] and the cones built from a checked object are
+taken as checked, not validated again.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .derived import DerivedObject, cone
+from .derived import DerivedObject, cone, summand_order
 from .endalg import is_hereditary
 from .approx import min_left_approx_sequence
-from .quiver import Algebra, InputError, Interval, check_object, is_int
+from .quiver import (
+    Algebra, InputError, Interval, check_algebra, check_object, is_int,
+)
 
 
 @dataclass
@@ -86,12 +95,16 @@ class DeciderReport:
 
 def _basic_module(alg, multiset):
     """The module of a multiset's distinct intervals (add-closure
-    representative).  A multiplicity is a non-negative int, zero meaning
-    absent."""
-    for m in check_object(multiset, dict).values():
+    representative).  Every key is an interval of alg and every
+    multiplicity a non-negative int, zero meaning absent; both are checked
+    here, once, so the object is built as checked."""
+    check_algebra(alg)
+    for iv, m in check_object(multiset, dict).items():
         if not (is_int(m) and m >= 0):
             raise InputError("multiplicity %r is not a non-negative int" % (m,))
-    return DerivedObject(alg, [(iv, 0) for iv, m in multiset.items() if m])
+        alg.check_interval(iv)
+    return DerivedObject._checked(alg, sorted(
+        ((iv, 0) for iv, m in multiset.items() if m), key=summand_order))
 
 
 def _judge(name, checks):
@@ -111,10 +124,11 @@ def _memo(x):
     return {}
 
 
-def _once(x, key, build):
+def _once(x, key, build, *args):
+    """build(*args), kept for x under key."""
     memo = _memo(x)
     if key not in memo:
-        memo[key] = build()
+        memo[key] = build(*args)
     return memo[key]
 
 
@@ -224,29 +238,39 @@ def ddcp_precheck(x):
     return None
 
 
-def _decide(x, name, step):
-    """The report of one complex decider on x's frame, shared by all four:
+def _frame(x):
+    """What the four complex deciders share of x before any vertex's step:
     the reason x is not applicable (not basic, or End(x) not hereditary by
-    is_hereditary(x)), or else every vertex's supporting shifts.  Every
-    indecomposable projective P(e) needs a unique supporting shift i, and
-    then step(x, report of P(e), i) must return no failures; each failing
-    one adds a reason naming e."""
+    is_hereditary(x)), or else (e, supporting shifts, reason) for every
+    vertex e, the reason formatted once when the shift is not unique."""
+    if not x.is_basic():
+        return "object is not basic"
+    if not is_hereditary(x):
+        return _NOT_HEREDITARY
+    return [
+        (e, shifts, None if len(shifts) == 1
+         else "vertex %d: %s" % (e, _shift_failure(shifts)))
+        for e, shifts in enumerate(_vertex_shifts(x), 1)
+    ]
+
+
+def _decide(x, name, step):
+    """The report of one complex decider on x's frame, shared by all four.
+    Every indecomposable projective P(e) needs a unique supporting shift i,
+    and then step(x, report of P(e), i) must return no failures; each
+    failing one adds a reason naming e."""
     check_object(x, DerivedObject)
-
-    def build():
-        if not x.is_basic():
-            return "object is not basic"
-        return _vertex_shifts(x) if is_hereditary(x) else _NOT_HEREDITARY
-
-    frame = _once(x, "frame", build)
+    frame = _once(x, "frame", _frame, x)
     if isinstance(frame, str):
         return DeciderReport(name, False, False, [frame])
     report = DeciderReport(name, False)
-    for e, shifts in enumerate(frame, 1):
+    for e, shifts, shift_failure in frame:
         pr = ProjectiveReport(e, list(shifts))
         report.projectives.append(pr)
-        failures = (step(x, pr, shifts[0]) if len(shifts) == 1
-                    else [_shift_failure(shifts)])
+        if shift_failure:
+            report.reasons.append(shift_failure)
+            continue
+        failures = step(x, pr, shifts[0])
         pr.verdict = not failures
         if failures:
             report.reasons.append("vertex %d: %s" % (e, "; ".join(failures)))
@@ -289,22 +313,38 @@ def _in_slice(alg, intervals, e):
     return tuple(heads), exact, onto, _kernel(alg, b)
 
 
+def _slice_outcome(x, e, i):
+    """_in_slice of P(e) by x's shift-i slice, with the kernel's failures:
+    what both module-route deciders read of vertex e."""
+    heads, exact, onto, kernel = _in_slice(
+        x.alg, tuple(iv for iv, s in x.summands if s == i), e
+    )
+    return heads, exact, onto, kernel, _kernel_failures(x, kernel, i)
+
+
 def _module_route(onto):
     """In-slice step: P(e) -> X0 -> X1 by the shift-i slice is exact at X0,
     with g onto too when onto is set, and the kernel of P(e) -> X0 lies in
     the additive closure of the shift-(i+1) slice."""
 
     def step(x, pr, i):
-        heads, exact, exact_onto, kernel = _in_slice(
-            x.alg, tuple(iv for iv, s in x.summands if s == i), pr.vertex
+        heads, exact, exact_onto, kernel, kernel_failures = _once(
+            x, ("in-slice", pr.vertex), _slice_outcome, x, pr.vertex, i
         )
         pr.approx_summands = [(iv, 0) for iv in heads]
         pr.exact = exact_onto if onto else exact
         pr.kernel_intervals = {} if kernel is None else {kernel: 1}
         failures = [] if pr.exact else ["sequence not exact"]
-        return failures + _kernel_failures(x, kernel, i)
+        return failures + kernel_failures
 
     return step
+
+
+def _approx_cone(x, p, i):
+    """T0's summands and cone(g) of the minimal add-x approximation
+    sequence P(e)[i] -> T0 -> T1, p = P(e)."""
+    seq = min_left_approx_sequence(DerivedObject._checked(x.alg, [(p, i)]), x)
+    return seq.t0.summands, cone(seq.g)
 
 
 def _derived_route(cone_test):
@@ -313,13 +353,7 @@ def _derived_route(cone_test):
 
     def step(x, pr, i):
         p = _projectives(x.alg)[pr.vertex - 1]
-
-        def build():
-            y = DerivedObject._checked(x.alg, [(p, i)])
-            seq = min_left_approx_sequence(y, x)
-            return seq.t0.summands, cone(seq.g)
-
-        t0, c = _once(x, ("cone", pr.vertex), build)
+        t0, c = _once(x, ("cone", pr.vertex), _approx_cone, x, p, i)
         pr.approx_summands = list(t0)
         return cone_test(c, pr, p, i)
 

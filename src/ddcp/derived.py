@@ -30,10 +30,11 @@ def summand_order(pair):
 class DerivedObject:
     """A finite multiset of shifted interval modules.  The constructor checks
     its input; _checked takes an object derived from a checked one as it is.
-    An object never changes, so the first read of its hash keeps it in a
-    slot.  Slots in place of an instance dict keep each object small."""
+    An object never changes, so the first read of its hash, and of its own
+    Hom relation (hom_relation), keeps it in a slot.  Slots in place of an
+    instance dict keep each object small."""
 
-    __slots__ = ("alg", "summands", "_hash")
+    __slots__ = ("alg", "summands", "_hash", "_reach")
 
     def __init__(self, alg, pairs):
         self.alg = check_algebra(alg)
@@ -46,12 +47,13 @@ class DerivedObject:
             if not is_int(s):
                 raise InputError("shift of %r must be an integer: %r" % (iv, s))
         self.summands = tuple(sorted(pairs, key=summand_order))
+        self._reach = None
 
     @classmethod
     def _checked(cls, alg, summands):
         """The object of checked summands, in summand_order."""
         x = object.__new__(cls)
-        x.alg, x.summands = alg, tuple(summands)
+        x.alg, x.summands, x._reach = alg, tuple(summands), None
         return x
 
     def _select(self, indices):
@@ -74,6 +76,17 @@ class DerivedObject:
 
     def __len__(self):
         return len(self.summands)
+
+    def hom_relation(self):
+        """reach(summands, summands), the object's own Hom relation, computed
+        on the first read and kept: End(x)'s Gabriel quiver and every
+        approximation sequence with target x read it, so an object asked
+        both questions computes it once.  It is kept on the object, not in a
+        cache by value, so a read costs no hash and no comparison."""
+        own = self._reach
+        if own is None:
+            own = self._reach = tuple(reach(self.summands, self.summands))
+        return own
 
     def is_basic(self):
         return len(set(self.summands)) == len(self.summands)

@@ -13,12 +13,14 @@ query is answered once per algebra and kept on it.  End(x)'s Gabriel quiver
 and whether End(x) is hereditary, the deciders' one question of it, are
 read off x's Hom relation instead, with no algebra built (gabriel_quiver,
 is_hereditary), and so are the minimal approximation sequences (approx).
+The relation is kept on x (DerivedObject.hom_relation), computed once for
+both readers.
 """
 
 from functools import cached_property, lru_cache, wraps
 
 from .quiver import InputError, check_object
-from .derived import DerivedObject, bits, composites, graded_hom, reach
+from .derived import DerivedObject, bits, composites, graded_hom
 
 
 def _kept(query):
@@ -133,15 +135,15 @@ def gabriel_quiver(x):
     the dimension of the projective P(k) at summand k, arrows its (k, t)
     pairs in order, the order of their elements in End(x)'s basis.
 
-    reach(k), a bitmask (derived.reach), is the set of summands t with a
-    nonzero graded map from k, k included: the basis of P(k).  A composite
-    k -> w -> t is nonzero exactly when k -> t is, so rad^2 at k is
-    reach(k) meeting reach(w) - {w} for some w in reach(k) - {k}, and the
-    arrows out of k are the rest of reach(k) - {k}.  Distinct summands
-    with maps both ways are equal, so x and End(x) are not basic:
-    InputError, as for anything but a DerivedObject."""
-    s = check_object(x, DerivedObject).summands
-    own = reach(s, s)
+    reach(k), a bitmask of x's own Hom relation (x.hom_relation(), kept on
+    x for the approximation sequences with target x to read too), is the
+    set of summands t with a nonzero graded map from k, k included: the
+    basis of P(k).  A composite k -> w -> t is nonzero exactly when k -> t
+    is, so rad^2 at k is reach(k) meeting reach(w) - {w} for some w in
+    reach(k) - {k}, and the arrows out of k are the rest of reach(k) - {k}.
+    Distinct summands with maps both ways are equal, so x and End(x) are
+    not basic: InputError, as for anything but a DerivedObject."""
+    own = check_object(x, DerivedObject).hom_relation()
     arrows = []
     for k, r in enumerate(own):
         out = r & ~(1 << k)
@@ -158,7 +160,12 @@ def is_hereditary(x):
     """True iff End(x) is hereditary, every simple of projective dimension
     at most one: the arrows out of k (gabriel_quiver) span the top of
     rad P(k), so the projectives at their targets cover it, and rad P(k) is
-    projective iff that cover has its dimension, dim P(k) - 1."""
+    projective iff that cover has its dimension, dim P(k) - 1.
+
+    The answer is not kept in a cache by value: the module deciders ask it
+    of a fresh object on every call, which such a cache never hits but
+    must hash and compare.  What is shared is x's Hom relation, kept on x
+    itself."""
     size, arrows = gabriel_quiver(x)
     cover = [0] * len(size)
     for k, t in arrows:

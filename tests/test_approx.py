@@ -9,21 +9,17 @@ from ddcp.derived import graded_hom
 from ddcp.exactmat import Mat, nullspace, rref, solve
 from ddcp.approx import hom_module, min_left_approx_sequence
 from ddcp.classify import make_V
-from ddcp import approx, deciders, derived, endalg, reps
+from ddcp import approx, deciders, derived, endalg
 from oracles import (
     COMPLEX_DECIDERS,
     approx_sequence_reference,
     approximation_matrix,
-    is_exact_at_middle,
-    is_exact_sequence_with_zero,
-    is_injective,
     is_left_approximation,
     minimality_check,
     normalised_objects,
     obj,
     radical_indices,
     repeated_objects,
-    to_rep_morphism,
     window_objects,
 )
 
@@ -51,50 +47,6 @@ def test_hom_module_zero():
     t = obj(alg, (3, 3, 5))
     m, _ = hom_module(y, t)
     assert m.dim == 0
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_V_family_approximation_of_regular(n):
-    alg = Algebra(n)
-    for m in range(1, n + 1):
-        t = make_V(alg, m)
-        seq = min_left_approx_sequence(make_V(alg, n), t)
-        expected_t0 = {Interval(m, n): n - m + 1}
-        expected_t0.update({Interval(k, n): 1 for k in range(1, m)})
-        expected_t1 = {Interval(1, k): 1 for k in range(m, n)}
-        assert seq.t0.slice(0) == expected_t0
-        assert seq.t1.slice(0) == expected_t1
-        assert is_injective(seq)
-        assert is_exact_at_middle(seq)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_two_shift_family_module_sequences(n):
-    alg = Algebra(n)
-    for i in range(1, n):
-        # injective-resolution shape: projectives at the tail vertices
-        # against the shifted slice
-        y = obj(alg, *[(k, n, 0) for k in range(i + 1, n + 1)])
-        t = obj(alg, *[(i + 1, j, 0) for j in range(i + 1, n + 1)])
-        seq = min_left_approx_sequence(y, t)
-        assert seq.t0.slice(0) == {Interval(i + 1, n): n - i}
-        assert seq.t1.slice(0) == {
-            Interval(i + 1, j): 1 for j in range(i + 1, n)
-        }
-        assert is_injective(seq)
-        assert is_exact_sequence_with_zero(seq)
-
-        # quotient-module shape: kernel is a power of an interval
-        y2 = obj(alg, *[(k, n, 0) for k in range(1, i + 1)])
-        t2 = obj(alg, *[(k, i, 0) for k in range(1, i + 1)])
-        seq2 = min_left_approx_sequence(y2, t2)
-        assert seq2.t0.slice(0) == {Interval(k, i): 1 for k in range(1, i + 1)}
-        assert not seq2.t1.summands
-        f2 = to_rep_morphism(seq2.f)
-        ker, _ = reps.kernel(f2)
-        assert reps.interval_decompose(ker) == {Interval(i + 1, n): i}
-        cok, _ = reps.cokernel(f2)
-        assert cok.total_dim() == 0
 
 
 def test_target_in_add_t():

@@ -80,16 +80,6 @@ def family_labels(n):
     )
 
 
-@pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (3, 5)])
-def test_classification_small(n, expected):
-    alg = Algebra(n)
-    result = enumerate_and_classify(alg)
-    assert result.lambda_count == expected
-    labels = sorted(result.matched.values())
-    assert labels == family_labels(n)
-    assert "UNEXPECTED" not in labels
-
-
 def test_classification_normalization():
     alg = Algebra(3)
     result = enumerate_and_classify(alg)

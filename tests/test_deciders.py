@@ -1,12 +1,13 @@
 import ast
 import json
+import sys
 from collections import Counter
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from ddcp import approx, deciders, reps
+from ddcp import approx, deciders, derived, reps
 from ddcp.quiver import Algebra, InputError, Interval
 from ddcp.derived import DerivedMorphism, DerivedObject
 from ddcp.deciders import (
@@ -59,7 +60,8 @@ def test_module_dcp_failures():
 
 def test_module_dcp_duplicates_use_add_closure():
     """A multiplicity counts only as present (positive) or absent (zero);
-    anything but a non-negative int is rejected, not coerced."""
+    anything but a non-negative int is rejected, not coerced.  Every key
+    must be an interval of the algebra, an absent one too."""
     alg = Algebra(3)
     v2 = make_V(alg, 2).slice(0)
     doubled = {iv: 2 for iv in v2}
@@ -72,6 +74,11 @@ def test_module_dcp_duplicates_use_add_closure():
         for bad in (-1, 1.5, True, "2", None):
             with pytest.raises(InputError, match="multiplicity"):
                 decide(alg, {**v2, Interval(2, 2): bad})
+        for key, match in (((2, 2), "not an interval"),
+                           (Interval(1, 4), "exceeds")):
+            for m in (0, 1):
+                with pytest.raises(InputError, match=match):
+                    decide(alg, {**v2, key: m})
 
 
 def test_tilting_module_examples():
@@ -465,13 +472,32 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
     approx_summands or kernel_intervals leaves every later report as it
     was.  Asking every complex decider about one object builds one
     approximation sequence per unique-shift vertex, for the derived route,
-    and no End(x); the module route builds no sequence.  The four complex
-    deciders share one frame, which the memo holds: x is asked is_basic
-    once, no sequence asks it of its own target (the target's Hom relation
-    answers it), and the hereditary rule (is_hereditary) is asked about x
-    once.  The module deciders build no End, no sequence and no memo
-    entry, and ask the hereditary rule about the module once per tilting
-    test."""
+    and no End(x); the module route builds no sequence and reads one
+    in-slice outcome (_in_slice) per unique-shift vertex, shared by its two
+    deciders.  The four complex deciders share one frame, which the memo
+    holds: x is asked is_basic once, no sequence asks it of its own target
+    (the target's Hom relation answers it), and the hereditary rule
+    (is_hereditary) is asked about x once.  x's own Hom relation, reach
+    called with x's summands as both ends, is computed once, for the
+    hereditary rule and every sequence with target x.  The module deciders
+    build no End, no sequence and no memo entry, and ask the hereditary
+    rule about the module once per tilting test, computing the module's
+    own Hom relation each time."""
+    own_reach = []
+    reach = derived.reach
+
+    def recording_reach(src, tgt):
+        if src is tgt:
+            own_reach.append(src)
+        return reach(src, tgt)
+
+    in_slice_asked = []
+    in_slice = deciders._in_slice
+
+    def recording_in_slice(alg, intervals, e):
+        in_slice_asked.append(e)
+        return in_slice(alg, intervals, e)
+
     sequences = []
     build = deciders.min_left_approx_sequence
 
@@ -496,16 +522,28 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
     monkeypatch.setattr(deciders, "min_left_approx_sequence", recording)
     monkeypatch.setattr(DerivedObject, "is_basic", recording_basic)
     monkeypatch.setattr(deciders, "is_hereditary", recording_hereditary)
+    monkeypatch.setattr(deciders, "_in_slice", recording_in_slice)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("ddcp")
+                and getattr(module, "reach", None) is reach):
+            monkeypatch.setattr(module, "reach", recording_reach)
     for calls in deciders_per_object():
         fresh = []
         for decide in calls:
             fresh_caches()
             fresh.append(decide().as_dict())
         fresh_caches()
+        if len(calls) == len(COMPLEX_DECIDERS):
+            # an equal object with no Hom relation kept on it yet
+            (x,) = calls[0].args
+            x = DerivedObject(x.alg, x.summands)
+            calls = [partial(decide, x) for decide in COMPLEX_DECIDERS]
         end_of_calls.clear()
         sequences.clear()
         basic_asked.clear()
         hereditary_asked.clear()
+        own_reach.clear()
+        in_slice_asked.clear()
         for decide, expected in zip(calls + calls, fresh + fresh):
             report = decide()
             assert report.as_dict() == expected
@@ -516,8 +554,11 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
                 pr.kernel_intervals[Interval(1, 1)] = 7
         if len(calls) == len(COMPLEX_DECIDERS):
             (x,) = calls[0].args
-            unique = [s for s in deciders._vertex_shifts(x) if len(s) == 1]
+            unique = [e for e, s in enumerate(deciders._vertex_shifts(x), 1)
+                      if len(s) == 1]
             assert len(sequences) == len(unique)
+            assert in_slice_asked == unique
+            assert own_reach == [x.summands]
             assert end_of_calls == []
             assert basic_asked == [x]
             assert hereditary_asked == [x]
@@ -528,6 +569,7 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
             t = DerivedObject(alg, [(iv, 0) for iv in multiset])
             assert end_of_calls == [] and hereditary_asked == [t, t]
             assert sequences == [] and basic_asked == []
+            assert own_reach == [t.summands, t.summands]
             assert deciders._memo.cache_info().currsize == 0
         fresh_caches()
         assert [decide().as_dict() for decide in calls[::-1]] == fresh[::-1]
