@@ -28,9 +28,8 @@ module-route in-slice outcome (_slice_outcome, read by check_ddcp and the
 module route of check_tilting_complex) and each derived-route (T0,
 cone(g)) (_approx_cone).  x's own Hom relation is kept on x itself
 (DerivedObject.hom_relation): the frame's is_hereditary(x) computes it and
-the derived route's sequences with target x read it.  is_hereditary stays
-out of any cache by value, since the module deciders ask it of a fresh
-object each call.  derived.cone shares each cone by the value of g, read
+the derived route's sequences with target x read it; is_hereditary stays
+out of any cache by value (see its docstring).  derived.cone shares each cone by the value of g, read
 and never changed.  P(e)[i] and the cones built from a checked object are
 taken as checked, not validated again.
 """
