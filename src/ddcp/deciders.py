@@ -23,15 +23,15 @@ The complex deciders share the work that depends only on the object,
 built once for the deciders asked about it in a row and kept, by value,
 for the last object only (_once), so every report is what a fresh
 computation gives: its frame (_frame: not applicable, or else every
-vertex's supporting shifts, with a shift failure formatted once), each
-module-route in-slice outcome (_slice_outcome, read by check_ddcp and the
-module route of check_tilting_complex) and each derived-route (T0,
-cone(g)) (_approx_cone).  x's own Hom relation is kept on x itself
+vertex's supporting shifts, with a shift failure formatted once or the
+in-slice outcome that check_ddcp and the module route of
+check_tilting_complex both read) and each derived-route (T0, cone(g))
+(_approx_cone).  x's own Hom relation is kept on x itself
 (DerivedObject.hom_relation): the frame's is_hereditary(x) computes it and
 the derived route's sequences with target x read it; is_hereditary stays
-out of any cache by value (see its docstring).  derived.cone shares each cone by the value of g, read
-and never changed.  P(e)[i] and the cones built from a checked object are
-taken as checked, not validated again.
+out of any cache by value (see its docstring).  derived.cone shares each
+cone by the value of g, read and never changed.  P(e)[i] and the cones
+built from a checked object are taken as checked, not validated again.
 """
 
 from dataclasses import dataclass, field
@@ -240,36 +240,49 @@ def ddcp_precheck(x):
 def _frame(x):
     """What the four complex deciders share of x before any vertex's step:
     the reason x is not applicable (not basic, or End(x) not hereditary by
-    is_hereditary(x)), or else (e, supporting shifts, reason) for every
-    vertex e, the reason formatted once when the shift is not unique."""
+    is_hereditary(x)), or else (e, supporting shifts, shift failure,
+    in-slice outcome) for every vertex e.  A vertex without a unique shift
+    has its failure formatted once and no outcome; a vertex with a unique
+    shift i has no failure, and the outcome both module-route deciders
+    read: _in_slice of P(e) by the shift-i slice, with the kernel's
+    failures."""
     if not x.is_basic():
         return "object is not basic"
     if not is_hereditary(x):
         return _NOT_HEREDITARY
-    return [
-        (e, shifts, None if len(shifts) == 1
-         else "vertex %d: %s" % (e, _shift_failure(shifts)))
-        for e, shifts in enumerate(_vertex_shifts(x), 1)
-    ]
+    slices = {}
+    for iv, s in x.summands:
+        slices.setdefault(s, []).append(iv)
+    frame = []
+    for e, shifts in enumerate(_vertex_shifts(x), 1):
+        if len(shifts) != 1:
+            failure = "vertex %d: %s" % (e, _shift_failure(shifts))
+            frame.append((e, shifts, failure, None))
+            continue
+        i = shifts[0]
+        heads, exact, onto, kernel = _in_slice(x.alg, slices[i], e)
+        outcome = heads, exact, onto, kernel, _kernel_failures(x, kernel, i)
+        frame.append((e, shifts, None, outcome))
+    return frame
 
 
 def _decide(x, name, step):
     """The report of one complex decider on x's frame, shared by all four.
     Every indecomposable projective P(e) needs a unique supporting shift i,
-    and then step(x, report of P(e), i) must return no failures; each
-    failing one adds a reason naming e."""
+    and then step(x, report of P(e), i, in-slice outcome) must return no
+    failures; each failing one adds a reason naming e."""
     check_object(x, DerivedObject)
     frame = _once(x, "frame", _frame, x)
     if isinstance(frame, str):
         return DeciderReport(name, False, False, [frame])
     report = DeciderReport(name, False)
-    for e, shifts, shift_failure in frame:
+    for e, shifts, shift_failure, outcome in frame:
         pr = ProjectiveReport(e, list(shifts))
         report.projectives.append(pr)
         if shift_failure:
             report.reasons.append(shift_failure)
             continue
-        failures = step(x, pr, shifts[0])
+        failures = step(x, pr, shifts[0], outcome)
         pr.verdict = not failures
         if failures:
             report.reasons.append("vertex %d: %s" % (e, "; ".join(failures)))
@@ -312,24 +325,14 @@ def _in_slice(alg, intervals, e):
     return tuple(heads), exact, onto, _kernel(alg, b)
 
 
-def _slice_outcome(x, e, i):
-    """_in_slice of P(e) by x's shift-i slice, with the kernel's failures:
-    what both module-route deciders read of vertex e."""
-    heads, exact, onto, kernel = _in_slice(
-        x.alg, tuple(iv for iv, s in x.summands if s == i), e
-    )
-    return heads, exact, onto, kernel, _kernel_failures(x, kernel, i)
-
-
 def _module_route(onto):
-    """In-slice step: P(e) -> X0 -> X1 by the shift-i slice is exact at X0,
-    with g onto too when onto is set, and the kernel of P(e) -> X0 lies in
-    the additive closure of the shift-(i+1) slice."""
+    """In-slice step, on the frame's in-slice outcome: P(e) -> X0 -> X1 by
+    the shift-i slice is exact at X0, with g onto too when onto is set, and
+    the kernel of P(e) -> X0 lies in the additive closure of the
+    shift-(i+1) slice."""
 
-    def step(x, pr, i):
-        heads, exact, exact_onto, kernel, kernel_failures = _once(
-            x, ("in-slice", pr.vertex), _slice_outcome, x, pr.vertex, i
-        )
+    def step(x, pr, i, outcome):
+        heads, exact, exact_onto, kernel, kernel_failures = outcome
         pr.approx_summands = [(iv, 0) for iv in heads]
         pr.exact = exact_onto if onto else exact
         pr.kernel_intervals = {} if kernel is None else {kernel: 1}
@@ -350,7 +353,7 @@ def _derived_route(cone_test):
     """Cone step: cone_test(cone, report, P(e), i) judges the mapping cone of
     g in the minimal add-x approximation sequence P(e)[i] -> T0 -> T1."""
 
-    def step(x, pr, i):
+    def step(x, pr, i, _):
         p = _projectives(x.alg)[pr.vertex - 1]
         t0, c = _once(x, ("cone", pr.vertex), _approx_cone, x, p, i)
         pr.approx_summands = list(t0)
