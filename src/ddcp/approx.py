@@ -8,7 +8,9 @@ sequence y -> T0 -> T1, with explicit scalar components.  Over A_n every
 Hom space between two summands is at most one-dimensional and a composite
 is nonzero exactly when its space is, so min_left_approx_sequence runs
 that presentation on the summands' Hom relation (derived.reach), with no
-E and no module built.  hom_module builds Hom(y, t) as an E-module all the
+E and no module built.  t's own relation is the one kept on t
+(DerivedObject.hom_relation), and t must be basic (DerivedObject.is_basic).
+hom_module builds Hom(y, t) as an E-module all the
 same; the tests build the presentation from it, as the reference.
 
 The minimal sequence is a direct summand of every approximation sequence,
@@ -19,7 +21,6 @@ derived route takes the cone of its g, and the module route's closed form
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .quiver import InputError
 from .derived import (
@@ -59,28 +60,13 @@ _ONE = Fraction(1)
 _SIGNS = {1: (_ONE,), 2: (-_ONE, _ONE)}  # the entries of a kernel vector
 
 
-@lru_cache(maxsize=1)
-def _target_reach(t):
-    """t's own Hom relation (t.hom_relation(), kept on t and shared with
-    is_hereditary(t)), checked once for the last target, by value, or
-    InputError when t is not basic: two distinct summands of a split
-    object over A_n with maps both ways are equal.  The cache keeps the
-    basic check to one per target; the relation itself is computed once
-    per object, whichever of the two readers asks first."""
-    own = t.hom_relation()
-    if any(own[w] >> k & 1 for k, r in enumerate(own)
-           for w in bits(r & ~(1 << k))):
-        raise InputError("approximation target must be basic")
-    return own
-
-
 def min_left_approx_sequence(y, t):
     """The minimal sequence y -> T0 -> T1, by projective presentation
     transport, read off the Hom relation: reach(y.summands, t.summands)
-    and t's own relation (_target_reach), which a decider that asked
+    and t's own relation (t.hom_relation()), which a decider that asked
     is_hereditary(t) first finds already computed.  Anything but two
     objects over one algebra raises InputError, and so does a target t
-    that is not basic.
+    that is not basic (t.is_basic()).
 
     Write reach(l) for the summands u of t with a nonzero graded map
     l -> u, l included, and into(k) for the same set of a summand k of y.
@@ -112,7 +98,9 @@ def min_left_approx_sequence(y, t):
     column of g: 1 at its pos, and -1 at pos' for a difference.
     """
     _check_pair(y, t)
-    own = _target_reach(t)
+    if not t.is_basic():
+        raise InputError("approximation target must be basic")
+    own = t.hom_relation()
     into = reach(y.summands, t.summands)
 
     heads = []

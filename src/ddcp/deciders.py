@@ -26,7 +26,8 @@ computation gives: its frame (_frame: not applicable, or else every
 vertex's supporting shifts, with a shift failure formatted once or the
 in-slice outcome that check_ddcp and the module route of
 check_tilting_complex both read) and each derived-route (T0, cone(g))
-(_approx_cone).  x's own Hom relation is kept on x itself
+(_approx_cone).  P(e) is read off the algebra (Algebra.projectives).
+x's own Hom relation is kept on x itself
 (DerivedObject.hom_relation): the frame's is_hereditary(x) computes it and
 the derived route's sequences with target x read it; is_hereditary stays
 out of any cache by value (see its docstring).  derived.cone shares each
@@ -131,13 +132,6 @@ def _once(x, key, build, *args):
     return memo[key]
 
 
-@lru_cache
-def _projectives(alg):
-    """P(1), ..., P(n), read off the algebra's cached intervals: the
-    intervals ending at n, P(e) at index e - 1."""
-    return tuple(iv for iv in alg.intervals() if iv.b == alg.n)
-
-
 def _regular_checks(t, onto):
     """Whether the minimal approximation A -> M0 -> M1 of the regular module
     by t, the sum of the in-slice sequences of P(1), ..., P(n) by t, has f
@@ -181,27 +175,15 @@ def _shift_failure(shifts):
 
 def _kernel(alg, b):
     """The kernel X(b + 1, n) = P(b + 1) of P(e) -> X0 onto X(e, b), read
-    off the algebra's cached intervals, or None when b = n."""
-    return _projectives(alg)[b] if b < alg.n else None
-
-
-def kernel_interval(x, e, i):
-    """Kernel of P(e) -> X0, the minimal approximation of P(e) by x's shift-i
-    slice (i the one shift supporting e): _kernel of b, the largest right
-    end of a shift-i summand containing e (_in_slice derives it), or
-    InputError when no such summand is there, or on malformed arguments."""
-    check_object(x, DerivedObject)
-    if not (is_int(e) and is_int(i)):
-        raise InputError("vertex %r and shift %r must be integers" % (e, i))
-    return _kernel_interval(x, e, i)
+    off alg.projectives, or None when b = n."""
+    return alg.projectives[b] if b < alg.n else None
 
 
 def _kernel_interval(x, e, i):
-    """kernel_interval on checked arguments, as ddcp_precheck asks it."""
-    try:
-        b = max(iv.b for iv, s in x.summands if s == i and iv.a <= e <= iv.b)
-    except ValueError:  # max(..., default=None) measured slower
-        raise InputError("no shift-%r summand of %r covers %r" % (i, x, e))
+    """The kernel of P(e) -> X0, the minimal approximation of P(e) by x's
+    shift-i slice, i a shift supporting e: _kernel of b, the largest right
+    end of a shift-i summand containing e (_in_slice derives it)."""
+    b = max(iv.b for iv, s in x.summands if s == i and iv.a <= e <= iv.b)
     return _kernel(x.alg, b)
 
 
@@ -354,7 +336,7 @@ def _derived_route(cone_test):
     g in the minimal add-x approximation sequence P(e)[i] -> T0 -> T1."""
 
     def step(x, pr, i, _):
-        p = _projectives(x.alg)[pr.vertex - 1]
+        p = x.alg.projectives[pr.vertex - 1]
         t0, c = _once(x, ("cone", pr.vertex), _approx_cone, x, p, i)
         pr.approx_summands = list(t0)
         return cone_test(c, pr, p, i)
@@ -435,8 +417,10 @@ def verify_homology_corners(x):
     This checks one direction of the corner reduction: ddcp implies every
     slice dcp over its corner, and tilting implies every slice tilting
     over its corner.  The converse, that such slices make x ddcp (or
-    tilting), is not checked: an object failing check_ddcp is reported not
-    applicable, with no corner examined."""
+    tilting), is not checked here: an object failing check_ddcp is
+    reported not applicable, with no corner examined.  The tests check
+    both directions (test_corner_reduction_holds_both_ways, and
+    tests/corner_record.py at n = 5)."""
     ddcp = check_ddcp(x)
     if not ddcp:
         return DeciderReport("corners", False, False,

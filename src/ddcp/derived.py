@@ -12,7 +12,7 @@ entries as much as a chain differential or lift, is sparse:
 {(source index, target index): nonzero Fraction}.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +38,8 @@ class DerivedObject:
 
     def __init__(self, alg, pairs):
         self.alg = check_algebra(alg)
+        if isinstance(pairs, Mapping):  # its keys would drop multiplicities
+            raise InputError("%r is a mapping, not summands" % (pairs,))
         pairs = list(check_object(pairs, Iterable))
         for pair in pairs:
             if not (type(pair) is tuple and len(pair) == 2):

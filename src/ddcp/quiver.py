@@ -6,11 +6,12 @@ X(a, b), supported on vertices a..b with top S(a) and socle S(b).  Every
 nonzero Hom or Ext^1 space between intervals is one-dimensional, which makes
 morphism bookkeeping a matter of {0, 1} arithmetic; the closed-form dimension
 rules below are cross-checked against brute-force linear algebra in the test
-suite rather than taken on faith.
+suite rather than taken on faith.  An Algebra keeps its indecomposable
+projectives P(1), ..., P(n) (Algebra.projectives), which the deciders read.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class InputError(ValueError):
@@ -68,6 +69,12 @@ class Algebra:
 
     def projective(self, i):
         return self.interval(i, self.n)
+
+    @cached_property
+    def projectives(self):
+        """P(1), ..., P(n), P(e) at index e - 1: the shared intervals
+        ending at n, filtered once per algebra and kept on it."""
+        return tuple(iv for iv in _intervals(self.n) if iv.b == self.n)
 
     def injective(self, i):
         return self.interval(1, i)

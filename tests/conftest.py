@@ -2,21 +2,19 @@ import sys
 
 import pytest
 
-from ddcp import approx, deciders, derived, endalg
+from ddcp import deciders, derived, endalg
 
 # the cached functions themselves, which a test may monkeypatch away
 CACHES = (
     endalg._end_of_pattern,
-    approx._target_reach,
     deciders._memo,
     derived._chain_cone,
 )
 
 
 def reset_caches():
-    """Forget every End cached by Hom pattern, the approximation target's
-    Hom relation, the deciders' shared work and every cone cached by
-    morphism value."""
+    """Forget every End cached by Hom pattern, the deciders' shared work and
+    every cone cached by morphism value."""
     for cached in CACHES:
         cached.cache_clear()
 

@@ -8,7 +8,10 @@ from itertools import (
 
 from ddcp import reps
 from ddcp.approx import ApproxSequence, hom_module, min_left_approx_sequence
-from ddcp.deciders import check_ddcp, check_ddcp_derived, check_tilting_complex
+from ddcp.deciders import (
+    _restrict_to_corner, check_ddcp, check_ddcp_derived, check_module_dcp,
+    check_tilting_complex, check_tilting_module, ddcp_precheck,
+)
 from ddcp.derived import (
     DerivedMorphism,
     DerivedObject,
@@ -50,6 +53,36 @@ def normalised_objects(n, sizes):
     """The shift-normalised objects among window_objects over A_n, of the
     given nonzero summand counts: those with minimum shift 0."""
     return (x for x in window_objects(Algebra(n), sizes) if x.shifts()[0] == 0)
+
+
+def corner_objects(n):
+    """The shift-normalised n-summand objects over A_n (normalised_objects)
+    that are applicable to check_ddcp and pass ddcp_precheck: every vertex
+    has one supporting shift, and every kernel lies in the next slice."""
+    for x in normalised_objects(n, [n]):
+        if check_ddcp(x).applicable and ddcp_precheck(x) is None:
+            yield x
+
+
+def corner_reduction(x):
+    """Both sides of the corner reduction on a corner_objects object x:
+    (check_ddcp(x), every corner module dcp) and (check_tilting_complex(x),
+    every corner module tilting).  The corner of a shift i is the vertices
+    whose one supporting shift is i, and its module is x's shift-i slice
+    restricted to them (deciders._restrict_to_corner), over the chain
+    algebra of their count, as verify_homology_corners reads it."""
+    ddcp = check_ddcp(x)
+    corners = {}
+    for pr in ddcp.projectives:
+        (i,) = pr.degrees_found
+        corners.setdefault(i, []).append(pr.vertex)
+    modules = [(Algebra(len(verts)), _restrict_to_corner(x.slice(i), verts))
+               for i, verts in corners.items()]
+    return (
+        (ddcp.verdict, all(check_module_dcp(*m) for m in modules)),
+        (check_tilting_complex(x).verdict,
+         all(check_tilting_module(*m) for m in modules)),
+    )
 
 
 def repeated_objects():

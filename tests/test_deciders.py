@@ -16,7 +16,6 @@ from ddcp.deciders import (
     check_module_dcp,
     check_tilting_complex,
     check_tilting_module,
-    kernel_interval,
     verify_homology_corners,
 )
 from ddcp.classify import make_T, make_V
@@ -25,6 +24,8 @@ from oracles import (
     COMPLEX_DECIDERS,
     basic_modules,
     basic_slices,
+    corner_objects,
+    corner_reduction,
     dims,
     exact_at_middle_reference,
     exact_with_zero_reference,
@@ -176,6 +177,24 @@ def test_corners_for_families():
     assert verify_homology_corners(make_V(alg, 2))
     assert verify_homology_corners(make_T(alg, 1))
     assert verify_homology_corners(obj(alg, (1, 1, 0), (1, 2, 0), (3, 3, 1)))
+
+
+def test_corner_reduction_holds_both_ways():
+    """On every applicable shift-normalised n-summand object that passes
+    ddcp_precheck, n <= 4 (1, 3, 11 and 50 objects), x is ddcp exactly when
+    every slice is dcp over its corner, and tilting exactly when every
+    slice is tilting over its corner: both directions of the reduction,
+    of which verify_homology_corners checks one.  tests/corner_record.py
+    records n = 5."""
+    counts = []
+    for n in range(1, 5):
+        held = []  # (ddcp, tilting) per object
+        for x in corner_objects(n):
+            (ddcp, dcp), (tilting, tilt) = corner_reduction(x)
+            assert (ddcp, tilting) == (dcp, tilt), x
+            held.append((ddcp, tilting))
+        counts.append((len(held), *map(sum, zip(*held))))
+    assert counts == [(1, 1, 1), (3, 3, 3), (11, 9, 8), (50, 28, 20)]
 
 
 def test_corners_not_applicable_without_property():
@@ -346,7 +365,7 @@ def test_rank_counts_match_subrepresentation_reference():
     five summands, n <= 4.  Every module-route report, read off the closed
     form, says what the sub-representations of its sequence say: T0, the
     kernel, each route's exactness, and each module decider's reasons; and
-    kernel_interval gives its kernel."""
+    ddcp_precheck's rule (_kernel_interval) gives its kernel."""
     verdicts = {}
 
     def referenced(seq):
@@ -396,7 +415,7 @@ def test_rank_counts_match_subrepresentation_reference():
                 assert pr.approx_summands == t0
                 assert pr.kernel_intervals == kernel
                 assert pr.exact == exact[onto]
-                k = kernel_interval(x, pr.vertex, i)
+                k = deciders._kernel_interval(x, pr.vertex, i)
                 assert pr.kernel_intervals == ({} if k is None else {k: 1})
                 reports += 1
     assert reports == 2 * 5520
@@ -475,8 +494,8 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
     and no End(x); the module route builds no sequence and reads one
     in-slice outcome (_in_slice) per unique-shift vertex, shared by its two
     deciders.  The four complex deciders share one frame, which the memo
-    holds: x is asked is_basic once, no sequence asks it of its own target
-    (the target's Hom relation answers it), and the hereditary rule
+    holds: x is asked is_basic once by the frame and once by each
+    derived-route sequence (each has target x), and the hereditary rule
     (is_hereditary) is asked about x once.  x's own Hom relation, reach
     called with x's summands as both ends, is computed once, for the
     hereditary rule and every sequence with target x.  The module deciders
@@ -560,7 +579,7 @@ def test_shared_work_is_built_once_and_leaves_reports_unchanged(
             assert in_slice_asked == unique
             assert own_reach == [x.summands]
             assert end_of_calls == []
-            assert basic_asked == [x]
+            assert basic_asked == [x] * (1 + len(sequences))
             assert hereditary_asked == [x]
             # the memo never holds more than the last object's work
             assert deciders._memo.cache_info().currsize == 1

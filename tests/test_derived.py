@@ -55,6 +55,15 @@ def test_object_rejects_non_integer_shifts():
             DerivedObject(alg, [(Interval(1, 1), 0)]).slice(pair[1])
 
 
+def test_object_rejects_a_mapping_of_summands():
+    """A mapping's keys would drop its multiplicities, so the constructor
+    rejects a mapping instead of reading it as its keys."""
+    alg = Algebra(3)
+    for mapping in ({(Interval(1, 3), 0): 2, (Interval(2, 3), 0): 5}, {}):
+        with pytest.raises(InputError, match="is a mapping"):
+            DerivedObject(alg, mapping)
+
+
 def test_graded_hom_counts():
     alg = Algebra(3)
     a = obj(alg, (1, 3, 0), (2, 3, 0), (3, 3, 0))

@@ -19,7 +19,6 @@ from ddcp.deciders import (
     check_tilting_complex,
     check_tilting_module,
     ddcp_precheck,
-    kernel_interval,
     verify_homology_corners,
 )
 from ddcp.derived import (
@@ -97,24 +96,17 @@ def test_interval_validation():
             lambda: check_module_dcp(Algebra(3), bad),
             lambda: check_tilting_module(Algebra(3), bad),
             lambda: ddcp_precheck(bad),
-            lambda: kernel_interval(bad, 1, 0),
             lambda: is_linear_A(bad),
             lambda: is_linear_A(x),  # an object, not its End
         ):
             with pytest.raises(InputError, match="is not a "):
                 call()
-    # no shift-1 summand covers vertex 1, so it has no kernel interval there
-    with pytest.raises(InputError, match="covers"):
-        kernel_interval(x, 1, 1)
-    # a vertex and a shift are ints, not coerced
-    for e, i in (("1", 0), (1.5, 0), (True, 0), (1, "0"), (1, 0.0), (1, False)):
-        with pytest.raises(InputError, match="must be integers"):
-            kernel_interval(x, e, i)
 
 
 def test_algebra_families():
     alg = Algebra(4)
     assert alg.projective(2) == Interval(2, 4)
+    assert alg.projectives == tuple(alg.projective(e) for e in range(1, 5))
     assert alg.injective(3) == Interval(1, 3)
     assert alg.interval(2, 2) == Interval(2, 2)
     assert len(alg.intervals()) == 10
